@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .exact_algebra import (ChainComplex, ChainMap, Coefficients, GradedModule,
-                            IntMatrix, homology_all, kernel_basis,
-                            kernel_basis_mod_p, mapping_cone, solve)
-from .exact_algebra.matrices import solve_mod_p
+                            IntMatrix, Subcomplex, homology_all, mapping_cone)
 from .stratified import FilteredComplex, Perversity
 
 NEG_INF = float("-inf")
@@ -338,88 +336,23 @@ class GlobalBlowupComplex:
         return BlowupIntersection(self, p)
 
 
-def _ring_kernel(M: IntMatrix, ring: Coefficients) -> IntMatrix:
-    if ring.kind == "Fp":
-        return kernel_basis_mod_p(M, ring.p)
-    return kernel_basis(M)
-
-
-def _ring_solve(A: IntMatrix, B: IntMatrix, ring: Coefficients) -> Optional[IntMatrix]:
-    if ring.kind == "Fp":
-        return solve_mod_p(A, B, ring.p)
-    return solve(A, B)
-
-
-class BlowupIntersection:
+class BlowupIntersection(Subcomplex):
     """The subcomplex of p-allowable cochains with p-allowable coboundary,
-    cut out degreewise as a saturated kernel."""
+    cut out of the full blown-up complex."""
 
     def __init__(self, G: GlobalBlowupComplex, p: Perversity):
         self.global_complex = G
         self.perversity = p
-        self.ring = G.ring
-        allowed = G.allowed_indices(p)
-        self.allowed = allowed
-        bases: Dict[int, IntMatrix] = {}
-        degrees = sorted(G.basis)
-        for k in degrees:
-            cols = allowed.get(k, [])
-            if not cols:
-                bases[k] = IntMatrix(G.rank(k), 0)
-                continue
-            nxt = allowed.get(k + 1, [])
-            banned = [i for i in range(G.rank(k + 1)) if i not in set(nxt)]
-            if not banned or G.rank(k + 1) == 0:
-                bases[k] = IntMatrix(G.rank(k), len(cols),
-                                     {(c, j): 1 for j, c in enumerate(cols)})
-                continue
-            D = G.differential(k).submatrix(range(G.rank(k + 1)), cols)
-            M = D.submatrix(banned, range(len(cols)))
-            K = _ring_kernel(M, self.ring)
-            emb = []
-            for j in range(K.cols):
-                col = K.column(j)
-                emb.append({cols[i]: v for i, v in col.items()})
-            bases[k] = IntMatrix.from_columns(emb, G.rank(k))
-        self.bases = bases
-        ranks = {k: bases[k].cols for k in degrees if bases[k].cols}
-        diffs = {}
-        for k in degrees:
-            if bases[k].cols == 0:
-                continue
-            target = bases.get(k + 1)
-            img = G.differential(k) * bases[k]
-            if target is None or target.cols == 0:
-                ok = img.is_zero() or (self.ring.kind == "Fp"
-                                       and all(v % self.ring.p == 0
-                                               for v in img.entries.values()))
-                if not ok:
-                    raise ValueError("coboundary escapes the intersection lattice")
-                continue
-            Y = _ring_solve(target, img, self.ring)
-            if Y is None:
-                raise ValueError("coboundary escapes the intersection lattice")
-            if not Y.is_zero():
-                diffs[k] = Y
-        self.complex = ChainComplex(
-            "coh", ranks, diffs,
-            modulus=(self.ring.p if self.ring.kind == "Fp" else None))
+        super().__init__(G.full_complex(), G.allowed_indices(p), G.ring)
 
     def cohomology(self) -> GradedModule:
-        return homology_all(self.complex, self.ring)
+        return homology_all(self, self.ring)
 
     def contains_basis_of(self, other: "BlowupIntersection") -> bool:
         """Lattice inclusion test: every basis vector of ``other`` lies in
         our lattice (used for monotonicity in the perversity)."""
-        for k, B in other.bases.items():
-            if B.cols == 0:
-                continue
-            mine = self.bases.get(k)
-            if mine is None or mine.cols == 0:
-                return False
-            if _ring_solve(mine, B, self.ring) is None:
-                return False
-        return True
+        return all(self.coordinates(k, B) is not None
+                   for k, B in other.bases.items() if B.cols)
 
 
 def blowup_complex(X: FilteredComplex, p: Perversity,
@@ -444,10 +377,7 @@ def relative_complex(X: FilteredComplex, p: Perversity, q: Perversity,
     for k, Bp in ip.bases.items():
         if Bp.cols == 0:
             continue
-        Bq = iq.bases.get(k)
-        if Bq is None or Bq.cols == 0:
-            raise ValueError("inclusion of intersection complexes fails")
-        Y = _ring_solve(Bq, Bp, ring)
+        Y = iq.coordinates(k, Bp)
         if Y is None:
             raise ValueError("inclusion of intersection complexes fails")
         mats[k] = Y

@@ -2,20 +2,18 @@
 
 Chains are combinations of regular simplices with the regular-part
 boundary; a chain is of p-intersection when it and its boundary are
-spanned by allowable simplices.  The intersection lattice in each degree
-is the saturated kernel of "boundary followed by projection away from
-the allowable span", so its basis is exact over Z and the same pipeline
-runs mod p for field coefficients.
+spanned by allowable simplices.  This module decides which simplices are
+allowable; ``exact_algebra.allowable_subcomplex`` cuts the intersection
+lattice out of the regular chain complex, exactly over Z and mod p for
+field coefficients, and homology and the dual cohomology are read from
+its invariant factors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .exact_algebra import (ChainComplex, Coefficients, GradedModule,
-                            IntMatrix, homology_all, kernel_basis,
-                            kernel_basis_mod_p, solve)
-from .exact_algebra.matrices import solve_mod_p
+                            IntMatrix, Subcomplex, homology_all)
 from .stratified import FilteredComplex, Perversity
 
 NEG_INF = float("-inf")
@@ -103,113 +101,24 @@ def regular_boundary(X: FilteredComplex, chain: Dict[Tuple, int]) -> Dict[Tuple,
     return {f: c for f, c in out.items() if c}
 
 
-def _ring_kernel(M: IntMatrix, ring: Coefficients) -> IntMatrix:
-    if ring.kind == "Fp":
-        return kernel_basis_mod_p(M, ring.p)
-    return kernel_basis(M)
-
-
-def _ring_solve(A: IntMatrix, B: IntMatrix, ring: Coefficients) -> Optional[IntMatrix]:
-    if ring.kind == "Fp":
-        return solve_mod_p(A, B, ring.p)
-    return solve(A, B)
-
-
-@dataclass
-class IntersectionComplex:
-    """Basis of the p-intersection lattice in each degree, plus the induced
-    boundary in those bases."""
-    X: FilteredComplex
-    perversity: Perversity
-    ring: Coefficients
-    ambient: RegularComplex
-    allowed: Dict[int, List[int]]          # allowable column indices per degree
-    bases: Dict[int, IntMatrix]            # ambient coords x lattice rank
-    complex: ChainComplex
-
-    def basis_chain(self, k: int, j: int) -> Dict[Tuple, int]:
-        col = self.bases[k].column(j)
-        simps = self.ambient.simplices(k)
-        return {simps[i]: v for i, v in col.items()}
-
-    def contains(self, k: int, chain_vec: IntMatrix) -> bool:
-        """Membership of an ambient-coordinate column vector in the lattice."""
-        if k not in self.bases or self.bases[k].cols == 0:
-            return chain_vec.is_zero()
-        return _ring_solve(self.bases[k], chain_vec, self.ring) is not None
-
-
 def intersection_complex(X: FilteredComplex, p: Perversity,
-                         ring: Coefficients = Coefficients("Z")) -> IntersectionComplex:
-    amb = RegularComplex(X)
-    allowed: Dict[int, List[int]] = {}
-    for k in amb.by_degree:
-        allowed[k] = [j for j, s in enumerate(amb.simplices(k)) if allowable(X, s, p)]
-    bases: Dict[int, IntMatrix] = {}
-    degrees = sorted(amb.by_degree)
-    for k in degrees:
-        cols = allowed.get(k, [])
-        if not cols:
-            bases[k] = IntMatrix(amb.rank(k), 0)
-            continue
-        if k == 0 or amb.rank(k - 1) == 0:
-            # no boundary condition below
-            bases[k] = IntMatrix(amb.rank(k), len(cols),
-                                 {(c, j): 1 for j, c in enumerate(cols)})
-            continue
-        D = amb.boundary_matrix(k)
-        banned = [i for i in range(amb.rank(k - 1)) if i not in set(allowed.get(k - 1, []))]
-        Dsub = D.submatrix(range(amb.rank(k - 1)), cols)
-        M = Dsub.submatrix(banned, range(len(cols)))
-        K = _ring_kernel(M, ring)
-        # re-embed: columns in full ambient coordinates
-        emb_cols = []
-        for j in range(K.cols):
-            col = K.column(j)
-            emb_cols.append({cols[i]: v for i, v in col.items()})
-        bases[k] = IntMatrix.from_columns(emb_cols, amb.rank(k))
-    ranks = {k: bases[k].cols for k in degrees if bases[k].cols}
-    diffs = {}
-    for k in degrees:
-        if k == 0 or bases[k].cols == 0:
-            continue
-        target = bases.get(k - 1)
-        img = amb.boundary_matrix(k) * bases[k]
-        if target is None or target.cols == 0:
-            if not (img.is_zero() or (ring.kind == "Fp"
-                                      and all(v % ring.p == 0 for v in img.entries.values()))):
-                raise ValueError("boundary of an intersection chain escapes the lattice")
-            continue
-        Y = _ring_solve(target, img, ring)
-        if Y is None:
-            raise ValueError("boundary of an intersection chain escapes the lattice")
-        if not Y.is_zero():
-            diffs[k] = Y
-    cplx = ChainComplex("hom", ranks, diffs,
-                        modulus=(ring.p if ring.kind == "Fp" else None))
-    return IntersectionComplex(X, p, ring, amb, allowed, bases, cplx)
+                         ring: Coefficients = Coefficients("Z")) -> Subcomplex:
+    """The p-intersection lattice: the allowable subcomplex of the regular
+    chain complex of X."""
+    amb = RegularComplex(X).chain_complex()
+    allowed = {k: [j for j, s in enumerate(simps) if allowable(X, s, p)]
+               for k, simps in amb.basis.items()}
+    return Subcomplex(amb, allowed, ring)
 
 
 def intersection_homology(X: FilteredComplex, p: Perversity,
                           ring: Coefficients = Coefficients("Z")) -> GradedModule:
-    ic = intersection_complex(X, p, ring)
-    return homology_all(ic.complex, ring)
+    return homology_all(intersection_complex(X, p, ring), ring)
 
 
 def intersection_cohomology(X: FilteredComplex, p: Perversity,
                             ring: Coefficients = Coefficients("Z")) -> GradedModule:
-    """Cohomology of Hom(intersection chains, R), by dualising the basis
-    boundary matrices.  The sign in the dual differential is a unit and
-    does not move any homology group."""
-    ic = intersection_complex(X, p, ring)
-    dual = ic.complex.dualize()
-    return homology_all(dual, ring)
-
-
-def cohomology_via_uct(h: GradedModule) -> GradedModule:
-    """Universal-coefficient route: H^k = Hom(H_k, Z) + Ext(H_{k-1}, Z)."""
-    out = {}
-    degrees = set(h.support()) | {k + 1 for k in h.support()}
-    for k in degrees:
-        out[k] = h[k].free_part().direct_sum(h[k - 1].torsion_part())
-    return GradedModule(out)
+    """Cohomology of Hom(intersection chains, R), read from the transposed
+    differentials.  The sign in the dual differential is a unit and does
+    not move any homology group."""
+    return homology_all(intersection_complex(X, p, ring).dualize(), ring)

@@ -19,13 +19,14 @@ import time
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .exact_algebra import (Coefficients, FGModule, GradedModule, IntMatrix,
-                            random_sparse, smith)
+from .exact_algebra import (Coefficients, GradedModule, IntMatrix,
+                            homology_all, random_sparse, smith,
+                            verdier_dual_cohomology)
 from .stratified import (FilteredComplex, GMPerversity, Perversity,
                          StratifiedValidationError)
 from .triangulations import has_triangulation, triangulation_of
-from .chains import (RegularComplex, cohomology_via_uct, intersection_cohomology,
-                     intersection_homology)
+from .chains import (RegularComplex, intersection_cohomology,
+                     intersection_complex, intersection_homology)
 from .blowup import blowup_cohomology
 from .spaces import (AtomSpace, DisjointUnion, IsolatedSing, MappingTorus,
                      OpenCone, SpaceExpr, Suspension, ThomCircle, atom,
@@ -155,10 +156,6 @@ def graded_to_json(g: Optional[GradedModule]):
             for k in g.support()}
 
 
-def module_str(m: FGModule) -> str:
-    return str(m)
-
-
 def graded_str(g: Optional[GradedModule]) -> str:
     return "-" if g is None else str(g)
 
@@ -256,7 +253,8 @@ def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
                       space_name: str) -> DualityReport:
     p = perversity_for(X, pspec)
     gh = intersection_homology(X, p, ring)
-    ghd = intersection_cohomology(X, p.complementary(), ring)
+    ic_dual = intersection_complex(X, p.complementary(), ring)
+    ghd = homology_all(ic_dual.dualize(), ring)
     hb = blowup_cohomology(X, p, ring)
     from .peripheral import CheckResult
     rep = DualityReport(
@@ -271,7 +269,7 @@ def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
         annotations=["simplicial engine: comparison-map data is symbolic-only"],
     )
     if ring.kind == "Z":
-        uct = cohomology_via_uct(intersection_homology(X, p.complementary(), ring))
+        uct = verdier_dual_cohomology(homology_all(ic_dual, ring))
         status = "pass" if uct == ghd else "fail"
         rep.checks.append(CheckResult("universal coefficients on GH^*", status,
                                       "" if status == "pass" else
@@ -376,7 +374,7 @@ def _crosscheck_one(data: dict, X: FilteredComplex, k: int, out_rows: list) -> b
     p = perversity_for(X, k)
     pairs = [
         ("GH_*", prof.gh_lower, intersection_homology(X, p, ring)),
-        ("GH^*", cohomology_via_uct(prof.gh_lower) if prof.gh_lower is not None
+        ("GH^*", verdier_dual_cohomology(prof.gh_lower) if prof.gh_lower is not None
          else None, intersection_cohomology(X, p, ring)),
         ("H~^*", prof.h_blowup, blowup_cohomology(X, p, ring)),
     ]

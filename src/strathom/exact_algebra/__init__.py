@@ -1,32 +1,34 @@
 """Exact linear algebra over Z, Q and prime fields.
 
 Smith normal form, finitely generated module arithmetic, Hom/Ext duals,
-Künneth products, chain complexes and mapping cones.
+Künneth products, chain complexes, allowable subcomplexes and mapping
+cones.
 """
 from .matrices import (IntMatrix, SmithDecomposition, kernel_basis,
                        kernel_basis_mod_p, random_sparse, rank_mod_p, smith,
                        solve)
 from .modules import (Coefficients, ExtensionOutcome, FGModule, GradedModule,
-                      QQ, ZZ, ext_dual, graded, hom_dual, homology_to_field,
-                      kunneth, module_from_relations, tensor_fg, to_field,
-                      tor_fg, verdier_dual_cohomology, verdier_dual_homology)
+                      QQ, ZZ, ext_dual, hom_dual, kunneth,
+                      module_from_relations, tensor_fg, tor_fg,
+                      verdier_dual_cohomology, verdier_dual_homology)
 from .maps import (CanonicalModule, GradedModuleMap, MapComponents,
                    MapValidationError, ModuleMap, Presentation,
                    canonical_matrix, canonicalize, ker_coker,
                    split_components)
 from .complexes import (ChainComplex, ChainMap, ComplexValidationError,
-                        homology, homology_all, mapping_cone)
+                        Subcomplex, allowable_subcomplex, homology,
+                        homology_all, mapping_cone)
 
 __all__ = [
     "IntMatrix", "SmithDecomposition", "smith", "solve", "kernel_basis",
     "kernel_basis_mod_p", "rank_mod_p", "random_sparse",
-    "Coefficients", "ZZ", "QQ", "FGModule", "GradedModule", "graded",
+    "Coefficients", "ZZ", "QQ", "FGModule", "GradedModule",
     "ExtensionOutcome", "hom_dual", "ext_dual", "verdier_dual_homology",
     "verdier_dual_cohomology", "kunneth", "tensor_fg", "tor_fg",
-    "module_from_relations", "to_field", "homology_to_field",
+    "module_from_relations",
     "Presentation", "ModuleMap", "GradedModuleMap", "MapComponents",
     "MapValidationError", "CanonicalModule", "canonicalize",
     "canonical_matrix", "split_components", "ker_coker",
     "ChainComplex", "ChainMap", "ComplexValidationError", "homology",
-    "homology_all", "mapping_cone",
+    "homology_all", "mapping_cone", "Subcomplex", "allowable_subcomplex",
 ]

@@ -1,17 +1,26 @@
 """Chain complexes of free modules with exact homology.
 
 A complex carries its orientation explicitly: ``hom`` complexes lower the
-degree, ``coh`` complexes raise it.  Homology is computed from a saturated
-kernel basis plus a Smith form, so ranks and invariant factors come out
-exactly over Z; over Q and F_p only dimensions are needed.
+degree, ``coh`` complexes raise it.  Homology is read from invariant
+factors alone: H_k = R^(n_k - r_out - r_in) plus Z/d for each invariant
+factor d > 1 of the differential entering degree k, with ranks and factors
+from diagonal-only Smith forms over Z and Q and ranks from elimination
+over F_p.
+
+``allowable_subcomplex`` cuts the subcomplex spanned by allowed basis
+elements with allowed differential out of an ambient complex; both
+intersection engines use it.  A ``Subcomplex`` presents its homology by the
+ambient products d.B_k, so the induced differential is solved for only
+when a chain map needs it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .matrices import (IntMatrix, kernel_basis, rank_mod_p, smith, solve)
-from .modules import Coefficients, FGModule, GradedModule, module_from_relations
+from .matrices import (IntMatrix, kernel_basis, kernel_basis_mod_p,
+                       rank_mod_p, smith, solve, solve_mod_p)
+from .modules import Coefficients, FGModule, GradedModule
 
 
 class ComplexValidationError(ValueError):
@@ -98,35 +107,142 @@ class ChainComplex:
         return cls(orientation, {}, {})
 
 
-def homology(C: ChainComplex, k: int, ring: Coefficients = Coefficients("Z")) -> FGModule:
-    """H_k = (kernel of the differential leaving k) / (image entering k)."""
+def homology(C, k: int, ring: Coefficients = Coefficients("Z")) -> FGModule:
+    """H_k = Z^(n_k - r_out - r_in) + sum of Z/d_i.
+
+    r_out and r_in are the ranks of the differentials leaving and entering
+    degree k, and the d_i > 1 are the invariant factors of the entering
+    one; over a field there is no torsion term.  ``C`` is a ChainComplex or
+    anything with the same ``rank``/``diff``/``step`` reading, such as a
+    Subcomplex, whose ``diff`` has the invariant factors of the
+    differential without being it.
+    """
     n = C.rank(k)
     if n == 0:
         return FGModule.zero()
     out = C.diff(k)
     inc = C.diff(k - C.step)
-    if ring.kind == "Z":
-        K = kernel_basis(out) if not out.is_zero() else IntMatrix.identity(n)
-        if K.cols == 0:
-            return FGModule.zero()
-        if inc.is_zero():
-            return FGModule.free(K.cols)
-        Y = solve(K, inc)
-        if Y is None:
-            raise ComplexValidationError("image does not lie in the kernel")
-        return module_from_relations(K.cols, Y)
-    if ring.kind == "Q":
-        sd_out = smith(out, need_U=False, need_V=False) if not out.is_zero() else None
-        sd_in = smith(inc, need_U=False, need_V=False) if not inc.is_zero() else None
-        r_out = sd_out.rank if sd_out else 0
-        r_in = sd_in.rank if sd_in else 0
-        return FGModule.free(n - r_out - r_in)
-    p = ring.p
-    return FGModule.free(n - rank_mod_p(out, p) - rank_mod_p(inc, p))
+    if ring.kind == "Fp":
+        return FGModule.free(n - rank_mod_p(out, ring.p) - rank_mod_p(inc, ring.p))
+    d_out = smith(out, need_U=False, need_V=False).diagonal if not out.is_zero() else ()
+    d_in = smith(inc, need_U=False, need_V=False).diagonal if not inc.is_zero() else ()
+    torsion = [d for d in d_in if d > 1] if ring.kind == "Z" else []
+    return FGModule.from_factors(n - len(d_out) - len(d_in), torsion)
 
 
-def homology_all(C: ChainComplex, ring: Coefficients = Coefficients("Z")) -> GradedModule:
+def homology_all(C, ring: Coefficients = Coefficients("Z")) -> GradedModule:
     return GradedModule({k: homology(C, k, ring) for k in C.support()})
+
+
+def allowable_subcomplex(ambient: ChainComplex, allowed: Dict[int, List[int]],
+                         ring: Coefficients) -> Dict[int, IntMatrix]:
+    """Saturated lattice bases of the allowable subcomplex, per degree.
+
+    In degree k the lattice is the kernel of "differential, then projection
+    away from the allowed coordinates of degree k + step", taken on the
+    allowed coordinates of degree k (over F_p: the kernel mod p).  Columns
+    of ``bases[k]`` are in ambient coordinates.  The lattices form a
+    subcomplex because d o d = 0 in the ambient complex.
+    """
+    bases = {}
+    for k in ambient.support():
+        cols = allowed.get(k, [])
+        nxt = set(allowed.get(k + ambient.step, []))
+        banned = [i for i in range(ambient.rank(k + ambient.step)) if i not in nxt]
+        M = ambient.diff(k).submatrix(banned, cols)
+        K = kernel_basis_mod_p(M, ring.p) if ring.kind == "Fp" else kernel_basis(M)
+        bases[k] = IntMatrix(ambient.rank(k), K.cols,
+                             {(cols[i], j): v for (i, j), v in K.entries.items()})
+    return bases
+
+
+class Subcomplex:
+    """The allowable subcomplex of ``ambient``, given by its lattice bases.
+
+    ``diff(k)`` is the ambient product d.B_k, not the induced differential
+    D_k.  Since d.B_k = B_(k+step).D_k and a saturated B_(k+step) is part
+    of a unimodular matrix (over F_p: has full column rank), the product
+    has the invariant factors and the rank mod p of D_k, which is all
+    ``homology`` reads.  ``complex`` solves for D_k on first use.
+    """
+
+    def __init__(self, ambient: ChainComplex, allowed: Dict[int, List[int]],
+                 ring: Coefficients):
+        self.ambient = ambient
+        self.ring = ring
+        self.step = ambient.step
+        self.bases = allowable_subcomplex(ambient, allowed, ring)
+        self._images: Dict[int, IntMatrix] = {}
+        self._complex: Optional[ChainComplex] = None
+
+    def support(self) -> List[int]:
+        return sorted(k for k, B in self.bases.items() if B.cols)
+
+    def rank(self, k: int) -> int:
+        return self.bases[k].cols if k in self.bases else 0
+
+    def diff(self, k: int) -> IntMatrix:
+        if k not in self._images:
+            B = self.bases.get(k, IntMatrix(0, 0))
+            self._images[k] = self.ambient.diff(k) * B
+        return self._images[k]
+
+    def dualize(self) -> "DualComplex":
+        return DualComplex(self)
+
+    def basis_chain(self, k: int, j: int) -> dict:
+        """Column j of B_k as {ambient basis label: coefficient}."""
+        labels = self.ambient.basis[k]
+        return {labels[i]: v for i, v in self.bases[k].column(j).items()}
+
+    def coordinates(self, k: int, vectors: IntMatrix) -> Optional[IntMatrix]:
+        """Y with B_k Y = vectors, or None when a column leaves the lattice."""
+        B = self.bases.get(k)
+        if B is None or B.cols == 0:
+            if self.ring.kind == "Fp":
+                inside = all(v % self.ring.p == 0 for v in vectors.entries.values())
+            else:
+                inside = vectors.is_zero()
+            return IntMatrix(0, vectors.cols) if inside else None
+        if self.ring.kind == "Fp":
+            return solve_mod_p(B, vectors, self.ring.p)
+        return solve(B, vectors)
+
+    @property
+    def complex(self) -> ChainComplex:
+        """The induced differentials in the lattice bases."""
+        if self._complex is None:
+            diffs = {}
+            for k in self.support():
+                Y = self.coordinates(k + self.step, self.diff(k))
+                if Y is None:
+                    raise ComplexValidationError(
+                        f"differential at degree {k} escapes the allowable lattice")
+                if not Y.is_zero():
+                    diffs[k] = Y
+            self._complex = ChainComplex(
+                self.ambient.orientation, {k: self.rank(k) for k in self.support()},
+                diffs, modulus=(self.ring.p if self.ring.kind == "Fp" else None))
+        return self._complex
+
+
+class DualComplex:
+    """Hom(C, R) read for homology: transposed differentials, opposite
+    orientation.  Transposes keep invariant factors, so the units in the
+    dual sign convention do not matter (see ChainComplex.dualize)."""
+
+    def __init__(self, C):
+        self.C = C
+        self.step = -C.step
+
+    def support(self) -> List[int]:
+        return self.C.support()
+
+    def rank(self, k: int) -> int:
+        return self.C.rank(k)
+
+    def diff(self, k: int) -> IntMatrix:
+        return self.C.diff(k + self.step).transpose()
 
 
 @dataclass

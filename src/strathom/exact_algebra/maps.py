@@ -278,6 +278,3 @@ class GradedModuleMap:
     def cokernel_graded(self) -> GradedModule:
         return GradedModule(
             {k + self.shift: self.map_at(k).cokernel() for k in self.degrees()})
-
-    def is_automorphism(self) -> bool:
-        return all(self.map_at(k).is_iso() for k in self.degrees()) and self.shift == 0

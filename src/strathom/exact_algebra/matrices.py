@@ -545,39 +545,13 @@ def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     return sd.V * Z
 
 
-def rank_mod_p(A: IntMatrix, p: int) -> int:
-    """Rank over the prime field F_p, by sparse Gaussian elimination."""
-    rows = {}
-    for (i, j), v in A.entries.items():
-        vv = v % p
-        if vv:
-            rows.setdefault(i, {})[j] = vv
-    rank = 0
-    pivots = {}   # col -> normalized row dict
-    for i in sorted(rows):
-        cur = dict(rows[i])
-        while cur:
-            j = min(cur)
-            if j in pivots:
-                f = cur[j]
-                for jj, vv in pivots[j].items():
-                    w = (cur.get(jj, 0) - f * vv) % p
-                    if w:
-                        cur[jj] = w
-                    else:
-                        cur.pop(jj, None)
-            else:
-                inv = pow(cur[j], p - 2, p)
-                norm = {jj: (vv * inv) % p for jj, vv in cur.items()}
-                pivots[j] = norm
-                rank += 1
-                break
-    return rank
+def _echelon_mod_p(A: IntMatrix, p: int, reduced: bool) -> dict:
+    """Row echelon form of A over F_p by sparse Gaussian elimination.
 
-
-def kernel_basis_mod_p(A: IntMatrix, p: int) -> IntMatrix:
-    """Kernel basis over F_p, entries reduced to 0..p-1, as columns."""
-    n = A.cols
+    Returns {pivot column: pivot row}, each row a dict col -> entry in
+    1..p-1 with 1 at its pivot.  With ``reduced`` the rows are
+    back-substituted so that no row has an entry in another's pivot column.
+    """
     rows = {}
     for (i, j), v in A.entries.items():
         vv = v % p
@@ -585,98 +559,71 @@ def kernel_basis_mod_p(A: IntMatrix, p: int) -> IntMatrix:
             rows.setdefault(i, {})[j] = vv
     pivots = {}
     for i in sorted(rows):
-        cur = dict(rows[i])
+        cur = rows[i]
         while cur:
             j = min(cur)
-            if j in pivots:
-                f = cur[j]
-                for jj, vv in pivots[j].items():
-                    w = (cur.get(jj, 0) - f * vv) % p
-                    if w:
-                        cur[jj] = w
-                    else:
-                        cur.pop(jj, None)
-            else:
+            if j not in pivots:
                 inv = pow(cur[j], p - 2, p)
                 pivots[j] = {jj: (vv * inv) % p for jj, vv in cur.items()}
                 break
-    # back-substitute to reduced row echelon form
-    for j in sorted(pivots, reverse=True):
-        row = pivots[j]
-        for j2 in sorted(pivots):
-            if j2 >= j:
-                break
-            r2 = pivots[j2]
-            f = r2.get(j, 0)
-            if f:
-                for jj, vv in row.items():
-                    w = (r2.get(jj, 0) - f * vv) % p
-                    if w:
-                        r2[jj] = w
-                    else:
-                        r2.pop(jj, None)
-    free_cols = [j for j in range(n) if j not in pivots]
+            f = cur[j]
+            for jj, vv in pivots[j].items():
+                w = (cur.get(jj, 0) - f * vv) % p
+                if w:
+                    cur[jj] = w
+                else:
+                    cur.pop(jj, None)
+    if reduced:
+        order = sorted(pivots)
+        for j in reversed(order):
+            row = pivots[j]
+            for j2 in order:
+                if j2 >= j:
+                    break
+                r2 = pivots[j2]
+                f = r2.get(j, 0)
+                if f:
+                    for jj, vv in row.items():
+                        w = (r2.get(jj, 0) - f * vv) % p
+                        if w:
+                            r2[jj] = w
+                        else:
+                            r2.pop(jj, None)
+    return pivots
+
+
+def rank_mod_p(A: IntMatrix, p: int) -> int:
+    """Rank over the prime field F_p."""
+    return len(_echelon_mod_p(A, p, reduced=False))
+
+
+def kernel_basis_mod_p(A: IntMatrix, p: int) -> IntMatrix:
+    """Kernel basis over F_p, entries reduced to 0..p-1, as columns."""
+    pivots = _echelon_mod_p(A, p, reduced=True)
     cols = []
-    for fc in free_cols:
+    for fc in range(A.cols):
+        if fc in pivots:
+            continue
         vec = {fc: 1}
         for pj, row in pivots.items():
             c = row.get(fc, 0)
             if c:
                 vec[pj] = (-c) % p
         cols.append(vec)
-    return IntMatrix.from_columns(cols, n)
+    return IntMatrix.from_columns(cols, A.cols)
 
 
 def solve_mod_p(A: IntMatrix, B: IntMatrix, p: int) -> Optional[IntMatrix]:
     """Solve A X = B over F_p; None when inconsistent."""
     if A.rows != B.rows:
         raise ValueError("shape mismatch in solve_mod_p")
-    aug = A.hstack(B)
-    rows = {}
-    for (i, j), v in aug.entries.items():
-        vv = v % p
-        if vv:
-            rows.setdefault(i, {})[j] = vv
-    pivots = {}
-    for i in sorted(rows):
-        cur = dict(rows[i])
-        while cur:
-            j = min(cur)
-            if j in pivots:
-                f = cur[j]
-                for jj, vv in pivots[j].items():
-                    w = (cur.get(jj, 0) - f * vv) % p
-                    if w:
-                        cur[jj] = w
-                    else:
-                        cur.pop(jj, None)
-            else:
-                inv = pow(cur[j], p - 2, p)
-                pivots[j] = {jj: (vv * inv) % p for jj, vv in cur.items()}
-                break
-        else:
-            continue
+    pivots = _echelon_mod_p(A.hstack(B), p, reduced=True)
     if any(j >= A.cols for j in pivots):
         return None
-    # back substitution
-    for j in sorted(pivots, reverse=True):
-        row = pivots[j]
-        for j2 in sorted(pivots):
-            if j2 >= j:
-                break
-            r2 = pivots[j2]
-            f = r2.get(j, 0)
-            if f:
-                for jj, vv in row.items():
-                    w = (r2.get(jj, 0) - f * vv) % p
-                    if w:
-                        r2[jj] = w
-                    else:
-                        r2.pop(jj, None)
     ent = {}
     for pj, row in pivots.items():
         for jj, vv in row.items():
-            if jj >= A.cols and vv:
+            if jj >= A.cols:
                 ent[(pj, jj - A.cols)] = vv
     return IntMatrix(A.cols, B.cols, ent)
 

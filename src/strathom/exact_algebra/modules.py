@@ -170,23 +170,6 @@ class FGModule:
     def p_torsion_count(self, p: int) -> int:
         return sum(1 for d in self.torsion if d % p == 0)
 
-    def elementary_divisors(self) -> Tuple[int, ...]:
-        out = []
-        for d in self.torsion:
-            n = d
-            q = 2
-            while q * q <= n:
-                if n % q == 0:
-                    e = 0
-                    while n % q == 0:
-                        n //= q
-                        e += 1
-                    out.append(q ** e)
-                q += 1
-            if n > 1:
-                out.append(n)
-        return tuple(sorted(out))
-
     def presentation(self) -> Tuple[int, IntMatrix]:
         """Generator count and relation matrix of the canonical form.
 
@@ -289,17 +272,14 @@ class GradedModule:
     __repr__ = __str__
 
 
-def graded(data: Dict[int, FGModule]) -> GradedModule:
-    return GradedModule(data)
-
-
-def verdier_dual_homology(H: GradedModule, n: int = 0) -> GradedModule:
+def verdier_dual_homology(H: GradedModule) -> GradedModule:
     """Homology of the dual complex, from the universal coefficient split.
 
     Degree k of the output is Hom(H^k, R) + Ext(H^{k+1}, R).  The input is
-    read cohomologically and the output homologically; ``n`` is the ambient
-    duality dimension and is left to callers (see GradedModule.reflect),
-    so that applying the chain-side dual after this one is the identity.
+    read cohomologically and the output homologically; reflecting through
+    the ambient duality dimension is left to callers (see
+    GradedModule.reflect), so that applying the chain-side dual after this
+    one is the identity.
     """
     degrees = set(H.support()) | {k - 1 for k in H.support()}
     out = {}
@@ -308,7 +288,7 @@ def verdier_dual_homology(H: GradedModule, n: int = 0) -> GradedModule:
     return GradedModule(out)
 
 
-def verdier_dual_cohomology(H: GradedModule, n: int = 0) -> GradedModule:
+def verdier_dual_cohomology(H: GradedModule) -> GradedModule:
     """Chain-side twin: degree k maps to Hom(H_k, R) + Ext(H_{k-1}, R)."""
     degrees = set(H.support()) | {k + 1 for k in H.support()}
     out = {}
@@ -351,27 +331,6 @@ def kunneth(A: GradedModule, B: GradedModule) -> GradedModule:
             add(i + j, tensor_fg(ai, bj))
             add(i + j + 1, tor_fg(ai, bj))
     return GradedModule(out)
-
-
-# -- change of coefficients --------------------------------------------
-
-def to_field(m: FGModule, ring: Coefficients) -> FGModule:
-    """Dimension of M (x) F as an F-vector space (no Tor term)."""
-    if ring.kind == "Q":
-        return FGModule.free(m.rank)
-    if ring.kind == "Fp":
-        return FGModule.free(m.rank + m.p_torsion_count(ring.p))
-    return m
-
-
-def homology_to_field(h_k: FGModule, h_km1: FGModule, ring: Coefficients) -> FGModule:
-    """Universal coefficients: H_k(C; F) from integral H_k and H_{k-1}."""
-    if ring.kind == "Z":
-        return h_k
-    if ring.kind == "Q":
-        return FGModule.free(h_k.rank)
-    p = ring.p
-    return FGModule.free(h_k.rank + h_k.p_torsion_count(p) + h_km1.p_torsion_count(p))
 
 
 # -- extension problems -------------------------------------------------
@@ -439,23 +398,15 @@ def _iter_elements(invariants):
 
 
 def _subgroup_invariants(invariants, gens):
-    """Invariant factors of the subgroup of prod Z_d generated by gens."""
+    """Quotient of prod Z_d by the subgroup generated by ``gens``, and the
+    order of that subgroup."""
     n = len(invariants)
-    # relations of the ambient group in the generator coordinates:
-    # subgroup = Z^k -> prod Z_d; its structure is coker of the kernel of
-    # that map, i.e. Smith form of [G | D] restricted -- do it directly:
-    # the subgroup is the image lattice of G modulo D.
     G = IntMatrix(n, len(gens), {(i, j): g[i] for j, g in enumerate(gens) for i in range(n) if g[i]})
     D = IntMatrix(n, n, {(i, i): invariants[i] for i in range(n)})
-    # subgroup ~ Z^{k}/{x : Gx in im D}; present via stacked matrix
-    M = G.hstack(D)
-    sd = smith(M, need_U=False, need_V=False)
-    # |subgroup| = |prod Z_d| / |coker[G|D]| ... simpler: compute the
-    # subgroup is image of G in prod Z_d: its order = prod(d) / |coker|.
     total = 1
     for d in invariants:
         total *= d
-    coker = module_from_relations(n, M)
+    coker = module_from_relations(n, G.hstack(D))
     sub_order = total // (coker.order() or 1)
     return coker, sub_order
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_algebra import (Coefficients, ExtensionOutcome, FGModule,
-                            GradedModule, IntMatrix, ModuleMap, Presentation)
+                            GradedModule, IntMatrix, ModuleMap, Presentation,
+                            verdier_dual_homology)
 from .exact_algebra.maps import (connecting_map, split_components,
                                  subgroup_presentation)
 
@@ -93,12 +94,7 @@ class ManifoldAtom:
         """From cohomology by inverting universal coefficients:
         H_j = (free part of H^j) + (torsion of H^{j+1})."""
         H = self.cohomology(ring)
-        if ring.is_field:
-            return H
-        out = {}
-        for j in set(H.support()) | {j - 1 for j in H.support()}:
-            out[j] = H[j].free_part().direct_sum(H[j + 1].torsion_part())
-        return GradedModule(out)
+        return H if ring.is_field else verdier_dual_homology(H)
 
     def basis_in_degree(self, j: int) -> List[BasisElt]:
         return [b for b in self.basis if b.degree == j]

@@ -395,5 +395,4 @@ class Perversity:
         return Perversity(self.X, vals)
 
     def __repr__(self):
-        sing = {k: v for k, v in self.values.items() if v or True}
-        return f"Perversity({sing})"
+        return f"Perversity({self.values})"

@@ -7,10 +7,12 @@ import random
 import time
 
 from strathom.blowup import GlobalBlowupComplex, blowup_cohomology
-from strathom.chains import (cohomology_via_uct, intersection_cohomology,
-                             intersection_complex, intersection_homology)
+from strathom.chains import (intersection_cohomology, intersection_complex,
+                             intersection_homology)
 from strathom.exact_algebra import (Coefficients, FGModule, GradedModule,
                                     IntMatrix, kunneth, smith)
+from strathom.exact_algebra import \
+    verdier_dual_cohomology as cohomology_via_uct
 from strathom.peripheral import verdicts
 from strathom.spaces import (AtomSpace, MappingTorus, Suspension, ThomCircle,
                              atom, atom_renamed, eval_expression,

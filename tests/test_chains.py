@@ -1,12 +1,14 @@
 """Intersection chain complexes against the cone-formula oracles."""
 import pytest
 
-from strathom.chains import (RegularComplex, allowable, cohomology_via_uct,
+from strathom.chains import (RegularComplex, allowable,
                              intersection_cohomology, intersection_complex,
                              intersection_homology, perverse_degree,
                              regular_boundary)
 from strathom.exact_algebra import (Coefficients, FGModule, GradedModule,
                                     homology_all, smith, solve)
+from strathom.exact_algebra import \
+    verdier_dual_cohomology as cohomology_via_uct
 from strathom.stratified import Perversity
 from strathom.triangulations import circle, projective_plane, sphere, torus
 
