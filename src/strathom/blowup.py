@@ -255,20 +255,18 @@ class GlobalBlowupComplex:
         cols = self.rank(k)
         ent = {}
         X = self.X
+        visit_order = {v: i for i, v in enumerate(X.levels)}
         for j, g in enumerate(self.basis.get(k, ())):
             lab = g.as_local(X)
             blocks = X.join_decomposition(g.carrier)
             # coboundary terms within the carrier (eps flips only)
-            # plus terms that add a vertex from the ambient complex
+            # plus terms that add a vertex of the carrier's link
             terms = list(label_coboundary(lab, blocks, self.n))
             carrier_set = frozenset(g.carrier)
-            for w, lw in X.levels.items():
-                if w in carrier_set:
-                    continue
+            link = set().union(*X.maximal_cofaces(carrier_set)) - carrier_set
+            for w in sorted(link, key=visit_order.__getitem__):
+                lw = X.levels[w]
                 bigger = carrier_set | {w}
-                if bigger not in X.simplices:
-                    continue
-                big_blocks = X.join_decomposition(bigger)
                 big_lab = list(lab)
                 slot = min(lw, self.n)
                 if slot == self.n:
@@ -307,13 +305,11 @@ class GlobalBlowupComplex:
         if tau in self._star_strata_cache:
             return self._star_strata_cache[tau]
         X = self.X
-        tset = frozenset(tau)
         seen = {}
-        for m in X.maximal_simplices():
-            if tset <= m:
-                for st in X.strata_met_by(m):
-                    if not st.regular:
-                        seen[st.key] = st
+        for m in X.maximal_cofaces(tau):
+            for st in X.strata_met_by(m):
+                if not st.regular:
+                    seen[st.key] = st
         out = list(seen.values())
         self._star_strata_cache[tau] = out
         return out

@@ -38,6 +38,10 @@ class InputError(ValueError):
     pass
 
 
+# what a malformed input raises: exit 2 with one line, never a traceback
+BAD_INPUT = (KeyError, ValueError)   # InputError and StratifiedValidationError too
+
+
 # -- input parsing --------------------------------------------------------
 
 def parse_space(data: dict) -> SpaceExpr:
@@ -107,6 +111,8 @@ def load_job(path: str) -> dict:
         data = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: top-level JSON value must be an object")
     data["_digest"] = hashlib.sha256(raw).hexdigest()
     return data
 
@@ -284,14 +290,14 @@ def cmd_profile(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     digest = data.pop("_digest")
-    ring = Coefficients.parse(args.ring or data.get("ring", "Z"))
     engine = args.engine or data.get("engine", "symbolic")
-    pspecs = [data.get("perversity", 0)]
-    if args.perversity is not None:
-        pspecs = [int(v) for v in str(args.perversity).split(",")]
     space_data = data.get("space", data)
     reports: List[Tuple[str, DualityReport]] = []
     try:
+        ring = Coefficients.parse(str(args.ring or data.get("ring", "Z")))
+        pspecs = [data.get("perversity", 0)]
+        if args.perversity is not None:
+            pspecs = [int(v) for v in str(args.perversity).split(",")]
         for pspec in pspecs:
             per_perversity: List[Tuple[str, DualityReport]] = []
             if engine in ("symbolic", "both") and space_data.get("type") != "complex":
@@ -311,7 +317,7 @@ def cmd_profile(args) -> int:
             if len(per_perversity) == 2:
                 _engine_agreement_check(per_perversity[0][1], per_perversity[1][1])
             reports.extend(per_perversity)
-    except (InputError, StratifiedValidationError, KeyError, ValueError) as e:
+    except BAD_INPUT as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     failed = any(not rep.passed() for _, rep in reports)
@@ -352,12 +358,12 @@ def cmd_validate(args) -> int:
     try:
         X = realize(space_data)
         if X is None:
-            print("symbolic-only expression: nothing to validate simplicially")
             expr = parse_space(space_data)
+            print("symbolic-only expression: nothing to validate simplicially")
             print(f"parsed: {expr.name}")
             return 0
         X.validate()
-    except (StratifiedValidationError, InputError) as e:
+    except BAD_INPUT as e:
         print(f"invalid: {e}", file=sys.stderr)
         return 2
     print(f"valid: {X.name}: n={X.n}, {len(X.levels)} vertices, "
@@ -407,17 +413,22 @@ def cmd_crosscheck(args) -> int:
         return 2
     data.pop("_digest")
     space_data = data.get("space", data)
-    X = realize(space_data)
-    if X is None:
-        print("symbolic-only: expression has no simplicial realization")
-        return 0
-    ks = [int(v) for v in (args.perversity.split(",") if args.perversity else [])]
-    if not ks:
-        ks = list(range(0, max(X.n - 1, 1)))
     rows: list = []
     ok = True
-    for k in ks:
-        ok &= _crosscheck_one(space_data, X, k, rows)
+    try:
+        X = realize(space_data)
+        if X is None:
+            parse_space(space_data)         # names an unknown atom
+            print("symbolic-only: expression has no simplicial realization")
+            return 0
+        ks = [int(v) for v in (args.perversity.split(",") if args.perversity else [])]
+        if not ks:
+            ks = list(range(0, max(X.n - 1, 1)))
+        for k in ks:
+            ok &= _crosscheck_one(space_data, X, k, rows)
+    except BAD_INPUT as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     width = max(len(r[1]) for r in rows)
     for k, name, status, detail in rows:
         line = f"k={k}  {name:<{width}}  {status}"

@@ -816,6 +816,7 @@ def _eval_disjoint(expr: DisjointUnion, k: int, ring: Coefficients) -> Intersect
         raise ValueError("disjoint union of different dimensions")
     out = IntersectionProfile(expr.name, n, ring, profs[0].perversity_desc)
     out.oriented = all(p.oriented for p in profs)
+    out.graded_complete = all(p.graded_complete for p in profs)
 
     def merge(field_name):
         vals = [getattr(p, field_name) for p in profs]

@@ -44,6 +44,7 @@ class FilteredComplex:
             raw = _close_under_faces(raw)
         self.simplices = raw
         self._sorted_cache: Dict[FrozenSet, Tuple] = {}
+        self._maximal, self._maximal_by_vertex = self._index_maximal()
         self.validate(closed=not close)
         self._strata = None
         self._stratum_of: Dict[FrozenSet, "Stratum"] = {}
@@ -93,14 +94,34 @@ class FilteredComplex:
             self._sorted_cache[s] = t
         return t
 
-    def maximal_simplices(self) -> List[FrozenSet]:
+    def _index_maximal(self):
+        """Maximal simplices (size descending, then the str-sorted vertex
+        tuple) and, per vertex, the maximal simplices containing it in that
+        order.  A proper coface of s is listed under every vertex of s, so
+        s is tested against the shortest of its vertices' lists only."""
         by_size = sorted(self.simplices,
                          key=lambda s: (-len(s), tuple(sorted(s, key=str))))
-        maximal = []
+        maximal: List[FrozenSet] = []
+        by_vertex: Dict = {}
         for s in by_size:
-            if not any(s < m for m in maximal):
+            for m in _shortest_list(s, maximal, by_vertex):
+                if s < m:
+                    break
+            else:
                 maximal.append(s)
-        return maximal
+                for v in s:
+                    by_vertex.setdefault(v, []).append(s)
+        return maximal, by_vertex
+
+    def maximal_simplices(self) -> List[FrozenSet]:
+        """Maximal simplices, found once at construction (do not mutate)."""
+        return self._maximal
+
+    def maximal_cofaces(self, s: Iterable) -> List[FrozenSet]:
+        """Maximal simplices containing s, in ``maximal_simplices`` order."""
+        s = frozenset(s)
+        return [m for m in _shortest_list(s, self._maximal, self._maximal_by_vertex)
+                if s <= m]
 
     def simplices_of_dim(self, k: int) -> List[Tuple]:
         out = [self.sorted_vertices(s) for s in self.simplices if len(s) == k + 1]
@@ -247,6 +268,17 @@ class FilteredComplex:
     def __repr__(self):
         return (f"FilteredComplex({self.name or 'X'}, n={self.n}, "
                 f"{len(self.levels)} vertices, {len(self.simplices)} simplices)")
+
+
+def _shortest_list(s: FrozenSet, maximal: List[FrozenSet], by_vertex: Dict) -> List:
+    """The shortest list of maximal simplices containing a vertex of s (all
+    of ``maximal`` when s is empty): it holds every maximal coface of s."""
+    out = maximal
+    for v in s:
+        listed = by_vertex.get(v, ())
+        if len(listed) < len(out):
+            out = listed
+    return out
 
 
 def _fresh_vertex(levels: Dict) -> int:

@@ -1,4 +1,4 @@
-"""Acceptance suite: the twelve headline results, exact arithmetic.
+"""Acceptance suite: the thirteen headline results, exact arithmetic.
 
 Every criterion prints one pass/fail line (run with -s to see them all)
 and asserts both the values and its runtime budget.
@@ -19,7 +19,8 @@ from strathom.spaces import (AtomSpace, MappingTorus, Suspension, ThomCircle,
                              eval_manifold, eval_suspension, eval_thom_circle,
                              product_atom, relative_suspension)
 from strathom.stratified import Perversity
-from strathom.triangulations import projective_plane, sphere, torus
+from strathom.triangulations import (projective_plane, projective_space_3,
+                                     sphere, torus)
 
 Z = FGModule.free
 Zmod = FGModule.cyclic
@@ -318,3 +319,15 @@ def test_criterion_12_property_suites():
                                                     [rng.choice([2, 3, 4])])
                               for _ in range(rng.randint(0, 3))})
             assert kunneth(A, B) == kunneth(B, A)
+
+
+def test_criterion_13_suspension_rp3_crosscheck():
+    with Criterion(13, "susp(RP3): simplicial engine matches the closed-form oracle",
+                   60.0):
+        X = projective_space_3().suspension()
+        for k in (0, 1, 2):
+            p = apex_perversity(X, k)
+            want_gh, want_ghc, want_hb = _symbolic_prediction(atom("RP3"), "susp", k, ZZ)
+            assert intersection_homology(X, p, ZZ) == want_gh, k
+            assert intersection_cohomology(X, p, ZZ) == want_ghc, k
+            assert blowup_cohomology(X, p, ZZ) == want_hb, k

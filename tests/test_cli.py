@@ -32,6 +32,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_one_line_error(code, err):
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.fixture
+def susp_rp2(tmp_path):
+    return write(tmp_path, "s2.json", {
+        "space": {"type": "suspension", "of": {"type": "atom", "name": "RP2"}}})
+
+
+@pytest.fixture
+def unknown_atom(tmp_path):
+    return write(tmp_path, "bad.json", {"space": {"type": "atom", "name": "K3"}})
+
+
 class TestProfile:
     def test_text_report(self, susp_rp3, capsys):
         code, out, _ = run(capsys, "profile", susp_rp3)
@@ -80,6 +96,31 @@ class TestProfile:
             "space": {"type": "atom", "name": "K3"}})
         code, _, err = run(capsys, "profile", f)
         assert code == 2 and "K3" in err
+
+    @pytest.mark.parametrize("command", ["profile", "validate", "crosscheck"])
+    def test_top_level_array_is_input_error(self, tmp_path, capsys, command):
+        f = write(tmp_path, "arr.json", [{"type": "atom", "name": "S2"}])
+        code, out, err = run(capsys, command, f)
+        assert_one_line_error(code, err)
+        assert "must be an object" in err and out == ""
+
+    @pytest.mark.parametrize("ring", ["F4", "F", "R"])
+    def test_bad_ring_in_file_is_input_error(self, tmp_path, capsys, ring):
+        f = write(tmp_path, "r.json", {
+            "space": {"type": "suspension", "of": {"type": "atom", "name": "RP2"}},
+            "ring": ring})
+        code, out, err = run(capsys, "profile", f)
+        assert_one_line_error(code, err)
+        assert out == ""
+
+    def test_bad_ring_option_is_input_error(self, susp_rp2, capsys):
+        code, _, err = run(capsys, "profile", susp_rp2, "--ring", "F4")
+        assert_one_line_error(code, err)
+        assert "not prime" in err
+
+    def test_bad_perversity_option_is_input_error(self, susp_rp2, capsys):
+        code, _, err = run(capsys, "profile", susp_rp2, "--perversity", "x")
+        assert_one_line_error(code, err)
 
     def test_parse_error_reported_with_position(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
@@ -134,6 +175,11 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", cone_rp2)
         assert code == 0 and "codim 3" in out
 
+    def test_unknown_atom_is_input_error(self, unknown_atom, capsys):
+        code, out, err = run(capsys, "validate", unknown_atom)
+        assert_one_line_error(code, err)
+        assert "K3" in err and out == ""
+
     def test_symbolic_only(self, tmp_path, capsys):
         f = write(tmp_path, "t.json", {
             "space": {"type": "thom_circle",
@@ -157,6 +203,16 @@ class TestCrosscheck:
                       "euler": {"s2": 2}}})
         code, out, _ = run(capsys, "crosscheck", f)
         assert code == 0 and "symbolic-only" in out
+
+    def test_perversity_out_of_range_is_input_error(self, susp_rp2, capsys):
+        code, out, err = run(capsys, "crosscheck", susp_rp2, "--perversity", "7")
+        assert_one_line_error(code, err)
+        assert "value 7 outside" in err and out == ""
+
+    def test_unknown_atom_is_input_error(self, unknown_atom, capsys):
+        code, out, err = run(capsys, "crosscheck", unknown_atom)
+        assert_one_line_error(code, err)
+        assert "K3" in err and "symbolic-only" not in out
 
 
 class TestBenchSnf:

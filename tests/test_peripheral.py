@@ -4,10 +4,10 @@ import pytest
 from strathom.exact_algebra import (FGModule, GradedModule, GradedModuleMap,
                                     ModuleMap)
 from strathom.peripheral import components, peripheral, verdicts
-from strathom.spaces import (AtomSpace, MappingTorus, Suspension, ThomCircle,
-                             atom, atom_renamed, eval_expression,
-                             eval_manifold, eval_suspension, eval_thom_circle,
-                             product_atom)
+from strathom.spaces import (AtomSpace, DisjointUnion, MappingTorus,
+                             Suspension, ThomCircle, atom, atom_renamed,
+                             eval_expression, eval_manifold, eval_suspension,
+                             eval_thom_circle, product_atom)
 
 Z = FGModule.free
 Zmod = FGModule.cyclic
@@ -133,6 +133,19 @@ class TestVerdicts:
         assert names["torsion component duality"] == "pass"
         assert names["peripheral self-duality"] == "pass"
         assert names["free/torsion cohomology duality"] == "pass"
+
+    def test_disjoint_union_keeps_partial_flag(self):
+        # the Thom space lists its graded groups only through degree k + 1;
+        # the union must say so, or the duality check compares partial
+        # groups and reports a spurious fail
+        expr = DisjointUnion((ThomCircle(atom("S2"), (("s2", 2),)),
+                              AtomSpace(atom("S4"))))
+        prof, dual = eval_expression(expr, 0), eval_expression(expr, 2)
+        assert prof.graded_complete is False and dual.graded_complete is False
+        names = {c.name: c for c in verdicts(prof, dual).checks}
+        check = names["free/torsion cohomology duality"]
+        assert check.status == "skipped"
+        assert check.detail == "graded groups unavailable or partial"
 
     def test_checks_skipped_without_dual(self):
         rep = verdicts(eval_suspension(atom("RP3"), 1))
