@@ -113,6 +113,8 @@ def load_job(path: str) -> dict:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
     if not isinstance(data, dict):
         raise InputError(f"{path}: top-level JSON value must be an object")
+    if not isinstance(data.get("space", {}), dict):
+        raise InputError(f"{path}: \"space\" must be an object")
     data["_digest"] = hashlib.sha256(raw).hexdigest()
     return data
 
@@ -140,6 +142,14 @@ def realize(data: dict) -> Optional[FilteredComplex]:
             out = out.disjoint_union(p)
         return out
     return None
+
+
+def apex_value(spec) -> int:
+    """The closed-form engine's perversity: one apex value."""
+    try:
+        return int(spec)
+    except TypeError:
+        raise InputError(f"cannot parse perversity {spec!r}")
 
 
 def perversity_for(X: FilteredComplex, spec) -> Perversity:
@@ -302,7 +312,7 @@ def cmd_profile(args) -> int:
             per_perversity: List[Tuple[str, DualityReport]] = []
             if engine in ("symbolic", "both") and space_data.get("type") != "complex":
                 per_perversity.append(
-                    ("symbolic", symbolic_report(space_data, int(pspec), ring)))
+                    ("symbolic", symbolic_report(space_data, apex_value(pspec), ring)))
             if engine in ("simplicial", "both") or space_data.get("type") == "complex":
                 X = realize(space_data)
                 if X is None:
@@ -472,7 +482,10 @@ def cmd_bench_snf(args) -> int:
         sd = smith(m, need_U=True, need_V=True)
         dt = time.perf_counter() - t0
         for a, b in zip(sd.diagonal, sd.diagonal[1:]):
-            assert b % a == 0, "divisibility chain violated"
+            if b % a:
+                print(f"error: {name}: divisibility chain violated: "
+                      f"{a} does not divide {b}", file=sys.stderr)
+                return 1
         nontriv = [d for d in sd.diagonal if d > 1]
         print(f"{name:<28} {f'{m.rows}x{m.cols}':>12} {m.nnz():>8} "
               f"{sd.rank:>6} {len(nontriv):>10} {sd.peak_bits:>10} {dt:>9.3f}"

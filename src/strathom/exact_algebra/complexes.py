@@ -5,7 +5,7 @@ degree, ``coh`` complexes raise it.  Homology is read from invariant
 factors alone: H_k = R^(n_k - r_out - r_in) plus Z/d for each invariant
 factor d > 1 of the differential entering degree k, with ranks and factors
 from diagonal-only Smith forms over Z and Q and ranks from elimination
-over F_p.
+over F_p; ``homology_all`` reads each differential once.
 
 ``allowable_subcomplex`` cuts the subcomplex spanned by allowed basis
 elements with allowed differential out of an ambient complex; both
@@ -107,6 +107,20 @@ class ChainComplex:
         return cls(orientation, {}, {})
 
 
+def _invariant_factors(m: IntMatrix, ring: Coefficients) -> tuple:
+    """Invariant factors of m over Z; over F_p, rank-many units."""
+    if m.is_zero():
+        return ()
+    if ring.kind == "Fp":
+        return (1,) * rank_mod_p(m, ring.p)
+    return smith(m, need_U=False, need_V=False).diagonal
+
+
+def _group(n: int, d_out: tuple, d_in: tuple, ring: Coefficients) -> FGModule:
+    torsion = [d for d in d_in if d > 1] if ring.kind == "Z" else []
+    return FGModule.from_factors(n - len(d_out) - len(d_in), torsion)
+
+
 def homology(C, k: int, ring: Coefficients = Coefficients("Z")) -> FGModule:
     """H_k = Z^(n_k - r_out - r_in) + sum of Z/d_i.
 
@@ -120,18 +134,23 @@ def homology(C, k: int, ring: Coefficients = Coefficients("Z")) -> FGModule:
     n = C.rank(k)
     if n == 0:
         return FGModule.zero()
-    out = C.diff(k)
-    inc = C.diff(k - C.step)
-    if ring.kind == "Fp":
-        return FGModule.free(n - rank_mod_p(out, ring.p) - rank_mod_p(inc, ring.p))
-    d_out = smith(out, need_U=False, need_V=False).diagonal if not out.is_zero() else ()
-    d_in = smith(inc, need_U=False, need_V=False).diagonal if not inc.is_zero() else ()
-    torsion = [d for d in d_in if d > 1] if ring.kind == "Z" else []
-    return FGModule.from_factors(n - len(d_out) - len(d_in), torsion)
+    return _group(n, _invariant_factors(C.diff(k), ring),
+                  _invariant_factors(C.diff(k - C.step), ring), ring)
 
 
 def homology_all(C, ring: Coefficients = Coefficients("Z")) -> GradedModule:
-    return GradedModule({k: homology(C, k, ring) for k in C.support()})
+    """Every H_k of ``homology``, with one Smith form (over F_p, one rank)
+    per differential: the map leaving degree k is also the one entering
+    degree k + step."""
+    factors: Dict[int, tuple] = {}
+
+    def leaving(k):
+        if k not in factors:
+            factors[k] = _invariant_factors(C.diff(k), ring)
+        return factors[k]
+
+    return GradedModule({k: _group(C.rank(k), leaving(k), leaving(k - C.step), ring)
+                         for k in C.support()})
 
 
 def allowable_subcomplex(ambient: ChainComplex, allowed: Dict[int, List[int]],

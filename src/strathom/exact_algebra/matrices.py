@@ -6,6 +6,7 @@ cokernels, torsion factors and linear solves all reduce to it.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -266,39 +267,110 @@ class SmithDecomposition:
         return self.peak_abs.bit_length()
 
 
+_EMPTY: dict = {}   # read-only stand-in for a missing row
+
+
 class _Work:
-    """Mutable row/column-indexed sparse matrix used during reduction."""
+    """Mutable row/column-indexed sparse matrix used during reduction.
 
-    __slots__ = ("row", "colind", "peak")
+    With ``queued`` it also keeps a lazy pivot queue: a heap of
+    ``(|v| != 1, |v|, Markowitz cost, row, col)`` keys.  An entry is pushed
+    when it is created or its |v| falls, and the sole entry of a row or
+    column that an elimination leaves as a singleton is pushed again, since
+    its cost has dropped to 0.  Keys of entries whose row or column has
+    since grown are stale; ``pop_pivot`` recomputes them.
+    """
 
-    def __init__(self, m: IntMatrix):
+    __slots__ = ("row", "colind", "peak", "queue", "nnz")
+
+    def __init__(self, m: IntMatrix, queued: bool = False):
         self.row = {}
         self.colind = {}
         for (i, j), v in m.entries.items():
             self.row.setdefault(i, {})[j] = v
             self.colind.setdefault(j, set()).add(i)
         self.peak = m.max_abs()
+        self.nnz = m.nnz()
+        self.queue = None
+        if queued:
+            self._rebuild_queue()
+
+    @classmethod
+    def identity(cls, n: int) -> "_Work":
+        """The n x n identity, built directly: small Smith forms pay for
+        the two transforms more than for the reduction."""
+        w = cls.__new__(cls)
+        w.row = {i: {i: 1} for i in range(n)}
+        w.colind = {i: {i} for i in range(n)}
+        w.peak, w.nnz, w.queue = min(n, 1), n, None
+        return w
+
+    def key(self, i, j):
+        r = self.row[i]
+        a = abs(r[j])
+        return (a != 1, a, (len(r) - 1) * (len(self.colind[j]) - 1), i, j)
+
+    def _rebuild_queue(self):
+        self.queue = [self.key(i, j) for i, r in self.row.items() for j in r]
+        heapq.heapify(self.queue)
+
+    def pop_pivot(self):
+        """The live entry of least key, or None when the matrix is zero."""
+        q = self.queue
+        while q:
+            old = heapq.heappop(q)
+            i, j = old[3], old[4]
+            r = self.row.get(i)
+            if r is None or j not in r:
+                continue
+            new = self.key(i, j)
+            if new > old:
+                heapq.heappush(q, new)
+                continue
+            return i, j
+        return None
 
     def set(self, i, j, v):
         if v:
-            self.row.setdefault(i, {})[j] = v
-            self.colind.setdefault(j, set()).add(i)
+            r = self.row.get(i)
+            if r is None:
+                r = self.row[i] = {}
+            old = r.get(j)
+            if old is None:
+                self.colind.setdefault(j, set()).add(i)
+                self.nnz += 1
+            r[j] = v
             a = abs(v)
             if a > self.peak:
                 self.peak = a
+            q = self.queue
+            # pop_pivot repairs a queued key that has become too low; one
+            # that has become too high would hide the entry, so push again
+            # when |v| fell
+            if q is not None and (old is None or a < abs(old)):
+                if len(q) > 4 * self.nnz + 64:
+                    self._rebuild_queue()
+                else:
+                    heapq.heappush(q, self.key(i, j))
         else:
             r = self.row.get(i)
             if r and j in r:
                 del r[j]
+                self.nnz -= 1
                 if not r:
                     del self.row[i]
                 s = self.colind[j]
                 s.discard(i)
                 if not s:
                     del self.colind[j]
+                if self.queue is not None:
+                    if len(r) == 1:
+                        heapq.heappush(self.queue, self.key(i, next(iter(r))))
+                    if len(s) == 1:
+                        heapq.heappush(self.queue, self.key(next(iter(s)), j))
 
     def get(self, i, j):
-        return self.row.get(i, {}).get(j, 0)
+        return self.row.get(i, _EMPTY).get(j, 0)
 
     def add_multiple_of_row(self, target, source, factor):
         if not factor:
@@ -347,36 +419,18 @@ def _xgcd(a, b):
 def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomposition:
     """Smith normal form with unimodular transforms.
 
-    Pivots are chosen to minimise ``(|entry| != 1, |entry|, fill-in)``,
-    which keeps coefficient growth in check on the sparse boundary
-    matrices this package produces.
+    Pivots are taken from a lazy queue keyed by ``(|entry| != 1, |entry|,
+    Markowitz cost, row, col)``, so unit singletons go first, coefficient
+    growth stays in check on the sparse boundary matrices this package
+    produces, and the pivot path does not depend on set iteration order.
     """
-    w = _Work(A)
-    U = _Work(IntMatrix.identity(A.rows)) if need_U else None
-    V = _Work(IntMatrix.identity(A.cols)) if need_V else None
+    w = _Work(A, queued=True)
+    U = _Work.identity(A.rows) if need_U else None
+    V = _Work.identity(A.cols) if need_V else None
     diag = []
-    live_rows = set(w.row.keys())
-
-    def pivot():
-        best = None
-        best_key = None
-        for i in live_rows:
-            r = w.row.get(i)
-            if not r:
-                continue
-            rl = len(r)
-            for j, v in r.items():
-                cl = len(w.colind[j])
-                key = (abs(v) != 1, abs(v), (rl - 1) * (cl - 1))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-                    if key[:2] == (False, 1) and key[2] == 0:
-                        return best
-        return best
 
     while True:
-        pv = pivot()
+        pv = w.pop_pivot()
         if pv is None:
             break
         pi, pj = pv
@@ -420,28 +474,23 @@ def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomp
         d = w.get(pi, pj)
         if d < 0:
             # flip sign via the row transform
-            w.set(pi, pj, -d)
             if U is not None:
                 U.add_multiple_of_row(pi, pi, -2)
             d = -d
         diag.append((d, pi, pj))
-        live_rows.discard(pi)
-        w.set(pi, pj, d)
-        # remove pivot from further consideration
-        del w.row[pi]
-        w.colind[pj].discard(pi)
-        if not w.colind[pj]:
-            del w.colind[pj]
+        # remove the pivot from further consideration; its row and column
+        # hold nothing else, so no other entry's cost changes
+        w.set(pi, pj, 0)
 
     # assemble: reorder pivots to the leading diagonal positions
     r = len(diag)
     drows = [pi for _, pi, _ in diag]
     dcols = [pj for _, _, pj in diag]
-    other_rows = [i for i in range(A.rows) if i not in set(drows)]
-    other_cols = [j for j in range(A.cols) if j not in set(dcols)]
+    pivot_rows, pivot_cols = set(drows), set(dcols)
+    other_rows = [i for i in range(A.rows) if i not in pivot_rows]
+    other_cols = [j for j in range(A.cols) if j not in pivot_cols]
     row_perm = drows + other_rows   # new row k = old row row_perm[k]
     col_perm = dcols + other_cols
-    ds = [d for d, _, _ in diag]
 
     # Divisibility chain: whenever d_k does not divide d_{k+1}, redo the
     # 2x2 block diag(a, b) -> diag(gcd, lcm) with explicit unimodular ops
@@ -474,9 +523,9 @@ def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomp
                         U.set(drows[idx], jj, -U.get(drows[idx], jj))
 
     # restore pivot entries into w for chain fixing
+    w.queue = None
     for d, pi, pj in diag:
-        w.row.setdefault(pi, {})[pj] = d
-        w.colind.setdefault(pj, set()).add(pi)
+        w.set(pi, pj, d)
 
     changed = True
     while changed:
@@ -518,8 +567,8 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
         return IntMatrix.identity(A.cols)
     sd = smith(A, need_U=False, need_V=True)
     r = sd.rank
-    cols = [sd.V.column(j) for j in range(r, A.cols)]
-    return IntMatrix.from_columns(cols, A.cols)
+    return IntMatrix(A.cols, A.cols - r,
+                     {(i, j - r): v for (i, j), v in sd.V.entries.items() if j >= r})
 
 
 def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
@@ -527,22 +576,15 @@ def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     if A.rows != B.rows:
         raise ValueError("shape mismatch in solve")
     sd = smith(A, need_U=True, need_V=True)
-    UB = sd.U * B
-    r = sd.rank
     ent = {}
-    for j in range(B.cols):
-        for i in range(A.rows):
-            v = UB[(i, j)]
-            if i < r:
-                d = sd.diagonal[i]
-                if v % d != 0:
-                    return None
-                if v:
-                    ent[(i, j)] = v // d
-            elif v != 0:
-                return None
-    Z = IntMatrix(A.cols, B.cols, {ij: v for ij, v in ent.items() if ij[0] < A.cols})
-    return sd.V * Z
+    for (i, j), v in (sd.U * B).entries.items():
+        if i >= sd.rank:
+            return None
+        q, rem = divmod(v, sd.diagonal[i])
+        if rem:
+            return None
+        ent[(i, j)] = q
+    return sd.V * IntMatrix(A.cols, B.cols, ent)
 
 
 def _echelon_mod_p(A: IntMatrix, p: int, reduced: bool) -> dict:

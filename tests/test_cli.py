@@ -104,6 +104,24 @@ class TestProfile:
         assert_one_line_error(code, err)
         assert "must be an object" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["profile", "validate", "crosscheck"])
+    @pytest.mark.parametrize("space", [3, None, [{"type": "atom", "name": "S2"}]],
+                             ids=["int", "null", "list"])
+    def test_non_object_space_is_input_error(self, tmp_path, capsys, command, space):
+        f = write(tmp_path, "sp.json", {"space": space})
+        code, out, err = run(capsys, command, f)
+        assert_one_line_error(code, err)
+        assert '"space" must be an object' in err and out == ""
+
+    @pytest.mark.parametrize("engine", ["symbolic", "simplicial", "both"])
+    def test_list_perversity_is_input_error(self, tmp_path, capsys, engine):
+        f = write(tmp_path, "pl.json", {
+            "space": {"type": "suspension", "of": {"type": "atom", "name": "RP2"}},
+            "perversity": [1]})
+        code, out, err = run(capsys, "profile", f, "--engine", engine)
+        assert_one_line_error(code, err)
+        assert err == "error: cannot parse perversity [1]\n" and out == ""
+
     @pytest.mark.parametrize("ring", ["F4", "F", "R"])
     def test_bad_ring_in_file_is_input_error(self, tmp_path, capsys, ring):
         f = write(tmp_path, "r.json", {
@@ -242,3 +260,16 @@ class TestBenchSnf:
         assert len(lines) == 4
         # the degree-3 boundary carries the 2-torsion of the suspension
         assert any("[2]" in l for l in lines)
+
+    def test_broken_divisibility_chain_exits_1(self, monkeypatch, capsys):
+        import strathom.cli
+        from strathom.exact_algebra import IntMatrix, SmithDecomposition
+
+        def bad_smith(m, need_U=True, need_V=True):
+            return SmithDecomposition(m, (2, 3), None, None)
+        monkeypatch.setattr(strathom.cli, "smith", bad_smith)
+        code, out, err = run(capsys, "bench-snf", "--random", "4", "4", "0.5")
+        assert code == 1
+        assert err == ("error: random 4x4 d=0.5: divisibility chain violated: "
+                       "2 does not divide 3\n")
+        assert "random 4x4" not in out

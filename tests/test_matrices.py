@@ -106,6 +106,23 @@ def test_solve_no_solution():
     assert solve(A, B) is None
 
 
+def test_solve_inconsistent_only_past_rank():
+    # unit invariant factors, so divisibility never fails; the second
+    # column asks x = 1 and x = 0 at once
+    A = IntMatrix.from_rows([[1], [1], [0]])
+    B = IntMatrix.from_rows([[2, 1], [2, 0], [0, 0]])
+    assert solve(A, B.submatrix(range(3), [0])) == IntMatrix.from_rows([[2]])
+    assert solve(A, B) is None
+
+
+def test_solve_inconsistent_only_by_divisibility():
+    # full row rank, so no row lies past the rank; 6y = 2 has no
+    # integer solution
+    A = IntMatrix.from_rows([[3, 0], [0, 6]])
+    assert solve(A, IntMatrix.from_rows([[3], [12]])) == IntMatrix.from_rows([[1], [2]])
+    assert solve(A, IntMatrix.from_rows([[3], [2]])) is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([2, 3, 5]),
        st.integers(0, 10 ** 6))

@@ -1,0 +1,158 @@
+"""Smith normal form: invariants that hold whatever pivot path is taken.
+
+The invariant factors of A are those of its transpose and of P.A.Q for
+any permutations P, Q; U.A.V is diagonal with those factors, d1 | d2 | ...,
+and U, V are unimodular.  ``homology_all`` runs one Smith form per
+non-zero differential.
+"""
+import random
+
+import pytest
+
+import strathom.exact_algebra.complexes as complexes
+from strathom.chains import RegularComplex, intersection_complex
+from strathom.exact_algebra import (ChainComplex, Coefficients, IntMatrix,
+                                    homology_all, kernel_basis, smith)
+from strathom.exact_algebra.complexes import homology
+from strathom.stratified import Perversity
+from strathom.triangulations import projective_plane, triangulation_of
+
+ZZ = Coefficients("Z")
+ATOMS = ("S1", "S2", "S3", "T2", "RP2", "RP3")
+SPACES = {name: (lambda a=name: triangulation_of(a)) for name in ATOMS}
+SPACES.update({f"cone({a})": (lambda a=a: triangulation_of(a).cone()) for a in ATOMS})
+SPACES.update({f"susp({a})": (lambda a=a: triangulation_of(a).suspension())
+               for a in ATOMS})
+SPACES["susp2(RP2)"] = lambda: projective_plane().suspension().suspension()
+
+
+def permuted(A: IntMatrix, seed: int) -> IntMatrix:
+    rng = random.Random(seed)
+    rp, cp = list(range(A.rows)), list(range(A.cols))
+    rng.shuffle(rp)
+    rng.shuffle(cp)
+    return IntMatrix(A.rows, A.cols,
+                     {(rp[i], cp[j]): v for (i, j), v in A.entries.items()})
+
+
+def diagonal(A: IntMatrix) -> tuple:
+    return smith(A, need_U=False, need_V=False).diagonal
+
+
+def assert_decomposition(A: IntMatrix, check_det: bool = True):
+    sd = smith(A)
+    assert sd.U.rows == sd.U.cols == A.rows
+    assert sd.V.rows == sd.V.cols == A.cols
+    D = sd.U * A * sd.V
+    assert D == IntMatrix.diagonal(sd.diagonal, A.rows, A.cols)
+    assert all(d > 0 for d in sd.diagonal)
+    assert all(b % a == 0 for a, b in zip(sd.diagonal, sd.diagonal[1:]))
+    if check_det:
+        assert abs(sd.U.det()) == 1 and abs(sd.V.det()) == 1
+    return sd
+
+
+def matrices_of(X):
+    """Every boundary matrix of X and every allowable product d.B_k."""
+    amb = RegularComplex(X).chain_complex()
+    out = [(f"d_{k}", m) for k, m in sorted(amb.diffs.items())]
+    singular = [st for st in X.strata() if not st.regular]
+    for p in range(max(X.n - 1, 1)) if singular else (0,):
+        ic = intersection_complex(X, Perversity(X, {st.key: p for st in singular}), ZZ)
+        for k in ic.support():
+            m = ic.diff(k)
+            if not m.is_zero():
+                out.append((f"p={p} d.B_{k}", m))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_diagonal_invariant_under_transpose_and_permutation(name):
+    for seed, (label, A) in enumerate(matrices_of(SPACES[name]())):
+        d = diagonal(A)
+        assert diagonal(A.transpose()) == d, label
+        assert diagonal(permuted(A, seed)) == d, label
+        assert diagonal(permuted(A.transpose(), seed + 1000)) == d, label
+
+
+@pytest.mark.parametrize("name", ["RP2", "susp(RP2)", "cone(T2)"])
+def test_kernel_of_boundaries(name):
+    X = SPACES[name]()
+    for k, A in RegularComplex(X).chain_complex().diffs.items():
+        K = kernel_basis(A)
+        assert K.rows == A.cols and K.cols == A.cols - len(diagonal(A)), k
+        assert (A * K).is_zero(), k
+        assert diagonal(K) == (1,) * K.cols, k    # a saturated basis
+
+
+def random_matrix(rows, cols, density, values, seed):
+    rng = random.Random(seed)
+    return IntMatrix(rows, cols, {(i, j): rng.choice(values)
+                                  for i in range(rows) for j in range(cols)
+                                  if rng.random() < density})
+
+
+SHAPES = [(1, 1, 1.0), (3, 7, 0.5), (12, 12, 0.3), (25, 40, 0.15), (60, 45, 0.08),
+          (120, 120, 0.03), (200, 150, 0.02), (200, 200, 0.015)]
+
+
+@pytest.mark.parametrize("values", [(-1, 1), (-3, 3)], ids=["pm1", "pm3"])
+@pytest.mark.parametrize("rows,cols,density", SHAPES)
+def test_random_decomposition(rows, cols, density, values):
+    for seed in range(3):
+        A = random_matrix(rows, cols, density, values, seed)
+        # Bareiss on large transforms with big entries is slow
+        sd = assert_decomposition(A, check_det=max(rows, cols) <= 40)
+        assert diagonal(A.transpose()) == sd.diagonal
+        assert diagonal(permuted(A, seed)) == sd.diagonal
+
+
+def test_no_unit_entry():
+    assert assert_decomposition(IntMatrix.from_rows([[2, 4], [6, 8]])).diagonal == (2, 4)
+
+
+def test_lone_minus_one():
+    sd = assert_decomposition(IntMatrix.from_rows([[0, 0], [0, -1], [0, 0]]))
+    assert sd.diagonal == (1,)
+
+
+def test_zero_rows_and_columns():
+    A = IntMatrix(4, 5, {(0, 1): 3, (2, 1): 6, (2, 3): -2})
+    assert assert_decomposition(A).diagonal == (1, 6)
+    assert assert_decomposition(IntMatrix.zero(3, 2)).diagonal == ()
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0)])
+def test_empty_shapes(rows, cols):
+    sd = assert_decomposition(IntMatrix(rows, cols))
+    assert sd.diagonal == () and sd.rank == 0
+    K = kernel_basis(IntMatrix(rows, cols))
+    assert K.rows == cols and K.cols == cols
+
+
+def counting_smith(monkeypatch):
+    calls = []
+
+    def counted(A, need_U=True, need_V=True):
+        calls.append(A)
+        return smith(A, need_U, need_V)
+    monkeypatch.setattr(complexes, "smith", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["susp(RP2)", "cone(T2)", "susp2(RP2)"])
+def test_homology_all_one_smith_per_differential(name, monkeypatch):
+    X = SPACES[name]()
+    amb = RegularComplex(X).chain_complex()
+    ic = intersection_complex(
+        X, Perversity(X, {st.key: 0 for st in X.strata() if not st.regular}), ZZ)
+    for C in (amb, amb.dualize(), ic, ic.dualize()):
+        nonzero = {k for k in C.support() if not C.diff(k).is_zero()}
+        single = {k: homology(C, k, ZZ) for k in C.support()}
+        calls = counting_smith(monkeypatch)
+        H = homology_all(C, ZZ)
+        assert len(calls) == len(nonzero)
+        if isinstance(C, ChainComplex):
+            assert len(calls) == len(C.diffs)
+        assert H == type(H)(single)
+        monkeypatch.undo()
