@@ -12,12 +12,30 @@ support, and that support always contains a top-level vertex, hence is a
 regular simplex of the complex.  The global complex is therefore free on
 pairs (regular simplex, epsilon-flags on its nonempty cone slots), which
 keeps the equalizer small without changing its cohomology.
+
+Coboundary of a global label (tau, eps), tau = D_0 * ... * D_n.  Let
+e_i = eps_i on a nonempty cone slot and e_i = 1 on an empty one (the apex
+alone), deg_i = |D_i| - 1 + e_i the degree of cone slot i (0 when D_i is
+empty) and a_i = deg_0 + ... + deg_{i-1}.  Then d(tau, eps) is the sum of
+
+* the eps flips: (-1)^a_i (tau, eps with eps_i = 1) for every nonempty
+  cone slot i with eps_i = 0;
+* one term per vertex w of the link of tau, in ``X.levels`` order, where
+  l is the level of w and pos the position of w in its block of tau * w:
+    - l = n: (-1)^(pos + a_n) (tau * w, eps);
+    - D_l nonempty: (-1)^(pos + eps_l + a_l) (tau * w, eps);
+    - D_l empty: (-1)^(1 + a_l) (tau * w, eps with eps_l = 1).
+
+A full-support label has no coface within its own blocks, because each of
+its slots already holds the whole block: the local coboundary on tau is
+the eps flips alone, and every other term adds one vertex of the link.
+``GlobalBlowupComplex`` computes each carrier's block sizes and star
+strata once, and its link extensions once per assembly of the full complex.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact_algebra import (ChainComplex, ChainMap, Coefficients, GradedModule,
                             IntMatrix, Subcomplex, homology_all, mapping_cone)
@@ -179,12 +197,11 @@ def local_perverse_degree(lab, ell: int, n: int):
 
 # -- the global complex --------------------------------------------------
 
-@dataclass(frozen=True)
-class GlobalLabel:
+class GlobalLabel(NamedTuple):
     """Basis element of the global complex: a carrier simplex together
     with eps-flags on its nonempty cone slots (full-support local label)."""
     carrier: Tuple
-    eps: Tuple            # one flag per slot 0..n-1 with nonempty block; () elsewhere
+    eps: Tuple            # one flag per slot 0..n-1; 0 on slots with an empty block
 
     def as_local(self, X: FilteredComplex) -> Tuple:
         blocks = X.join_decomposition(self.carrier)
@@ -196,6 +213,17 @@ class GlobalLabel:
                 out.append(((), 1))
         out.append(blocks[X.n])
         return tuple(out)
+
+
+class _Carrier:
+    """What a regular carrier simplex contributes, computed once: the sizes
+    of its join blocks and the singular strata met by its regular star."""
+    __slots__ = ("sizes", "cone_slots", "star")
+
+    def __init__(self, blocks):
+        self.sizes = tuple(len(b) for b in blocks)
+        self.cone_slots = tuple(i for i in range(len(blocks) - 1) if blocks[i])
+        self.star: Optional[List] = None
 
 
 class GlobalBlowupComplex:
@@ -212,22 +240,24 @@ class GlobalBlowupComplex:
         self.n = X.n
         self.basis: Dict[int, List[GlobalLabel]] = {}
         self.index: Dict[GlobalLabel, Tuple[int, int]] = {}
-        self._star_strata_cache: Dict[Tuple, List] = {}
+        self._carriers: Dict[Tuple, _Carrier] = {}
+        self._maximal_strata: Dict = {}
+        self._links: Optional[Dict[Tuple, List]] = None
+        self._visit_order = {v: i for i, v in enumerate(X.levels)}
+        n = self.n
         regulars = [X.sorted_vertices(s) for s in X.simplices if X.is_regular(s)]
         regulars.sort()
         for tau in regulars:
-            blocks = X.join_decomposition(tau)
-            cone_slots = [i for i in range(self.n) if blocks[i]]
-            base_deg = sum(len(blocks[i]) - 1 for i in range(self.n + 1) if blocks[i])
-            for flags in itertools.product((0, 1), repeat=len(cone_slots)):
-                eps = [0] * self.n
-                for s_i, fl in zip(cone_slots, flags):
+            c = self._carriers[tau] = _Carrier(X.join_decomposition(tau))
+            base_deg = sum(size - 1 for size in c.sizes if size)
+            for flags in itertools.product((0, 1), repeat=len(c.cone_slots)):
+                eps = [0] * n
+                for s_i, fl in zip(c.cone_slots, flags):
                     eps[s_i] = fl
-                g = GlobalLabel(tau, tuple(eps))
-                k = base_deg + sum(flags)
-                self.basis.setdefault(k, []).append(g)
+                self.basis.setdefault(base_deg + sum(flags), []).append(
+                    GlobalLabel(tau, tuple(eps)))
         for k in self.basis:
-            self.basis[k].sort(key=lambda g: (g.carrier, g.eps))
+            self.basis[k].sort()
             for i, g in enumerate(self.basis[k]):
                 self.index[g] = (k, i)
         self._diffs: Dict[int, IntMatrix] = {}
@@ -236,65 +266,68 @@ class GlobalBlowupComplex:
     def rank(self, k: int) -> int:
         return len(self.basis.get(k, ()))
 
-    def _carrier_of_local(self, lab) -> GlobalLabel:
-        verts = []
-        eps = [0] * self.n
-        for i in range(self.n):
-            f, e = lab[i]
-            verts.extend(f)
-            if f:
-                eps[i] = e
-        verts.extend(lab[self.n])
-        carrier = self.X.sorted_vertices(frozenset(verts))
-        return GlobalLabel(carrier, tuple(eps))
+    def _link_extensions(self, tau: Tuple) -> List[Tuple[int, int, Tuple]]:
+        """(slot, pos, tau * w) for each vertex w of the link of tau, in
+        ``X.levels`` order: w lies in block ``slot`` of tau * w, at ``pos``."""
+        X = self.X
+        tset = frozenset(tau)
+        link = set().union(*X.maximal_cofaces(tset)) - tset
+        out = []
+        for w in sorted(link, key=self._visit_order.__getitem__):
+            bigger = X.sorted_vertices(tset | {w})
+            slot = X.levels[w]
+            block = [v for v in bigger if X.levels[v] == slot]
+            if slot < self.n:
+                block.sort(key=_sort_key)
+            out.append((slot, block.index(w), bigger))
+        return out
 
     def differential(self, k: int) -> IntMatrix:
+        """d of (tau, eps): flip eps 0 -> 1 on a nonempty cone slot, then add
+        each link vertex w of tau in ``X.levels`` order (module docstring)."""
         if k in self._diffs:
             return self._diffs[k]
-        rows = self.rank(k + 1)
-        cols = self.rank(k)
+        n = self.n
+        index = self.index
+        links = self._links if self._links is not None else {}
         ent = {}
-        X = self.X
-        visit_order = {v: i for i, v in enumerate(X.levels)}
         for j, g in enumerate(self.basis.get(k, ())):
-            lab = g.as_local(X)
-            blocks = X.join_decomposition(g.carrier)
-            # coboundary terms within the carrier (eps flips only)
-            # plus terms that add a vertex of the carrier's link
-            terms = list(label_coboundary(lab, blocks, self.n))
-            carrier_set = frozenset(g.carrier)
-            link = set().union(*X.maximal_cofaces(carrier_set)) - carrier_set
-            for w in sorted(link, key=visit_order.__getitem__):
-                lw = X.levels[w]
-                bigger = carrier_set | {w}
-                big_lab = list(lab)
-                slot = min(lw, self.n)
-                if slot == self.n:
-                    nf = tuple(v for v in X.sorted_vertices(bigger)
-                               if X.levels[v] == self.n)
-                    pos = nf.index(w)
-                    acc = sum(slot_degree(lab[i], last=False) for i in range(self.n))
-                    big_lab[self.n] = nf
-                    terms.append(((-1) ** (pos + acc), tuple(big_lab)))
+            tau, eps = g
+            c = self._carriers[tau]
+            # acc[i]: degree of the slots before slot i (an empty cone slot,
+            # the apex alone, has degree 0)
+            acc = [0] * (n + 1)
+            for i in range(n):
+                acc[i + 1] = acc[i] + (c.sizes[i] - 1 + eps[i] if c.sizes[i] else 0)
+            for i in c.cone_slots:
+                if not eps[i]:
+                    flipped = eps[:i] + (1,) + eps[i + 1:]
+                    ent[(index[(tau, flipped)][1], j)] = -1 if acc[i] & 1 else 1
+            ext = links.get(tau)
+            if ext is None:
+                ext = links[tau] = self._link_extensions(tau)
+            for slot, pos, bigger in ext:
+                if slot == n:
+                    e2, sign_exp = eps, pos + acc[n]
+                elif c.sizes[slot]:
+                    e2, sign_exp = eps, pos + eps[slot] + acc[slot]
                 else:
-                    f, e = lab[slot]
-                    nf = tuple(sorted(set(f) | {w}, key=_sort_key))
-                    pos = nf.index(w) + e
-                    acc = sum(slot_degree(lab[i], last=False) for i in range(slot))
-                    big_lab[slot] = (nf, e)
-                    terms.append(((-1) ** (pos + acc), tuple(big_lab)))
-            for coeff, lab2 in terms:
-                g2 = self._carrier_of_local(lab2)
-                i = self.index[g2][1]
-                ent[(i, j)] = ent.get((i, j), 0) + coeff
-        m = IntMatrix(rows, cols, {ij: v for ij, v in ent.items() if v})
+                    e2, sign_exp = eps[:slot] + (1,) + eps[slot + 1:], 1 + acc[slot]
+                ent[(index[(bigger, e2)][1], j)] = -1 if sign_exp & 1 else 1
+        m = IntMatrix(self.rank(k + 1), self.rank(k), ent)
         self._diffs[k] = m
         return m
 
     def full_complex(self) -> ChainComplex:
         if self._complex is None:
+            # the link table, the largest one, lives only while the
+            # differentials assemble: it is gone before any Smith form runs
+            self._links = {}
+            try:
+                diffs = {k: self.differential(k) for k in self.basis}
+            finally:
+                self._links = None
             ranks = {k: self.rank(k) for k in self.basis}
-            diffs = {k: self.differential(k) for k in self.basis}
             self._complex = ChainComplex("coh", ranks, diffs, basis=dict(self.basis))
         return self._complex
 
@@ -302,31 +335,49 @@ class GlobalBlowupComplex:
 
     def _star_strata(self, tau: Tuple) -> List:
         """Singular strata met by the regular star of tau."""
-        if tau in self._star_strata_cache:
-            return self._star_strata_cache[tau]
-        X = self.X
-        seen = {}
-        for m in X.maximal_cofaces(tau):
-            for st in X.strata_met_by(m):
-                if not st.regular:
+        c = self._carriers[tau]
+        if c.star is None:
+            seen = {}
+            for m in self.X.maximal_cofaces(tau):
+                for st in self._singular_strata_of_maximal(m):
                     seen[st.key] = st
-        out = list(seen.values())
-        self._star_strata_cache[tau] = out
+            c.star = list(seen.values())
+        return c.star
+
+    def _singular_strata_of_maximal(self, m) -> List:
+        out = self._maximal_strata.get(m)
+        if out is None:
+            out = [st for st in self.X.strata_met_by(m) if not st.regular]
+            self._maximal_strata[m] = out
         return out
 
-    def perverse_degree_along(self, g: GlobalLabel, stratum) -> float:
-        lab = g.as_local(self.X)
-        return local_perverse_degree(lab, stratum.codim, self.n)
-
-    def is_allowed(self, g: GlobalLabel, p: Perversity) -> bool:
-        for st in self._star_strata(g.carrier):
-            if self.perverse_degree_along(g, st) > p(st):
-                return False
-        return True
-
     def allowed_indices(self, p: Perversity) -> Dict[int, List[int]]:
-        return {k: [i for i, g in enumerate(self.basis[k]) if self.is_allowed(g, p)]
-                for k in self.basis}
+        """Indices of the p-allowable basis elements: along each singular
+        stratum S of the star, the perverse degree of slot n - codim S (-inf
+        when that slot is collapsed, else the degree of the slots above it)
+        is at most p(S)."""
+        n = self.n
+        # per carrier: the least p(S) over its star strata, by slot
+        bound: Dict[Tuple, Dict[int, int]] = {}
+        for tau in self._carriers:
+            b = bound[tau] = {}
+            for st in self._star_strata(tau):
+                slot, v = n - st.codim, p(st)
+                b[slot] = min(b.get(slot, v), v)
+        out = {}
+        for k, labels in self.basis.items():
+            ok = out[k] = []
+            for i, (tau, eps) in enumerate(labels):
+                b, sizes = bound[tau], self._carriers[tau].sizes
+                above = sizes[n] - 1        # degree of the slots above `slot`
+                for slot in range(n - 1, -1, -1):
+                    if sizes[slot]:
+                        if not eps[slot] and above > b.get(slot, above):
+                            break
+                        above += sizes[slot] - 1 + eps[slot]
+                else:
+                    ok.append(i)
+        return out
 
     def intersection_complex(self, p: Perversity) -> "BlowupIntersection":
         return BlowupIntersection(self, p)

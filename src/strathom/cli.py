@@ -44,8 +44,14 @@ BAD_INPUT = (KeyError, ValueError)   # InputError and StratifiedValidationError 
 
 # -- input parsing --------------------------------------------------------
 
+def _space_node(data) -> dict:
+    if not isinstance(data, dict):
+        raise InputError(f"space expression {data!r} must be an object")
+    return data
+
+
 def parse_space(data: dict) -> SpaceExpr:
-    t = data.get("type")
+    t = _space_node(data).get("type")
     if t == "atom":
         return AtomSpace(atom(data["name"]))
     if t == "product":
@@ -122,7 +128,7 @@ def load_job(path: str) -> dict:
 # -- realization for the simplicial engine --------------------------------
 
 def realize(data: dict) -> Optional[FilteredComplex]:
-    t = data.get("type")
+    t = _space_node(data).get("type")
     if t == "complex":
         return parse_complex(data)
     if t == "atom":

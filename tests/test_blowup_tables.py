@@ -1,0 +1,91 @@
+"""The blown-up complex assembled from per-carrier tables, against the
+label-walk oracle (``blowup_oracle``).
+
+The tables must give the same basis in the same order, the same
+differential matrices with the same entry order (it fixes the SNF pivot
+path and so every reported basis) and the same allowed lists for every
+perversity.  A count guard keeps the per-carrier data computed once.
+"""
+import pytest
+
+from blowup_oracle import (label_walk_basis, label_walk_differential,
+                           scanned_allowed_indices)
+from strathom.blowup import GlobalBlowupComplex
+from strathom.stratified import FilteredComplex, GMPerversity, Perversity
+from strathom.triangulations import projective_plane, torus
+from test_maximal import SPACES
+
+IDS = [s[0] for s in SPACES]
+SUSP2 = {"susp2(RP2)": lambda: projective_plane().suspension().suspension(),
+         "susp2(T2)": lambda: torus().suspension().suspension()}
+GM_VALUES = ((0, 0), (0, 1), (1, 1), (1, 2))
+
+
+def apex_perversities(X):
+    """The constant perversities 0..n-1 on the singular strata (one beyond
+    the top GM value); the zero perversity on a manifold."""
+    singular = [st.key for st in X.strata() if not st.regular]
+    if not singular:
+        return [Perversity(X, {})]
+    return [Perversity(X, {key: k for key in singular}) for k in range(X.n)]
+
+
+@pytest.mark.parametrize("name, make", SPACES, ids=IDS)
+def test_basis_matches_label_walk(name, make):
+    X = make()
+    G = GlobalBlowupComplex(X)
+    assert G.basis == label_walk_basis(X)
+    assert all(G.index[g] == (k, i) for k, labels in G.basis.items()
+               for i, g in enumerate(labels))
+
+
+@pytest.mark.parametrize("name, make", SPACES, ids=IDS)
+def test_differentials_match_label_walk(name, make):
+    X = make()
+    G = GlobalBlowupComplex(X)
+    G.full_complex()
+    alone = GlobalBlowupComplex(X)      # each degree without the shared table
+    for k in sorted(G.basis):
+        got, want = G.differential(k), label_walk_differential(G, k)
+        assert got == want, (name, k)
+        assert list(got.entries) == list(want.entries), (name, k)
+        assert list(alone.differential(k).entries.items()) == list(got.entries.items())
+
+
+@pytest.mark.parametrize("name, make", SPACES, ids=IDS)
+def test_allowed_indices_match_scan(name, make):
+    X = make()
+    G = GlobalBlowupComplex(X)
+    for p in apex_perversities(X):
+        assert G.allowed_indices(p) == scanned_allowed_indices(G, p), (name, p)
+
+
+@pytest.mark.parametrize("name", sorted(SUSP2))
+def test_gm_allowed_indices_match_scan(name):
+    X = SUSP2[name]()
+    G = GlobalBlowupComplex(X)
+    for a, b in GM_VALUES:
+        p = Perversity.from_gm(X, GMPerversity([0, 0, 0, a, b]))
+        assert G.allowed_indices(p) == scanned_allowed_indices(G, p), (name, a, b)
+
+
+def test_carrier_data_computed_once(monkeypatch):
+    X = SUSP2["susp2(T2)"]()
+    perversities = [Perversity.from_gm(X, GMPerversity([0, 0, 0, a, b]))
+                    for a, b in ((0, 0), (1, 2))]
+    calls = {"strata_met_by": 0, "join_decomposition": 0}
+    for attr in calls:
+        orig = getattr(FilteredComplex, attr)
+
+        def counted(self, s, orig=orig, attr=attr):
+            calls[attr] += 1
+            return orig(self, s)
+        monkeypatch.setattr(FilteredComplex, attr, counted)
+    G = GlobalBlowupComplex(X)
+    G.full_complex()
+    for p in perversities:
+        G.allowed_indices(p)
+    regular = sum(1 for s in X.simplices if X.is_regular(s))
+    assert 0 < calls["strata_met_by"] <= len(X.maximal_simplices())
+    assert 0 < calls["join_decomposition"] <= regular
+    assert G._links is None         # the link table is freed after assembly

@@ -113,6 +113,18 @@ class TestProfile:
         assert_one_line_error(code, err)
         assert '"space" must be an object' in err and out == ""
 
+    @pytest.mark.parametrize("command", ["profile", "validate", "crosscheck"])
+    @pytest.mark.parametrize("space", [
+        {"type": "cone", "of": 3}, {"type": "cone", "of": [1]},
+        {"type": "disjoint_union", "parts": [3]}],
+        ids=["cone-of-int", "cone-of-list", "union-of-int"])
+    def test_nested_non_object_space_is_input_error(self, tmp_path, capsys,
+                                                    command, space):
+        f = write(tmp_path, "nested.json", {"space": space, "perversity": 1})
+        code, out, err = run(capsys, command, f)
+        assert_one_line_error(code, err)
+        assert "must be an object" in err and out == ""
+
     @pytest.mark.parametrize("engine", ["symbolic", "simplicial", "both"])
     def test_list_perversity_is_input_error(self, tmp_path, capsys, engine):
         f = write(tmp_path, "pl.json", {

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from blowup_oracle import carrier_of_local
 from strathom.blowup import (GlobalBlowupComplex, _sort_key, label_coboundary,
                              slot_degree)
 from strathom.exact_algebra import IntMatrix
@@ -68,7 +69,7 @@ def vertex_scan_differential(G, k):
                 big_lab[slot] = (nf, e)
             terms.append(((-1) ** (pos + acc), tuple(big_lab)))
         for coeff, lab2 in terms:
-            i = G.index[G._carrier_of_local(lab2)][1]
+            i = G.index[carrier_of_local(G, lab2)][1]
             ent[(i, j)] = ent.get((i, j), 0) + coeff
     return IntMatrix(G.rank(k + 1), G.rank(k), {ij: v for ij, v in ent.items() if v})
 
