@@ -26,7 +26,7 @@ from .stratified import (FilteredComplex, GMPerversity, Perversity,
                          StratifiedValidationError)
 from .triangulations import has_triangulation, triangulation_of
 from .chains import (RegularComplex, intersection_cohomology,
-                     intersection_complex, intersection_homology)
+                     intersection_complex)
 from .blowup import blowup_cohomology
 from .spaces import (AtomSpace, DisjointUnion, IsolatedSing, MappingTorus,
                      OpenCone, SpaceExpr, Suspension, ThomCircle, atom,
@@ -44,21 +44,49 @@ BAD_INPUT = (KeyError, ValueError)   # InputError and StratifiedValidationError 
 
 # -- input parsing --------------------------------------------------------
 
+_KINDS = {dict: "an object", list: "an array", str: "a string",
+          (int, str): "an integer or a string"}
+
+
+def _typed(value, kind, what: str):
+    """value, which must be of the JSON kind ``kind`` (a key of _KINDS)."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be {_KINDS[kind]}, not {value!r}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    """An integer field; a numeral string is read, a fraction is refused."""
+    if not isinstance(value, bool):
+        if isinstance(value, int):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, str):
+            return int(value)
+    raise InputError(f"{what} must be an integer, not {value!r}")
+
+
 def _space_node(data) -> dict:
-    if not isinstance(data, dict):
-        raise InputError(f"space expression {data!r} must be an object")
-    return data
+    return _typed(data, dict, "a space expression")
+
+
+def _parts(data: dict) -> list:
+    parts = _typed(data["parts"], list, "'parts'")
+    if not parts:
+        raise InputError("'parts' must not be empty")
+    return parts
 
 
 def parse_space(data: dict) -> SpaceExpr:
     t = _space_node(data).get("type")
     if t == "atom":
-        return AtomSpace(atom(data["name"]))
+        return AtomSpace(atom(_typed(data["name"], str, "an atom name")))
     if t == "product":
         factors = []
         seen = set()
-        for i, f in enumerate(data["factors"]):
-            a = atom(f["name"]) if isinstance(f, dict) else atom(f)
+        for i, f in enumerate(_typed(data["factors"], list, "'factors'")):
+            a = atom(_typed(f["name"] if isinstance(f, dict) else f, str, "an atom name"))
             if a.name in seen:
                 a = atom_renamed(a, chr(ord("b") + i))
             seen.add(a.name)
@@ -76,38 +104,47 @@ def parse_space(data: dict) -> SpaceExpr:
         return Suspension(inner)
     if t == "isolated":
         links = []
-        for l in data["links"]:
+        for l in _typed(data["links"], list, "'links'"):
             a = parse_space(l)
             if not isinstance(a, AtomSpace):
                 raise InputError("isolated-singularity links must be manifolds")
             links.append(a.atom)
-        return IsolatedSing(data["dimension"], tuple(links))
+        return IsolatedSing(_int(data["dimension"], "'dimension'"), tuple(links))
     if t == "mapping_torus":
         inner = parse_space(data["of"])
         action = tuple(sorted(
-            (int(deg), tuple(tuple(int(v) for v in row) for row in mat))
-            for deg, mat in data["action"].items()))
+            (_int(deg, "a degree"),
+             tuple(tuple(_int(v, "a matrix entry")
+                         for v in _typed(row, list, "a matrix row"))
+                   for row in _typed(mat, list, "an action matrix")))
+            for deg, mat in _typed(data["action"], dict, "'action'").items()))
         return MappingTorus(inner, action)
     if t == "thom_circle":
         base = parse_space(data["base"])
         if not isinstance(base, AtomSpace):
             raise InputError("thom_circle base must be a manifold atom or product")
-        euler = tuple(sorted((str(k), int(v)) for k, v in data["euler"].items()))
+        euler = tuple(sorted((k, _int(v, "an Euler coefficient"))
+                             for k, v in _typed(data["euler"], dict, "'euler'").items()))
         return ThomCircle(base.atom, euler)
     if t == "disjoint_union":
-        return DisjointUnion(tuple(parse_space(p) for p in data["parts"]))
+        return DisjointUnion(tuple(parse_space(p) for p in _parts(data)))
     raise InputError(f"unknown space type {data.get('type')!r}")
 
 
 def parse_complex(data: dict) -> FilteredComplex:
     # relabel to consecutive integers: keeps vertex ordering deterministic
     # and lets the constructors allocate fresh vertices
-    ids = sorted({v["id"] for v in data["vertices"]}, key=str)
+    vertices = [_typed(v, dict, "a vertex")
+                for v in _typed(data["vertices"], list, "'vertices'")]
+    ids = sorted({_typed(v["id"], (int, str), "a vertex id") for v in vertices}, key=str)
     relabel = {vid: i for i, vid in enumerate(ids)}
-    levels = {relabel[v["id"]]: int(v["level"]) for v in data["vertices"]}
-    simplices = [[relabel[v] for v in s] for s in data["simplices"]]
-    return FilteredComplex(int(data["dimension"]), levels, simplices,
-                           close=True, name=data.get("name", "complex"))
+    levels = {relabel[v["id"]]: _int(v["level"], "a level") for v in vertices}
+    simplices = [[relabel[_typed(v, (int, str), "a vertex id")]
+                  for v in _typed(s, list, "a simplex")]
+                 for s in _typed(data["simplices"], list, "'simplices'")]
+    return FilteredComplex(_int(data["dimension"], "'dimension'"), levels, simplices,
+                           close=True,
+                           name=_typed(data.get("name", "complex"), str, "'name'"))
 
 
 def load_job(path: str) -> dict:
@@ -132,7 +169,7 @@ def realize(data: dict) -> Optional[FilteredComplex]:
     if t == "complex":
         return parse_complex(data)
     if t == "atom":
-        name = data["name"]
+        name = _typed(data["name"], str, "an atom name")
         return triangulation_of(name) if has_triangulation(name) else None
     if t in ("cone", "suspension"):
         inner = realize(data["of"])
@@ -140,7 +177,7 @@ def realize(data: dict) -> Optional[FilteredComplex]:
             return None
         return inner.cone() if t == "cone" else inner.suspension()
     if t == "disjoint_union":
-        parts = [realize(p) for p in data["parts"]]
+        parts = [realize(p) for p in _parts(data)]
         if any(p is None for p in parts):
             return None
         out = parts[0]
@@ -163,9 +200,12 @@ def perversity_for(X: FilteredComplex, spec) -> Perversity:
         return Perversity(X, {st.key: spec for st in X.strata() if not st.regular})
     if isinstance(spec, dict) and "codim" in spec:
         return Perversity.from_codim_values(
-            X, {int(c): int(v) for c, v in spec["codim"].items()})
+            X, {int(c): _int(v, "a perversity value")
+                for c, v in _typed(spec["codim"], dict, "'codim'").items()})
     if isinstance(spec, dict) and "gm" in spec:
-        return Perversity.from_gm(X, GMPerversity([int(v) for v in spec["gm"]]))
+        return Perversity.from_gm(
+            X, GMPerversity([_int(v, "a perversity value")
+                             for v in _typed(spec["gm"], list, "'gm'")]))
     raise InputError(f"cannot parse perversity {spec!r}")
 
 
@@ -274,8 +314,12 @@ def symbolic_report(data: dict, k: int, ring: Coefficients) -> DualityReport:
 def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
                       space_name: str) -> DualityReport:
     p = perversity_for(X, pspec)
-    gh = intersection_homology(X, p, ring)
-    ic_dual = intersection_complex(X, p.complementary(), ring)
+    ic = intersection_complex(X, p, ring)
+    gh = homology_all(ic, ring)
+    # Dp = p for the middle perversity of an isolated singularity in even
+    # dimension; GH^*_Dp still reads its own Smith forms of the transposes
+    dp = p.complementary()
+    ic_dual = ic if dp == p else intersection_complex(X, dp, ring)
     ghd = homology_all(ic_dual.dualize(), ring)
     hb = blowup_cohomology(X, p, ring)
     from .peripheral import CheckResult
@@ -291,7 +335,8 @@ def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
         annotations=["simplicial engine: comparison-map data is symbolic-only"],
     )
     if ring.kind == "Z":
-        uct = verdier_dual_cohomology(homology_all(ic_dual, ring))
+        uct = verdier_dual_cohomology(
+            gh if ic_dual is ic else homology_all(ic_dual, ring))
         status = "pass" if uct == ghd else "fail"
         rep.checks.append(CheckResult("universal coefficients on GH^*", status,
                                       "" if status == "pass" else
@@ -327,7 +372,7 @@ def cmd_profile(args) -> int:
                               file=sys.stderr)
                         return 2
                 else:
-                    name = space_data.get("name", X.name)
+                    name = _typed(space_data.get("name", X.name), str, "'name'")
                     per_perversity.append(
                         ("simplicial", simplicial_report(X, pspec, ring, name)))
             if len(per_perversity) == 2:
@@ -394,10 +439,11 @@ def _crosscheck_one(data: dict, X: FilteredComplex, k: int, out_rows: list) -> b
     ring = Coefficients("Z")
     prof = eval_expression(parse_space(data), k, ring)
     p = perversity_for(X, k)
+    ic = intersection_complex(X, p, ring)
     pairs = [
-        ("GH_*", prof.gh_lower, intersection_homology(X, p, ring)),
+        ("GH_*", prof.gh_lower, homology_all(ic, ring)),
         ("GH^*", verdier_dual_cohomology(prof.gh_lower) if prof.gh_lower is not None
-         else None, intersection_cohomology(X, p, ring)),
+         else None, homology_all(ic.dualize(), ring)),
         ("H~^*", prof.h_blowup, blowup_cohomology(X, p, ring)),
     ]
     for name, sym, simp in pairs:

@@ -3,6 +3,15 @@
 All arithmetic is exact (Python big integers).  The Smith normal form is
 the workhorse behind every homology computation in the package: kernels,
 cokernels, torsion factors and linear solves all reduce to it.
+
+One elimination kernel, ``_eliminate_units``, serves Z and F_p: it takes
+unit pivots in Markowitz order and leaves the Schur complement.  Over F_p
+every nonzero entry is a unit, so its pivot count is the rank.  Over Z a
+diagonal-only ``smith`` reads one invariant factor 1 per unit pivot and
+runs the gcd elimination of ``_Work`` on the remainder only, which is the
+step a modular elimination (one that bounds coefficient growth) would
+replace.  Smith forms that need the transforms U or V run ``_Work`` on
+the whole matrix.
 """
 from __future__ import annotations
 
@@ -416,8 +425,124 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
+def _rows_of(A: IntMatrix, p: int = 0) -> dict:
+    """{row: {col: entry}} of A, entries reduced to 1..p-1 when p > 0."""
+    rows = {}
+    for (i, j), v in A.entries.items():
+        if p:
+            v %= p
+            if not v:
+                continue
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def _eliminate_units(rows: dict, p: int = 0):
+    """Eliminate unit pivots of ``rows`` ({row: {col: entry}}) in place.
+
+    Over Z (p = 0) the units are the entries +-1; over F_p (entries in
+    1..p-1) every entry is one.  Each step takes the unit of least
+    Markowitz cost (ties by row, then column) from a lazy heap, subtracts
+    multiples of its row from the other rows of its column and drops its
+    row and column, so ``rows`` ends as the Schur complement, which has no
+    unit entry.  A unit pivot splits off one invariant factor 1 without
+    changing the others.  The heap is filled with the live units whenever
+    it runs dry, and an entry left alone in its row or column is pushed at
+    cost 0; a popped key whose cost has grown is pushed back.  Returns
+    (number of pivots, largest |entry| created).
+    """
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    heap = []
+    push = heapq.heappush
+    count = peak = 0
+    while rows:
+        if not heap:
+            heap = [((len(r) - 1) * (len(cols[j]) - 1), i, j)
+                    for i, r in rows.items() for j, v in r.items()
+                    if p or v == 1 or v == -1]
+            if not heap:
+                break
+            heapq.heapify(heap)
+        c, pi, pj = heapq.heappop(heap)
+        r = rows.get(pi)
+        u = r.get(pj) if r else None
+        if u is None or not (p or u == 1 or u == -1):
+            continue
+        cost = (len(r) - 1) * (len(cols[pj]) - 1)
+        if cost > c:
+            push(heap, (cost, pi, pj))
+            continue
+        count += 1
+        del rows[pi]
+        del r[pj]
+        others = cols.pop(pj)
+        others.discard(pi)
+        for j in r:
+            s = cols[j]
+            s.discard(pi)
+            if len(s) == 1:
+                (i,) = s
+                v = rows[i][j]
+                if p or v == 1 or v == -1:
+                    push(heap, (0, i, j))
+        inv = pow(u, p - 2, p) if p else u
+        for i in others:
+            ri = rows[i]
+            f = ri.pop(pj) * inv
+            for j, v in r.items():
+                old = ri.get(j)
+                w = (old or 0) - f * v
+                if p:
+                    w %= p
+                elif w > peak or -w > peak:
+                    peak = -w if w < 0 else w
+                if w:
+                    ri[j] = w
+                    if old is None:
+                        cols[j].add(i)
+                    continue
+                del ri[j]
+                s = cols[j]
+                s.discard(i)
+                if len(s) == 1:
+                    (k,) = s
+                    v = rows[k][j]
+                    if p or v == 1 or v == -1:
+                        push(heap, (0, k, j))
+            if not ri:
+                del rows[i]
+            elif len(ri) == 1:
+                ((j, v),) = ri.items()
+                if p or v == 1 or v == -1:
+                    push(heap, (0, i, j))
+    return count, peak
+
+
 def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms.
+    """Smith normal form, with unimodular transforms on request.
+
+    Without U and V, ``_eliminate_units`` runs first: each unit pivot is an
+    invariant factor 1, and the gcd elimination of ``_smith_work`` runs on
+    the Schur complement that is left, which is small or empty on the
+    matrices this package produces.  With U or V the gcd elimination runs
+    on A itself.
+    """
+    if need_U or need_V:
+        return _smith_work(A, need_U, need_V)
+    rows = _rows_of(A)
+    units, peak = _eliminate_units(rows)
+    rest = _smith_work(IntMatrix(A.rows, A.cols, {(i, j): v for i, r in rows.items()
+                                                  for j, v in r.items()}),
+                       False, False)
+    return SmithDecomposition(A, (1,) * units + rest.diagonal, None, None,
+                              peak_abs=max(A.max_abs(), peak, rest.peak_abs))
+
+
+def _smith_work(A: IntMatrix, need_U: bool, need_V: bool) -> SmithDecomposition:
+    """Smith normal form by gcd elimination on a ``_Work`` matrix.
 
     Pivots are taken from a lazy queue keyed by ``(|entry| != 1, |entry|,
     Markowitz cost, row, col)``, so unit singletons go first, coefficient
@@ -587,18 +712,13 @@ def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     return sd.V * IntMatrix(A.cols, B.cols, ent)
 
 
-def _echelon_mod_p(A: IntMatrix, p: int, reduced: bool) -> dict:
-    """Row echelon form of A over F_p by sparse Gaussian elimination.
+def _echelon_mod_p(A: IntMatrix, p: int) -> dict:
+    """Reduced row echelon form of A over F_p by sparse Gaussian elimination.
 
     Returns {pivot column: pivot row}, each row a dict col -> entry in
-    1..p-1 with 1 at its pivot.  With ``reduced`` the rows are
-    back-substituted so that no row has an entry in another's pivot column.
+    1..p-1 with 1 at its pivot and no entry in another row's pivot column.
     """
-    rows = {}
-    for (i, j), v in A.entries.items():
-        vv = v % p
-        if vv:
-            rows.setdefault(i, {})[j] = vv
+    rows = _rows_of(A, p)
     pivots = {}
     for i in sorted(rows):
         cur = rows[i]
@@ -615,33 +735,33 @@ def _echelon_mod_p(A: IntMatrix, p: int, reduced: bool) -> dict:
                     cur[jj] = w
                 else:
                     cur.pop(jj, None)
-    if reduced:
-        order = sorted(pivots)
-        for j in reversed(order):
-            row = pivots[j]
-            for j2 in order:
-                if j2 >= j:
-                    break
-                r2 = pivots[j2]
-                f = r2.get(j, 0)
-                if f:
-                    for jj, vv in row.items():
-                        w = (r2.get(jj, 0) - f * vv) % p
-                        if w:
-                            r2[jj] = w
-                        else:
-                            r2.pop(jj, None)
+    order = sorted(pivots)
+    for j in reversed(order):
+        row = pivots[j]
+        for j2 in order:
+            if j2 >= j:
+                break
+            r2 = pivots[j2]
+            f = r2.get(j, 0)
+            if f:
+                for jj, vv in row.items():
+                    w = (r2.get(jj, 0) - f * vv) % p
+                    if w:
+                        r2[jj] = w
+                    else:
+                        r2.pop(jj, None)
     return pivots
 
 
 def rank_mod_p(A: IntMatrix, p: int) -> int:
-    """Rank over the prime field F_p."""
-    return len(_echelon_mod_p(A, p, reduced=False))
+    """Rank over the prime field F_p: the unit-pivot count of
+    ``_eliminate_units``, where every nonzero entry mod p is a unit."""
+    return _eliminate_units(_rows_of(A, p), p)[0]
 
 
 def kernel_basis_mod_p(A: IntMatrix, p: int) -> IntMatrix:
     """Kernel basis over F_p, entries reduced to 0..p-1, as columns."""
-    pivots = _echelon_mod_p(A, p, reduced=True)
+    pivots = _echelon_mod_p(A, p)
     cols = []
     for fc in range(A.cols):
         if fc in pivots:
@@ -659,7 +779,7 @@ def solve_mod_p(A: IntMatrix, B: IntMatrix, p: int) -> Optional[IntMatrix]:
     """Solve A X = B over F_p; None when inconsistent."""
     if A.rows != B.rows:
         raise ValueError("shape mismatch in solve_mod_p")
-    pivots = _echelon_mod_p(A.hstack(B), p, reduced=True)
+    pivots = _echelon_mod_p(A.hstack(B), p)
     if any(j >= A.cols for j in pivots):
         return None
     ent = {}

@@ -201,10 +201,14 @@ def verdicts(profile: IntersectionProfile,
         checks.append(CheckResult("verdict coherence", "skipped",
                                   "pairing verdicts undetermined"))
 
-    # locally torsion free is sufficient for duality, never necessary
+    # locally torsion free is sufficient for duality, never necessary; the
+    # implication needs Poincare duality of the links, so an orientation
     if report.locally_torsion_free is None:
         checks.append(CheckResult("locally-torsion-free implies duality", "skipped",
                                   "no link data"))
+    elif not profile.oriented:
+        checks.append(CheckResult("locally-torsion-free implies duality", "skipped",
+                                  "space not oriented"))
     elif report.locally_torsion_free and not pd:
         checks.append(CheckResult("locally-torsion-free implies duality", "fail",
                                   "locally torsion free but peripheral nonzero"))

@@ -3,7 +3,12 @@ import json
 
 import pytest
 
+import strathom.chains as chains
+import strathom.cli as cli
+from strathom.chains import intersection_complex
 from strathom.cli import main
+from strathom.exact_algebra import Coefficients
+from strathom.triangulations import triangulation_of
 
 
 def write(tmp_path, name, payload):
@@ -125,6 +130,39 @@ class TestProfile:
         assert_one_line_error(code, err)
         assert "must be an object" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["profile", "validate", "crosscheck"])
+    @pytest.mark.parametrize("space", [
+        {"type": "disjoint_union", "parts": 3},
+        {"type": "complex", "dimension": 2, "vertices": [3], "simplices": [[3]]},
+        {"type": "mapping_torus",
+         "of": {"type": "suspension", "of": {"type": "atom", "name": "S2"}},
+         "action": 3},
+        {"type": "thom_circle", "base": {"type": "atom", "name": "S2"}, "euler": 3},
+        {"type": "cone", "of": {"type": "atom", "name": ["RP2"]}},
+        {"type": "complex", "dimension": 2,
+         "vertices": [{"id": 0, "level": 2}], "simplices": [0]},
+        {"type": "disjoint_union", "parts": []},
+        {"type": "complex", "dimension": 2,
+         "vertices": [{"id": 0, "level": 0.5}, {"id": 1, "level": 2},
+                      {"id": 2, "level": 2}, {"id": 3, "level": 2}],
+         "simplices": [[0, 1, 2], [0, 2, 3], [0, 1, 3]]},
+        {"type": "isolated", "dimension": True,
+         "links": [{"type": "atom", "name": "RP3"}]},
+        {"type": "complex", "name": [3], "dimension": 2,
+         "vertices": [{"id": 0, "level": 0}, {"id": 1, "level": 2},
+                      {"id": 2, "level": 2}, {"id": 3, "level": 2}],
+         "simplices": [[0, 1, 2], [0, 2, 3], [0, 1, 3]]}],
+        ids=["union-parts-int", "complex-vertex-int", "torus-action-int",
+             "thom-euler-int", "atom-name-list", "complex-simplex-int",
+             "union-parts-empty", "complex-level-fraction", "isolated-dimension-bool",
+             "complex-name-list"])
+    def test_wrongly_typed_field_is_input_error(self, tmp_path, capsys,
+                                                command, space):
+        f = write(tmp_path, "typed.json", {"space": space, "perversity": 1})
+        code, out, err = run(capsys, command, f)
+        assert_one_line_error(code, err)
+        assert "must" in err and out == ""
+
     @pytest.mark.parametrize("engine", ["symbolic", "simplicial", "both"])
     def test_list_perversity_is_input_error(self, tmp_path, capsys, engine):
         f = write(tmp_path, "pl.json", {
@@ -133,6 +171,19 @@ class TestProfile:
         code, out, err = run(capsys, "profile", f, "--engine", engine)
         assert_one_line_error(code, err)
         assert err == "error: cannot parse perversity [1]\n" and out == ""
+
+    @pytest.mark.parametrize("perversity", [{"codim": 3}, {"codim": {"2": [1]}},
+                                            {"gm": 3}, {"gm": [[1]]}],
+                             ids=["codim-int", "codim-value-list", "gm-int",
+                                  "gm-value-list"])
+    def test_wrongly_typed_perversity_is_input_error(self, tmp_path, capsys,
+                                                     perversity):
+        f = write(tmp_path, "pv.json", {
+            "space": {"type": "cone", "of": {"type": "atom", "name": "RP2"}},
+            "perversity": perversity})
+        code, out, err = run(capsys, "profile", f, "--engine", "simplicial")
+        assert_one_line_error(code, err)
+        assert out == ""
 
     @pytest.mark.parametrize("ring", ["F4", "F", "R"])
     def test_bad_ring_in_file_is_input_error(self, tmp_path, capsys, ring):
@@ -157,6 +208,33 @@ class TestProfile:
         p.write_text("{ not json")
         code, _, err = run(capsys, "profile", str(p))
         assert code == 2 and ":" in err
+
+    @pytest.mark.parametrize("kind", ["cone", "suspension"])
+    def test_local_torsion_check_skipped_when_not_oriented(self, tmp_path, capsys,
+                                                           kind):
+        # the apex link RP2 has T GH_0 = 0 but T H^2 = Z/2: without
+        # Poincare duality of the link the implication does not apply
+        f = write(tmp_path, "rp2.json", {
+            "space": {"type": kind, "of": {"type": "atom", "name": "RP2"}},
+            "perversity": 1})
+        code, out, _ = run(capsys, "profile", f, "--strict", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["verdicts"]["locally_torsion_free"] is True
+        checks = {c["name"]: c for c in data["checks"]}
+        assert checks["locally-torsion-free implies duality"] == {
+            "name": "locally-torsion-free implies duality",
+            "status": "skipped", "detail": "space not oriented"}
+
+    @pytest.mark.parametrize("link", ["S2", "RP3"])
+    def test_local_torsion_check_runs_when_oriented(self, tmp_path, capsys, link):
+        f = write(tmp_path, "o.json", {
+            "space": {"type": "suspension", "of": {"type": "atom", "name": link}},
+            "perversity": 1})
+        code, out, _ = run(capsys, "profile", f, "--strict", "--json")
+        assert code == 0
+        checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert checks["locally-torsion-free implies duality"] == "pass"
 
     def test_ring_override(self, susp_rp3, capsys):
         code, out, _ = run(capsys, "profile", susp_rp3, "--ring", "F2", "--json")
@@ -285,3 +363,37 @@ class TestBenchSnf:
         assert err == ("error: random 4x4 d=0.5: divisibility chain violated: "
                        "2 does not divide 3\n")
         assert "random 4x4" not in out
+
+
+@pytest.mark.parametrize("atom_name,p,builds", [("RP3", 1, 1), ("RP2", 0, 2)],
+                         ids=["cone(RP3)-Dp=p", "cone(RP2)-Dp!=p"])
+def test_report_builds_one_intersection_complex_when_dp_is_p(
+        monkeypatch, atom_name, p, builds):
+    calls = []
+
+    def counted(X, perversity, ring):
+        calls.append(perversity)
+        return intersection_complex(X, perversity, ring)
+    # chains' own helpers build through their module's name
+    monkeypatch.setattr(cli, "intersection_complex", counted)
+    monkeypatch.setattr(chains, "intersection_complex", counted)
+    X = triangulation_of(atom_name).cone()
+    rep = cli.simplicial_report(X, p, Coefficients("Z"), f"cone({atom_name})")
+    assert len(calls) == builds
+    checks = {c.name: c.status for c in rep.checks}
+    assert checks["universal coefficients on GH^*"] == "pass"
+
+
+def test_crosscheck_builds_one_integer_complex_per_perversity(monkeypatch, cone_rp2,
+                                                             capsys):
+    integer = []
+
+    def counted(X, perversity, ring):
+        if ring.kind == "Z":
+            integer.append(perversity)
+        return intersection_complex(X, perversity, ring)
+    monkeypatch.setattr(cli, "intersection_complex", counted)
+    monkeypatch.setattr(chains, "intersection_complex", counted)
+    code, out, _ = run(capsys, "crosscheck", cone_rp2, "--perversity", "0,1")
+    assert code == 0 and "crosscheck: pass" in out
+    assert len(integer) == 2

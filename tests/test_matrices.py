@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from strathom.exact_algebra import (IntMatrix, kernel_basis,
                                     kernel_basis_mod_p, random_sparse,
                                     rank_mod_p, smith, solve)
-from strathom.exact_algebra.matrices import solve_mod_p
+from strathom.exact_algebra.matrices import _echelon_mod_p, solve_mod_p
+from strathom.triangulations import triangulation_of
+from strathom.chains import RegularComplex
 
 
 def assert_valid_snf(A):
@@ -140,6 +142,33 @@ def test_mod_p_kernel_rank(r, c, p, seed):
     assert Xs is not None
     diff = A * Xs - B
     assert all(v % p == 0 for v in diff.entries.values())
+
+
+def rank_cases():
+    rng = random.Random(7)
+    for r, c in [(1, 1), (4, 9), (12, 12), (30, 20), (60, 80)]:
+        for density in (0.1, 0.3, 0.7):
+            yield f"random {r}x{c} d={density}", IntMatrix(
+                r, c, {(i, j): rng.randint(-6, 6) for i in range(r)
+                       for j in range(c) if rng.random() < density})
+    for name in ("RP2", "T2", "RP3"):
+        X = triangulation_of(name).suspension()
+        for k, m in RegularComplex(X).chain_complex().diffs.items():
+            yield f"susp({name}) d_{k}", m
+            yield f"susp({name}) 3*d_{k}^T", m.transpose() * 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_mod_p_matches_reduced_echelon(p):
+    for label, A in rank_cases():
+        assert rank_mod_p(A, p) == len(_echelon_mod_p(A, p)), label
+
+
+def test_rank_mod_p_needs_inverse():
+    # over F_5 the pivot 2 has inverse 3: row 1 - 3*row 0 = (1 - 6, 2 - 12) = 0
+    A = IntMatrix.from_rows([[2, 4], [1, 2]])
+    assert rank_mod_p(A, 5) == len(_echelon_mod_p(A, 5)) == 1
+    assert rank_mod_p(IntMatrix.from_rows([[2, 4], [1, 3]]), 5) == 2
 
 
 def test_triplet_roundtrip():

@@ -10,6 +10,7 @@ import random
 import pytest
 
 import strathom.exact_algebra.complexes as complexes
+import strathom.exact_algebra.matrices as matrices
 from strathom.chains import RegularComplex, intersection_complex
 from strathom.exact_algebra import (ChainComplex, Coefficients, IntMatrix,
                                     homology_all, kernel_basis, smith)
@@ -103,6 +104,7 @@ def test_random_decomposition(rows, cols, density, values):
         A = random_matrix(rows, cols, density, values, seed)
         # Bareiss on large transforms with big entries is slow
         sd = assert_decomposition(A, check_det=max(rows, cols) <= 40)
+        assert diagonal(A) == sd.diagonal
         assert diagonal(A.transpose()) == sd.diagonal
         assert diagonal(permuted(A, seed)) == sd.diagonal
 
@@ -156,3 +158,92 @@ def test_homology_all_one_smith_per_differential(name, monkeypatch):
             assert len(calls) == len(C.diffs)
         assert H == type(H)(single)
         monkeypatch.undo()
+
+
+# The diagonal-only Smith form runs the unit-pivot elimination first and
+# the gcd elimination on what it leaves; with a transform the gcd
+# elimination runs on the whole matrix.  Both must give the same factors.
+
+def transform_diagonal(A: IntMatrix) -> tuple:
+    return smith(A, need_U=True, need_V=False).diagonal
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_unit_phase_matches_transform_path(name):
+    for label, A in matrices_of(SPACES[name]()):
+        assert diagonal(A) == transform_diagonal(A), label
+        assert diagonal(A.transpose()) == transform_diagonal(A.transpose()), label
+
+
+MIXED_SHAPES = [s for s in SHAPES if max(s[:2]) <= 80] + [(80, 80, 0.03)]
+
+
+@pytest.mark.parametrize("rows,cols,density", MIXED_SHAPES)
+def test_unit_phase_matches_transform_path_mixed(rows, cols, density):
+    for seed in range(3):
+        A = random_matrix(rows, cols, density, (-3, -1, 1, 3), seed)
+        assert diagonal(A) == transform_diagonal(A), seed
+        assert diagonal(A.transpose()) == transform_diagonal(A.transpose()), seed
+
+
+@pytest.mark.parametrize("rows,cols,density", [(3, 7, 0.5), (12, 12, 0.3),
+                                               (25, 40, 0.15)])
+def test_no_unit_entry_matches_transform_path(rows, cols, density):
+    for seed in range(3):
+        A = random_matrix(rows, cols, density, (-6, -2, 2, 3, 4), seed)
+        assert not any(abs(v) == 1 for v in A.entries.values())
+        assert diagonal(A) == transform_diagonal(A), seed
+
+
+def units_after_fill(n: int) -> IntMatrix:
+    """Units only in column 0; row i minus row 0 is the unit vector e_i."""
+    return IntMatrix(n, n, {(i, j): (1 if j == 0 else 3 if i == j else 2)
+                            for i in range(n) for j in range(n)})
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_units_after_fill(n):
+    A = units_after_fill(n)
+    rows = matrices._rows_of(A)
+    assert matrices._eliminate_units(rows) == (n, 1)
+    assert rows == {}
+    assert diagonal(A) == transform_diagonal(A) == (1,) * n
+
+
+def test_fill_makes_larger_entry():
+    # the unit pivot at (0, 0) turns the 2 below it into 4
+    A = IntMatrix.from_rows([[1, 2], [-1, 2]])
+    sd = smith(A, need_U=False, need_V=False)
+    assert sd.diagonal == transform_diagonal(A) == (1, 4)
+    assert sd.peak_abs == 4
+
+
+class RecordingRow(dict):
+    """A row that remembers the largest |entry| ever written to it."""
+    largest = 0
+
+    def __setitem__(self, j, v):
+        RecordingRow.largest = max(RecordingRow.largest, abs(v))
+        super().__setitem__(j, v)
+
+
+def peak_cases():
+    for rows, cols, density in MIXED_SHAPES:
+        for seed in range(3):
+            yield f"mixed {rows}x{cols} seed {seed}", random_matrix(
+                rows, cols, density, (-3, -1, 1, 3), seed)
+    for name in ("RP2", "susp(RP2)", "cone(RP3)"):
+        for label, A in matrices_of(SPACES[name]()):
+            yield f"{name} {label}", A
+
+
+def test_peak_covers_entries_created_by_unit_phase():
+    for label, A in peak_cases():
+        rows = {i: RecordingRow(r) for i, r in matrices._rows_of(A).items()}
+        RecordingRow.largest = 0        # count only what the elimination writes
+        _, peak = matrices._eliminate_units(rows)
+        assert peak >= RecordingRow.largest, label
+        sd = smith(A, need_U=False, need_V=False)
+        assert sd.peak_abs >= max(peak, A.max_abs()), label
+        assert sd.peak_abs >= max((abs(v) for r in rows.values() for v in r.values()),
+                                  default=0), label
