@@ -20,8 +20,7 @@ from .stratified import (FilteredComplex, GMPerversity, Perversity, Stratum,
                          StratifiedValidationError, manifold_complex)
 from .chains import (allowable, intersection_cohomology, intersection_complex,
                      intersection_homology, perverse_degree, regular_boundary)
-from .blowup import (blowup_cohomology, blowup_complex, local_complex,
-                     local_perverse_degree, relative_cohomology,
+from .blowup import (blowup_cohomology, blowup_complex, relative_cohomology,
                      relative_complex)
 from .spaces import (AtomSpace, DisjointUnion, IntersectionProfile,
                      IsolatedSing, ManifoldAtom, MappingTorus, OpenCone,
@@ -42,8 +41,8 @@ __all__ = [
     "StratifiedValidationError", "manifold_complex",
     "allowable", "intersection_cohomology", "intersection_complex",
     "intersection_homology", "perverse_degree", "regular_boundary",
-    "blowup_cohomology", "blowup_complex", "local_complex",
-    "local_perverse_degree", "relative_cohomology", "relative_complex",
+    "blowup_cohomology", "blowup_complex", "relative_cohomology",
+    "relative_complex",
     "AtomSpace", "DisjointUnion", "IntersectionProfile", "IsolatedSing",
     "ManifoldAtom", "MappingTorus", "OpenCone", "Suspension", "ThomCircle",
     "atom", "atom_renamed", "circle_bundle_cohomology", "eval_cone",

@@ -41,158 +41,9 @@ from .exact_algebra import (ChainComplex, ChainMap, Coefficients, GradedModule,
                             IntMatrix, Subcomplex, homology_all, mapping_cone)
 from .stratified import FilteredComplex, Perversity
 
-NEG_INF = float("-inf")
-
-
-# -- local tensor complexes ---------------------------------------------
-
-class LocalBlowupComplex:
-    """Full tensor complex of one regular simplex.
-
-    Labels are tuples with one entry per slot 0..n: for i < n a pair
-    (face_tuple, eps) on the cone cD_i (the apex is ((), 1)); for slot n
-    a nonempty face tuple of D_n.  Degree of a cone entry is
-    dim(face) + eps, of the last entry dim(face).
-    """
-
-    def __init__(self, X: FilteredComplex, simplex):
-        self.X = X
-        self.simplex = X.sorted_vertices(frozenset(simplex))
-        if not X.is_regular(self.simplex):
-            raise ValueError("blow-up is defined on regular simplices only")
-        self.blocks = X.join_decomposition(self.simplex)
-        self.n = X.n
-        self.labels: Dict[int, List[Tuple]] = {}
-        self.index: Dict[Tuple, Tuple[int, int]] = {}
-        for lab in self._all_labels():
-            k = label_degree(lab)
-            self.labels.setdefault(k, []).append(lab)
-        for k in self.labels:
-            self.labels[k].sort()
-            for i, lab in enumerate(self.labels[k]):
-                self.index[lab] = (k, i)
-
-    def _slot_options(self, i: int):
-        block = self.blocks[i]
-        if i == self.n:
-            return [tuple(f) for r in range(1, len(block) + 1)
-                    for f in itertools.combinations(block, r)]
-        opts = [((), 1)]
-        for r in range(1, len(block) + 1):
-            for f in itertools.combinations(block, r):
-                opts.append((tuple(f), 0))
-                opts.append((tuple(f), 1))
-        return opts
-
-    def _all_labels(self):
-        per_slot = [self._slot_options(i) for i in range(self.n + 1)]
-        return [tuple(choice) for choice in itertools.product(*per_slot)]
-
-    def rank(self, k: int) -> int:
-        return len(self.labels.get(k, ()))
-
-    def differential(self, k: int) -> IntMatrix:
-        rows = self.rank(k + 1)
-        cols = self.rank(k)
-        ent = {}
-        for j, lab in enumerate(self.labels.get(k, ())):
-            for coeff, lab2 in label_coboundary(lab, self.blocks, self.n):
-                i = self.index[lab2][1]
-                ent[(i, j)] = ent.get((i, j), 0) + coeff
-        return IntMatrix(rows, cols, {ij: v for ij, v in ent.items() if v})
-
-    def chain_complex(self) -> ChainComplex:
-        ranks = {k: self.rank(k) for k in self.labels}
-        diffs = {k: self.differential(k) for k in self.labels}
-        return ChainComplex("coh", ranks, diffs, basis=dict(self.labels))
-
-
-def label_degree(lab) -> int:
-    deg = 0
-    for entry in lab[:-1]:
-        f, eps = entry
-        deg += len(f) - 1 + eps
-    deg += len(lab[-1]) - 1
-    return deg
-
-
-def slot_degree(entry, last: bool) -> int:
-    if last:
-        return len(entry) - 1
-    f, eps = entry
-    return len(f) - 1 + eps
-
-
-def _cone_cofaces(entry, block):
-    """Cofaces of a face of the cone c(block), with simplicial signs.
-
-    Faces are (F, 0) for nonempty F and (F, 1) = apex * F; the apex sorts
-    first, so adding it carries sign +1 and adding a vertex w carries
-    (-1)^(position of w), offset by one when the apex is present.
-    """
-    f, eps = entry
-    fs = set(f)
-    out = []
-    if eps == 0:
-        out.append((1, (f, 1)))
-    for w in block:
-        if w in fs:
-            continue
-        nf = tuple(sorted(fs | {w}, key=_sort_key))
-        pos = nf.index(w) + eps
-        out.append(((-1) ** pos, (nf, eps)))
-    return out
-
-
-def _simplex_cofaces(f, block):
-    fs = set(f)
-    out = []
-    for w in block:
-        if w in fs:
-            continue
-        nf = tuple(sorted(fs | {w}, key=_sort_key))
-        pos = nf.index(w)
-        out.append(((-1) ** pos, nf))
-    return out
-
 
 def _sort_key(v):
     return (0, v) if isinstance(v, int) else (1, str(v))
-
-
-def label_coboundary(lab, blocks, n):
-    """Terms of d(lab) with Koszul signs across the tensor slots."""
-    out = []
-    acc = 0
-    for i in range(n + 1):
-        sign = (-1) ** acc
-        if i == n:
-            for c, nf in _simplex_cofaces(lab[i], blocks[i]):
-                out.append((sign * c, lab[:i] + (nf,)))
-        else:
-            for c, ne in _cone_cofaces(lab[i], blocks[i]):
-                out.append((sign * c, lab[:i] + (ne,) + lab[i + 1:]))
-        acc += slot_degree(lab[i], last=(i == n))
-    return out
-
-
-def local_complex(X: FilteredComplex, simplex) -> LocalBlowupComplex:
-    return LocalBlowupComplex(X, simplex)
-
-
-def local_perverse_degree(lab, ell: int, n: int):
-    """-inf when the cone slot n-ell is collapsed (eps = 1), otherwise the
-    accumulated degree of the slots above it."""
-    if not (1 <= ell <= n):
-        raise ValueError(f"perverse index {ell} outside 1..{n}")
-    slot = n - ell
-    f, eps = lab[slot]
-    if eps == 1:
-        return NEG_INF
-    total = 0
-    for i in range(slot + 1, n + 1):
-        total += slot_degree(lab[i], last=(i == n))
-    return total
 
 
 # -- the global complex --------------------------------------------------
@@ -202,17 +53,6 @@ class GlobalLabel(NamedTuple):
     with eps-flags on its nonempty cone slots (full-support local label)."""
     carrier: Tuple
     eps: Tuple            # one flag per slot 0..n-1; 0 on slots with an empty block
-
-    def as_local(self, X: FilteredComplex) -> Tuple:
-        blocks = X.join_decomposition(self.carrier)
-        out = []
-        for i in range(X.n):
-            if blocks[i]:
-                out.append((blocks[i], self.eps[i]))
-            else:
-                out.append(((), 1))
-        out.append(blocks[X.n])
-        return tuple(out)
 
 
 class _Carrier:

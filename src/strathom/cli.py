@@ -189,20 +189,20 @@ def realize(data: dict) -> Optional[FilteredComplex]:
 
 def apex_value(spec) -> int:
     """The closed-form engine's perversity: one apex value."""
-    try:
-        return int(spec)
-    except TypeError:
+    if isinstance(spec, (dict, list)):
         raise InputError(f"cannot parse perversity {spec!r}")
+    return _int(spec, "a perversity value")
 
 
 def perversity_for(X: FilteredComplex, spec) -> Perversity:
-    if isinstance(spec, int):
-        return Perversity(X, {st.key: spec for st in X.strata() if not st.regular})
-    if isinstance(spec, dict) and "codim" in spec:
+    if not isinstance(spec, dict):
+        k = apex_value(spec)
+        return Perversity(X, {st.key: k for st in X.strata() if not st.regular})
+    if "codim" in spec:
         return Perversity.from_codim_values(
             X, {int(c): _int(v, "a perversity value")
                 for c, v in _typed(spec["codim"], dict, "'codim'").items()})
-    if isinstance(spec, dict) and "gm" in spec:
+    if "gm" in spec:
         return Perversity.from_gm(
             X, GMPerversity([_int(v, "a perversity value")
                              for v in _typed(spec["gm"], list, "'gm'")]))
@@ -301,13 +301,11 @@ def print_report_text(rep: DualityReport, out):
 def symbolic_report(data: dict, k: int, ring: Coefficients) -> DualityReport:
     expr = parse_space(data)
     prof = eval_expression(expr, k, ring)
-    dual_prof = None
     dk = prof.n - 2 - k
-    if 0 <= dk <= prof.n - 2:
-        try:
-            dual_prof = eval_expression(expr, dk, ring)
-        except ValueError:
-            dual_prof = None
+    try:
+        dual_prof = eval_expression(expr, dk, ring) if 0 <= dk <= prof.n - 2 else None
+    except ValueError as e:
+        return verdicts(prof, no_dual=f"no complementary profile: {e}")
     return verdicts(prof, dual_prof)
 
 
@@ -437,19 +435,23 @@ def cmd_validate(args) -> int:
 def _crosscheck_one(data: dict, X: FilteredComplex, k: int, out_rows: list) -> bool:
     ok_all = True
     ring = Coefficients("Z")
-    prof = eval_expression(parse_space(data), k, ring)
+    gh = hb = None          # a raw complex has no closed form
+    if data.get("type") != "complex":
+        prof = eval_expression(parse_space(data), k, ring)
+        gh, hb = prof.gh_lower, prof.h_blowup
     p = perversity_for(X, k)
     ic = intersection_complex(X, p, ring)
     pairs = [
-        ("GH_*", prof.gh_lower, homology_all(ic, ring)),
-        ("GH^*", verdier_dual_cohomology(prof.gh_lower) if prof.gh_lower is not None
-         else None, homology_all(ic.dualize(), ring)),
-        ("H~^*", prof.h_blowup, blowup_cohomology(X, p, ring)),
+        ("GH_*", gh, lambda: homology_all(ic, ring)),
+        ("GH^*", None if gh is None else verdier_dual_cohomology(gh),
+         lambda: homology_all(ic.dualize(), ring)),
+        ("H~^*", hb, lambda: blowup_cohomology(X, p, ring)),
     ]
-    for name, sym, simp in pairs:
+    for name, sym, simplicial in pairs:
         if sym is None:
             out_rows.append((k, name, "skipped", "no symbolic prediction"))
             continue
+        simp = simplicial()
         ok = sym == simp
         ok_all &= ok
         out_rows.append((k, name, "pass" if ok else "fail",

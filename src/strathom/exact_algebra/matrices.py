@@ -1,17 +1,17 @@
-"""Sparse integer matrices and Smith normal form.
+"""Sparse integer matrices, kernels, solves and Smith normal form.
 
-All arithmetic is exact (Python big integers).  The Smith normal form is
-the workhorse behind every homology computation in the package: kernels,
-cokernels, torsion factors and linear solves all reduce to it.
-
-One elimination kernel, ``_eliminate_units``, serves Z and F_p: it takes
-unit pivots in Markowitz order and leaves the Schur complement.  Over F_p
-every nonzero entry is a unit, so its pivot count is the rank.  Over Z a
-diagonal-only ``smith`` reads one invariant factor 1 per unit pivot and
-runs the gcd elimination of ``_Work`` on the remainder only, which is the
-step a modular elimination (one that bounds coefficient growth) would
-replace.  Smith forms that need the transforms U or V run ``_Work`` on
-the whole matrix.
+All arithmetic is exact (Python big integers).  One elimination kernel,
+``_eliminate_units``, serves Z and F_p: it takes unit pivots in Markowitz
+order and leaves the Schur complement.  Over F_p every nonzero entry is a
+unit, so its pivot count is the rank.  Over Z a diagonal-only ``smith``
+reads one invariant factor 1 per unit pivot and runs the gcd elimination
+of ``_Work`` on the remainder only, which is the step a modular
+elimination (one that bounds coefficient growth) would replace.  Kernels
+over Z and F_p and solves over F_p back-substitute through the pivot rows
+that the elimination records (``_kernel``); over Z the kernel of a
+non-empty remainder comes from the V of its Smith form.  Smith forms that
+need U or V (the integer ``solve``, the module maps) run ``_Work`` on the
+whole matrix.
 """
 from __future__ import annotations
 
@@ -437,7 +437,8 @@ def _rows_of(A: IntMatrix, p: int = 0) -> dict:
     return rows
 
 
-def _eliminate_units(rows: dict, p: int = 0):
+def _eliminate_units(rows: dict, p: int = 0, pivots: Optional[list] = None,
+                     limit: Optional[int] = None):
     """Eliminate unit pivots of ``rows`` ({row: {col: entry}}) in place.
 
     Over Z (p = 0) the units are the entries +-1; over F_p (entries in
@@ -445,12 +446,17 @@ def _eliminate_units(rows: dict, p: int = 0):
     Markowitz cost (ties by row, then column) from a lazy heap, subtracts
     multiples of its row from the other rows of its column and drops its
     row and column, so ``rows`` ends as the Schur complement, which has no
-    unit entry.  A unit pivot splits off one invariant factor 1 without
-    changing the others.  The heap is filled with the live units whenever
-    it runs dry, and an entry left alone in its row or column is pushed at
-    cost 0; a popped key whose cost has grown is pushed back.  Returns
-    (number of pivots, largest |entry| created).
+    unit entry (with ``limit``, none in a column below ``limit``: pivots
+    are taken there only).  A unit pivot splits off one invariant factor 1
+    without changing the others.  The heap is filled with the live units
+    whenever it runs dry, and an entry left alone in its row or column is
+    pushed at cost 0; a popped key whose cost has grown is pushed back.
+    Each pivot is appended to ``pivots`` as (column, inverse of the pivot,
+    the rest of its row).  Returns (number of pivots, largest |entry|
+    created).
     """
+    if limit is None:
+        limit = float("inf")
     cols = {}
     for i, r in rows.items():
         for j in r:
@@ -462,14 +468,14 @@ def _eliminate_units(rows: dict, p: int = 0):
         if not heap:
             heap = [((len(r) - 1) * (len(cols[j]) - 1), i, j)
                     for i, r in rows.items() for j, v in r.items()
-                    if p or v == 1 or v == -1]
+                    if (p or v == 1 or v == -1) and j < limit]
             if not heap:
                 break
             heapq.heapify(heap)
         c, pi, pj = heapq.heappop(heap)
         r = rows.get(pi)
         u = r.get(pj) if r else None
-        if u is None or not (p or u == 1 or u == -1):
+        if u is None or not (p or u == 1 or u == -1) or pj >= limit:
             continue
         cost = (len(r) - 1) * (len(cols[pj]) - 1)
         if cost > c:
@@ -489,6 +495,8 @@ def _eliminate_units(rows: dict, p: int = 0):
                 if p or v == 1 or v == -1:
                     push(heap, (0, i, j))
         inv = pow(u, p - 2, p) if p else u
+        if pivots is not None:
+            pivots.append((pj, inv, r))
         for i in others:
             ri = rows[i]
             f = ri.pop(pj) * inv
@@ -528,7 +536,7 @@ def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomp
     invariant factor 1, and the gcd elimination of ``_smith_work`` runs on
     the Schur complement that is left, which is small or empty on the
     matrices this package produces.  With U or V the gcd elimination runs
-    on A itself.
+    on A itself; ``kernel_basis`` asks for V of a remainder only.
     """
     if need_U or need_V:
         return _smith_work(A, need_U, need_V)
@@ -681,19 +689,63 @@ def _smith_work(A: IntMatrix, need_U: bool, need_V: bool) -> SmithDecomposition:
     return SmithDecomposition(A, tuple(ds), Um, Vm, peak_abs=peak)
 
 
+def _kernel(A: IntMatrix, p: int = 0, limit: Optional[int] = None) -> Optional[IntMatrix]:
+    """Kernel basis of A over Z (p = 0) or F_p, as columns.
+
+    ``_eliminate_units`` takes the unit pivots (with ``limit``, in the
+    columns below it only).  A pivot's row reads u*x_j + sum r_c*x_c = 0
+    over columns c that are free or pivoted later, so the pivot rows are
+    solved once each, latest first, for x_j as a combination of the free
+    columns.  The kernel of the Schur complement on the free columns (over
+    Z, the trailing columns of V in its Smith form; over F_p it is empty,
+    so the unit vectors) is then extended to the pivot columns.  Over F_p
+    with ``limit``, a row left over lies in the columns from ``limit`` on
+    alone and the result is None.
+    """
+    rows = _rows_of(A, p)
+    pivots = []
+    _eliminate_units(rows, p, pivots, limit)
+    if rows and p:
+        return None
+    coords = {}           # pivot column -> {free column: coefficient}
+    for j, inv, r in reversed(pivots):
+        acc = {}
+        for c, v in r.items():
+            for f, w in coords.get(c, {c: 1}).items():
+                acc[f] = acc.get(f, 0) + v * w
+        coords[j] = {f: w for f, w in ((f, -inv * v % p if p else -inv * v)
+                                       for f, v in acc.items()) if w}
+    through = {}          # free column -> {pivot column: coefficient}
+    for j, row in coords.items():
+        for f, w in row.items():
+            through.setdefault(f, {})[j] = w
+    free = [j for j in range(A.cols) if j not in coords]
+    basis = [{f: 1} for f in free]
+    if rows:
+        at = {f: k for k, f in enumerate(free)}
+        sd = smith(IntMatrix(len(rows), len(free), {
+            (i, at[j]): v for i, r in enumerate(rows.values()) for j, v in r.items()}),
+            need_U=False, need_V=True)
+        basis = [{} for _ in range(len(free) - sd.rank)]
+        for (k, c), v in sd.V.entries.items():
+            if c >= sd.rank:
+                basis[c - sd.rank][free[k]] = v
+    cols = []
+    for b in basis:
+        x = dict(b)
+        for f, v in b.items():
+            for j, w in through.get(f, _EMPTY).items():
+                x[j] = x.get(j, 0) + v * w
+        cols.append(x)
+    return IntMatrix.from_columns(cols, A.cols)
+
+
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel lattice, as columns.
 
     The lattice is saturated: x with m*x in the kernel lies in it.
     """
-    if A.cols == 0:
-        return IntMatrix(0, 0)
-    if A.rows == 0:
-        return IntMatrix.identity(A.cols)
-    sd = smith(A, need_U=False, need_V=True)
-    r = sd.rank
-    return IntMatrix(A.cols, A.cols - r,
-                     {(i, j - r): v for (i, j), v in sd.V.entries.items() if j >= r})
+    return _kernel(A)
 
 
 def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
@@ -712,47 +764,6 @@ def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     return sd.V * IntMatrix(A.cols, B.cols, ent)
 
 
-def _echelon_mod_p(A: IntMatrix, p: int) -> dict:
-    """Reduced row echelon form of A over F_p by sparse Gaussian elimination.
-
-    Returns {pivot column: pivot row}, each row a dict col -> entry in
-    1..p-1 with 1 at its pivot and no entry in another row's pivot column.
-    """
-    rows = _rows_of(A, p)
-    pivots = {}
-    for i in sorted(rows):
-        cur = rows[i]
-        while cur:
-            j = min(cur)
-            if j not in pivots:
-                inv = pow(cur[j], p - 2, p)
-                pivots[j] = {jj: (vv * inv) % p for jj, vv in cur.items()}
-                break
-            f = cur[j]
-            for jj, vv in pivots[j].items():
-                w = (cur.get(jj, 0) - f * vv) % p
-                if w:
-                    cur[jj] = w
-                else:
-                    cur.pop(jj, None)
-    order = sorted(pivots)
-    for j in reversed(order):
-        row = pivots[j]
-        for j2 in order:
-            if j2 >= j:
-                break
-            r2 = pivots[j2]
-            f = r2.get(j, 0)
-            if f:
-                for jj, vv in row.items():
-                    w = (r2.get(jj, 0) - f * vv) % p
-                    if w:
-                        r2[jj] = w
-                    else:
-                        r2.pop(jj, None)
-    return pivots
-
-
 def rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank over the prime field F_p: the unit-pivot count of
     ``_eliminate_units``, where every nonzero entry mod p is a unit."""
@@ -761,33 +772,21 @@ def rank_mod_p(A: IntMatrix, p: int) -> int:
 
 def kernel_basis_mod_p(A: IntMatrix, p: int) -> IntMatrix:
     """Kernel basis over F_p, entries reduced to 0..p-1, as columns."""
-    pivots = _echelon_mod_p(A, p)
-    cols = []
-    for fc in range(A.cols):
-        if fc in pivots:
-            continue
-        vec = {fc: 1}
-        for pj, row in pivots.items():
-            c = row.get(fc, 0)
-            if c:
-                vec[pj] = (-c) % p
-        cols.append(vec)
-    return IntMatrix.from_columns(cols, A.cols)
+    return _kernel(A, p)
 
 
 def solve_mod_p(A: IntMatrix, B: IntMatrix, p: int) -> Optional[IntMatrix]:
-    """Solve A X = B over F_p; None when inconsistent."""
+    """Solve A X = B over F_p; None when inconsistent.
+
+    The kernel of [A | -B] with pivots in A's columns only has one column
+    per column c of B, 1 at c and 0 at A's free columns: X above it.
+    """
     if A.rows != B.rows:
         raise ValueError("shape mismatch in solve_mod_p")
-    pivots = _echelon_mod_p(A.hstack(B), p)
-    if any(j >= A.cols for j in pivots):
+    K = _kernel(A.hstack(-B), p, A.cols)
+    if K is None:
         return None
-    ent = {}
-    for pj, row in pivots.items():
-        for jj, vv in row.items():
-            if jj >= A.cols:
-                ent[(pj, jj - A.cols)] = vv
-    return IntMatrix(A.cols, B.cols, ent)
+    return K.submatrix(range(A.cols), range(K.cols - B.cols, K.cols))
 
 
 def random_sparse(rows: int, cols: int, density: float, seed: int = 0,

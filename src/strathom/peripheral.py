@@ -105,11 +105,13 @@ def _order(m: Optional[FGModule]) -> Optional[int]:
 
 
 def verdicts(profile: IntersectionProfile,
-             dual_profile: Optional[IntersectionProfile] = None) -> DualityReport:
+             dual_profile: Optional[IntersectionProfile] = None,
+             no_dual: str = "complementary profile not supplied") -> DualityReport:
     """Fill the pairing verdicts and run the duality check suite.
 
     ``dual_profile`` is the same space evaluated at the complementary
-    perversity; the cross-perversity checks are skipped without it.
+    perversity; without it the cross-perversity checks are skipped, with
+    ``no_dual`` as the reason.
     """
     periph = dict(profile.peripheral)
     pd = all(e.is_zero() or (e.order() == 1) for e in periph.values())
@@ -221,12 +223,9 @@ def verdicts(profile: IntersectionProfile,
     if dual_profile is not None:
         _cross_perversity_checks(report, profile, dual_profile)
     else:
-        checks.append(CheckResult("torsion component duality", "skipped",
-                                  "complementary profile not supplied"))
-        checks.append(CheckResult("peripheral self-duality", "skipped",
-                                  "complementary profile not supplied"))
-        checks.append(CheckResult("free/torsion cohomology duality", "skipped",
-                                  "complementary profile not supplied"))
+        for name in ("torsion component duality", "peripheral self-duality",
+                     "free/torsion cohomology duality"):
+            checks.append(CheckResult(name, "skipped", no_dual))
     return report
 
 

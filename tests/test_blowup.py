@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from strathom.blowup import (GlobalBlowupComplex, LocalBlowupComplex,
-                             blowup_cohomology, blowup_complex,
-                             label_coboundary, local_complex,
-                             local_perverse_degree, relative_cohomology)
+import strathom
+from blowup_oracle import (LocalBlowupComplex, as_local, label_coboundary,
+                           local_complex, local_perverse_degree)
+from strathom.blowup import (GlobalBlowupComplex, blowup_cohomology,
+                             blowup_complex, relative_cohomology)
 from strathom.exact_algebra import (Coefficients, FGModule, GradedModule,
                                     IntMatrix, kernel_basis, smith)
 from strathom.stratified import Perversity
@@ -156,7 +157,7 @@ class TestGlobalComplex:
             out = {}
             for g, c in coeffs.items():
                 if c and set(g.carrier) <= set(sigma):
-                    out[g.as_local(X)] = c
+                    out[as_local(g, X)] = c
             return out
 
         for m in X.maximal_simplices()[:5]:
@@ -281,3 +282,12 @@ class TestRelativeComplex:
         def chi(h):
             return sum((-1) ** j * h[j].rank for j in h.support())
         assert chi(hrel) == chi(hq) - chi(hp)
+
+
+@pytest.mark.parametrize("module", [strathom, strathom.exact_algebra],
+                         ids=["strathom", "exact_algebra"])
+def test_public_names_resolve(module):
+    # the local tensor complexes live in the test oracle, not the package
+    for name in module.__all__:
+        assert hasattr(module, name), name
+    assert not {"local_complex", "local_perverse_degree"} & set(module.__all__)

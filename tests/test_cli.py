@@ -48,6 +48,14 @@ def susp_rp2(tmp_path):
         "space": {"type": "suspension", "of": {"type": "atom", "name": "RP2"}}})
 
 
+# the raw complex of the README: the cone on a triangle's boundary
+README_COMPLEX = {
+    "type": "complex", "dimension": 2,
+    "vertices": [{"id": 0, "level": 0}, {"id": 1, "level": 2},
+                 {"id": 2, "level": 2}, {"id": 3, "level": 2}],
+    "simplices": [[0, 1, 2], [0, 2, 3], [0, 1, 3]]}
+
+
 @pytest.fixture
 def unknown_atom(tmp_path):
     return write(tmp_path, "bad.json", {"space": {"type": "atom", "name": "K3"}})
@@ -172,6 +180,22 @@ class TestProfile:
         assert_one_line_error(code, err)
         assert err == "error: cannot parse perversity [1]\n" and out == ""
 
+    @pytest.mark.parametrize("engine,space,perversity", [
+        ("symbolic", {"type": "cone", "of": {"type": "atom", "name": "S2"}}, True),
+        ("symbolic", {"type": "cone", "of": {"type": "atom", "name": "S2"}}, 1.5),
+        ("simplicial", {"type": "cone", "of": {"type": "atom", "name": "S2"}}, True),
+        ("simplicial", {"type": "cone", "of": {"type": "atom", "name": "S2"}}, 1.5),
+        ("simplicial", README_COMPLEX, True)],
+        ids=["symbolic-bool", "symbolic-fraction", "simplicial-bool",
+             "simplicial-fraction", "complex-bool"])
+    def test_non_integer_perversity_is_input_error(self, tmp_path, capsys, engine,
+                                                   space, perversity):
+        f = write(tmp_path, "pb.json", {"space": space, "perversity": perversity})
+        code, out, err = run(capsys, "profile", f, "--engine", engine)
+        assert_one_line_error(code, err)
+        assert err == f"error: a perversity value must be an integer, not {perversity!r}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("perversity", [{"codim": 3}, {"codim": {"2": [1]}},
                                             {"gm": 3}, {"gm": [[1]]}],
                              ids=["codim-int", "codim-value-list", "gm-int",
@@ -242,6 +266,22 @@ class TestProfile:
         assert data["coefficients"] == "F2"
         assert data["peripheral"] == {}
 
+    def test_missing_complementary_profile_gives_its_reason(self, tmp_path, capsys):
+        # Dp = 3 lies outside the GM range 0..2 of the cone on RP3
+        f = write(tmp_path, "mt.json", {
+            "space": {"type": "mapping_torus",
+                      "of": {"type": "cone", "of": {"type": "atom", "name": "RP3"}},
+                      "action": {"2": [[1]]}},
+            "perversity": 0})
+        code, out, _ = run(capsys, "profile", f, "--json")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("torsion component duality", "peripheral self-duality",
+                     "free/torsion cohomology duality"):
+            assert checks[name]["status"] == "skipped"
+            assert checks[name]["detail"] == ("no complementary profile: apex "
+                                              "perversity value 3 outside the GM range 0..2")
+
     def test_mapping_torus_input(self, tmp_path, capsys):
         f = write(tmp_path, "mt.json", {
             "space": {
@@ -311,6 +351,19 @@ class TestCrosscheck:
                       "euler": {"s2": 2}}})
         code, out, _ = run(capsys, "crosscheck", f)
         assert code == 0 and "symbolic-only" in out
+
+    def test_raw_complex(self, tmp_path, capsys):
+        f = write(tmp_path, "x.json", {"space": README_COMPLEX,
+                                       "perversity": {"codim": {"2": 0}}})
+        code, out, err = run(capsys, "crosscheck", f)
+        assert code == 0 and err == ""
+        rows = out.splitlines()
+        assert rows[-1] == "crosscheck: pass"
+        for name in ("GH_*", "GH^*", "H~^*"):
+            assert any(r.split()[1] == name and r.endswith("skipped  no symbolic prediction")
+                       for r in rows), name
+        for F in ("Q", "F2", "F3"):
+            assert any(f"F={F}" in r and r.split()[-1] == "pass" for r in rows), F
 
     def test_perversity_out_of_range_is_input_error(self, susp_rp2, capsys):
         code, out, err = run(capsys, "crosscheck", susp_rp2, "--perversity", "7")

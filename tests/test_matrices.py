@@ -9,9 +9,51 @@ from hypothesis import given, settings, strategies as st
 from strathom.exact_algebra import (IntMatrix, kernel_basis,
                                     kernel_basis_mod_p, random_sparse,
                                     rank_mod_p, smith, solve)
-from strathom.exact_algebra.matrices import _echelon_mod_p, solve_mod_p
+from strathom.exact_algebra.matrices import _rows_of, solve_mod_p
 from strathom.triangulations import triangulation_of
 from strathom.chains import RegularComplex
+
+
+def _echelon_mod_p(A, p):
+    """Reduced row echelon form of A over F_p by row-order Gaussian
+    elimination, the oracle for the F_p routines.
+
+    Returns {pivot column: pivot row}, each row a dict col -> entry in
+    1..p-1 with 1 at its pivot and no entry in another row's pivot column.
+    """
+    rows = _rows_of(A, p)
+    pivots = {}
+    for i in sorted(rows):
+        cur = rows[i]
+        while cur:
+            j = min(cur)
+            if j not in pivots:
+                inv = pow(cur[j], p - 2, p)
+                pivots[j] = {jj: (vv * inv) % p for jj, vv in cur.items()}
+                break
+            f = cur[j]
+            for jj, vv in pivots[j].items():
+                w = (cur.get(jj, 0) - f * vv) % p
+                if w:
+                    cur[jj] = w
+                else:
+                    cur.pop(jj, None)
+    order = sorted(pivots)
+    for j in reversed(order):
+        row = pivots[j]
+        for j2 in order:
+            if j2 >= j:
+                break
+            r2 = pivots[j2]
+            f = r2.get(j, 0)
+            if f:
+                for jj, vv in row.items():
+                    w = (r2.get(jj, 0) - f * vv) % p
+                    if w:
+                        r2[jj] = w
+                    else:
+                        r2.pop(jj, None)
+    return pivots
 
 
 def assert_valid_snf(A):
@@ -186,3 +228,108 @@ def test_matrix_ops():
     assert A.det() == -2
     with pytest.raises(ValueError):
         IntMatrix(2, 2, {(2, 0): 1})
+
+
+# Over F_p the kernel and the solve back-substitute through the unit
+# pivots; the row-order reduced echelon form above is their oracle.
+
+def echelon_kernel_mod_p(A, p):
+    pivots = _echelon_mod_p(A, p)
+    cols = []
+    for fc in range(A.cols):
+        if fc not in pivots:
+            vec = {fc: 1}
+            for pj, row in pivots.items():
+                if row.get(fc):
+                    vec[pj] = -row[fc] % p
+            cols.append(vec)
+    return IntMatrix.from_columns(cols, A.cols)
+
+
+def echelon_solve_mod_p(A, B, p):
+    pivots = _echelon_mod_p(A.hstack(B), p)
+    if any(j >= A.cols for j in pivots):
+        return None
+    return IntMatrix(A.cols, B.cols, {(pj, jj - A.cols): vv for pj, row in pivots.items()
+                                      for jj, vv in row.items() if jj >= A.cols})
+
+
+def zero_mod(M, p):
+    return all(v % p == 0 for v in M.entries.values())
+
+
+def assert_same_kernel_mod_p(A, p, label):
+    K, R = kernel_basis_mod_p(A, p), echelon_kernel_mod_p(A, p)
+    assert K.rows == A.cols and K.cols == R.cols, label
+    assert all(0 < v < p for v in K.entries.values()), label
+    assert zero_mod(A * K, p), label
+    # the same subspace: neither basis adds to the rank of the other
+    assert rank_mod_p(K, p) == rank_mod_p(K.hstack(R), p) == K.cols, label
+
+
+def assert_same_solve_mod_p(A, B, p, label):
+    X, R = solve_mod_p(A, B, p), echelon_solve_mod_p(A, B, p)
+    assert (X is None) == (R is None), label
+    if X is not None:
+        assert X.rows == A.cols and X.cols == B.cols, label
+        assert zero_mod(A * X - B, p), label
+        if len(_echelon_mod_p(A, p)) == A.cols:    # a unique solution
+            assert zero_mod(X - R, p), label
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_mod_p_matches_reduced_echelon(p):
+    for label, A in rank_cases():
+        assert_same_kernel_mod_p(A, p, label)
+        assert_same_kernel_mod_p(A.transpose(), p, label + " transposed")
+
+
+def solve_cases(p):
+    rng = random.Random(p)
+    for label, A in rank_cases():
+        if A.rows > 400:
+            continue
+        X = IntMatrix(A.cols, 3, {(i, j): rng.randint(0, p - 1)
+                                  for i in range(A.cols) for j in range(3)
+                                  if rng.random() < 0.3})
+        yield label + " consistent", A, A * X
+        yield label + " random right side", A, IntMatrix(
+            A.rows, 2, {(i, j): rng.randint(1, p - 1)
+                        for i in range(A.rows) for j in range(2) if rng.random() < 0.2})
+        # a row that is 0 in A mod p and a unit in B: inconsistent, and a
+        # pivot taken in B's columns would hide it
+        zero_row = IntMatrix(1, A.cols, {(0, j): p * rng.randint(1, 3)
+                                         for j in range(A.cols) if rng.random() < 0.3})
+        B = A * X
+        yield label + " unit only in B", A.vstack(zero_row), B.vstack(
+            IntMatrix(1, 3, {(0, 1): 1}))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_mod_p_matches_reduced_echelon(p):
+    for label, A, B in solve_cases(p):
+        assert_same_solve_mod_p(A, B, p, label)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_mod_p_unit_only_in_b(p):
+    # x = 1 and 0*x = 1: the second row's only unit lies in B
+    A = IntMatrix.from_rows([[1], [p]])
+    assert solve_mod_p(A, IntMatrix.from_rows([[1], [1]]), p) is None
+    assert solve_mod_p(A, IntMatrix.from_rows([[1], [p]]), p) == IntMatrix.from_rows([[1]])
+    # inconsistent only after elimination: row 1 - row 0 is (0 | 1)
+    A = IntMatrix.from_rows([[1, 1], [1, 1]])
+    assert solve_mod_p(A, IntMatrix.from_rows([[0], [1]]), p) is None
+    assert echelon_solve_mod_p(A, IntMatrix.from_rows([[0], [1]]), p) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0), (3, 5)])
+def test_mod_p_kernel_and_solve_of_zero_and_empty_shapes(p, rows, cols):
+    A = IntMatrix(rows, cols)
+    assert kernel_basis_mod_p(A, p) == IntMatrix.identity(cols)
+    B = IntMatrix(rows, 2, {(i, 0): 1 for i in range(rows)})
+    if rows:
+        assert solve_mod_p(A, B, p) is None
+    else:
+        assert solve_mod_p(A, B, p) == IntMatrix(cols, 2)

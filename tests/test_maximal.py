@@ -12,9 +12,8 @@ import random
 
 import pytest
 
-from blowup_oracle import carrier_of_local
-from strathom.blowup import (GlobalBlowupComplex, _sort_key, label_coboundary,
-                             slot_degree)
+from blowup_oracle import as_local, carrier_of_local, label_coboundary, slot_degree
+from strathom.blowup import GlobalBlowupComplex, _sort_key
 from strathom.exact_algebra import IntMatrix
 from strathom.stratified import FilteredComplex, StratifiedValidationError
 from strathom.triangulations import (circle, projective_plane,
@@ -45,7 +44,7 @@ def vertex_scan_differential(G, k):
     X, n = G.X, G.n
     ent = {}
     for j, g in enumerate(G.basis.get(k, ())):
-        lab = g.as_local(X)
+        lab = as_local(g, X)
         terms = list(label_coboundary(lab, X.join_decomposition(g.carrier), n))
         carrier_set = frozenset(g.carrier)
         for w, lw in X.levels.items():

@@ -13,7 +13,7 @@ import strathom.exact_algebra.complexes as complexes
 import strathom.exact_algebra.matrices as matrices
 from strathom.chains import RegularComplex, intersection_complex
 from strathom.exact_algebra import (ChainComplex, Coefficients, IntMatrix,
-                                    homology_all, kernel_basis, smith)
+                                    homology_all, kernel_basis, smith, solve)
 from strathom.exact_algebra.complexes import homology
 from strathom.stratified import Perversity
 from strathom.triangulations import projective_plane, triangulation_of
@@ -247,3 +247,71 @@ def test_peak_covers_entries_created_by_unit_phase():
         assert sd.peak_abs >= max(peak, A.max_abs()), label
         assert sd.peak_abs >= max((abs(v) for r in rows.values() for v in r.values()),
                                   default=0), label
+
+
+# ``kernel_basis`` back-substitutes through the unit pivots and takes the
+# kernel of the remainder from its own Smith form; the reference is the
+# V-trailing columns of a Smith form of the whole matrix.
+
+def reference_kernel(A: IntMatrix) -> IntMatrix:
+    sd = smith(A, need_U=False, need_V=True)
+    return sd.V.submatrix(range(A.cols), range(sd.rank, A.cols))
+
+
+def assert_kernel(A: IntMatrix, label=""):
+    K, R = kernel_basis(A), reference_kernel(A)
+    assert K.rows == A.cols and K.cols == R.cols, label
+    assert (A * K).is_zero(), label
+    if K.cols:
+        assert diagonal(K) == (1,) * K.cols, label     # saturated
+        assert solve(K, R) is not None and solve(R, K) is not None, label
+    return K
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_kernel_matches_whole_matrix_smith(name):
+    for label, A in matrices_of(SPACES[name]()):
+        assert_kernel(A, label)
+        assert_kernel(A.transpose(), label)
+
+
+@pytest.mark.parametrize("rows,cols,density", MIXED_SHAPES)
+def test_kernel_mixed(rows, cols, density):
+    for seed in range(3):
+        A = random_matrix(rows, cols, density, (-3, -1, 1, 3), seed)
+        assert_kernel(A, seed)
+        assert_kernel(A.transpose(), seed)
+
+
+@pytest.mark.parametrize("rows,cols,density", [(3, 7, 0.5), (12, 12, 0.3),
+                                               (6, 20, 0.4), (10, 16, 0.3)])
+def test_kernel_without_units(rows, cols, density):
+    # no unit pivot: the whole matrix is the remainder (at 25x40 both
+    # routes reach 14915-bit kernel entries, the coefficient growth of the
+    # gcd elimination on non-boundary matrices)
+    for seed in range(3):
+        A = random_matrix(rows, cols, density, (-6, -2, 2, 3, 4), seed)
+        rows_left = matrices._rows_of(A)
+        assert matrices._eliminate_units(rows_left)[0] == 0
+        K = assert_kernel(A, seed)
+        assert K.cols >= cols - rows
+        assert_kernel(A.transpose(), seed)
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_kernel_units_after_fill(n):
+    # units only in column 0; the appended columns 2*c_1 + c_(n-1) and
+    # c_1 + c_(n-1) hold none, and the kernel has to find both relations
+    A = units_after_fill(n)
+    extra = IntMatrix.from_rows([[0, 0], [2, 1]] + [[0, 0]] * (n - 2))
+    A = A.hstack(A * (extra + IntMatrix(n, 2, {(n - 1, 0): 1, (n - 1, 1): 1})))
+    assert not any(abs(v) == 1 for (i, j), v in A.entries.items() if j)
+    K = assert_kernel(A, n)
+    assert K.cols == 2
+    assert assert_kernel(A.transpose(), n).cols == 0
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0), (3, 5)])
+def test_kernel_of_zero_and_empty_shapes(rows, cols):
+    K = assert_kernel(IntMatrix(rows, cols))
+    assert K == IntMatrix.identity(cols)
