@@ -533,7 +533,7 @@ def cmd_bench_snf(args) -> int:
           f"{'factors>1':>10} {'peak bits':>10} {'time (s)':>9}")
     for name, m in jobs:
         t0 = time.perf_counter()
-        sd = smith(m, need_U=True, need_V=True)
+        sd = smith(m, need_U=False, need_V=False)
         dt = time.perf_counter() - t0
         for a, b in zip(sd.diagonal, sd.diagonal[1:]):
             if b % a:
@@ -574,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated apex values (default: all admissible)")
     p.set_defaults(func=cmd_crosscheck)
 
-    p = sub.add_parser("bench-snf", help="benchmark the Smith normal form kernel")
+    p = sub.add_parser("bench-snf", help="benchmark the diagonal-only Smith form")
     p.add_argument("files", nargs="*")
     p.add_argument("--random", nargs=3, metavar=("ROWS", "COLS", "DENSITY"))
     p.add_argument("--seed", type=int, default=0)

@@ -108,27 +108,18 @@ class ModuleMap:
         k, c = self.ker_coker()
         return k.is_zero and c.is_zero
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other (other first)."""
-        return ModuleMap(other.dom, self.cod, self.mat * other.mat)
-
 
 def ker_coker(f: ModuleMap) -> Tuple[FGModule, FGModule]:
     return f.ker_coker()
 
 
 def _column_span_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the lattice spanned by the columns of ``m``."""
+    """Basis of the lattice spanned by the columns of ``m``: the first rank
+    columns of m*V, which are U^-1*D for the Smith form U*m*V = D."""
     if m.cols == 0:
         return m
-    sd = smith(m, need_U=True, need_V=False)
-    # columns of U^{-1} scaled by the diagonal span the image lattice
-    Uinv = solve(sd.U, IntMatrix.identity(m.rows))
-    cols = []
-    for k, d in enumerate(sd.diagonal):
-        col = {i: d * v for i, v in Uinv.column(k).items()}
-        cols.append(col)
-    return IntMatrix.from_columns(cols, m.rows)
+    sd = smith(m, need_U=False, need_V=True)
+    return (m * sd.V).submatrix(range(m.rows), range(sd.rank))
 
 
 @dataclass(frozen=True)
@@ -219,19 +210,12 @@ def subgroup_presentation(ambient: Presentation, gens: IntMatrix
     """The subgroup of the presented module generated by the given columns
     (in ambient generator coordinates), with its inclusion map.
 
-    Relations of the subgroup are the x with gens*x inside the ambient
-    relation lattice.
+    Relations of the subgroup are the kernel lattice of gens as a map from
+    a free module: the x with gens*x inside the ambient relation lattice.
     """
     if gens.rows != ambient.gens:
         raise ValueError("generator columns must live in ambient coordinates")
-    stacked = gens.hstack(ambient.rels)
-    N = kernel_basis(stacked)
-    rel_cols = []
-    for j in range(N.cols):
-        col = {i: v for i, v in N.column(j).items() if i < gens.cols}
-        if col:
-            rel_cols.append(col)
-    rels = _column_span_basis(IntMatrix.from_columns(rel_cols, gens.cols))
+    rels = ModuleMap(Presentation.free(gens.cols), ambient, gens).kernel_lattice()
     pres = Presentation(gens.cols, rels)
     return pres, ModuleMap(pres, ambient, gens)
 
@@ -271,10 +255,3 @@ class GradedModuleMap:
         ds = set(self.maps) | set(self.domain.support())
         ds |= {k - self.shift for k in self.codomain.support()}
         return sorted(ds)
-
-    def kernel_graded(self) -> GradedModule:
-        return GradedModule({k: self.map_at(k).kernel() for k in self.degrees()})
-
-    def cokernel_graded(self) -> GradedModule:
-        return GradedModule(
-            {k + self.shift: self.map_at(k).cokernel() for k in self.degrees()})

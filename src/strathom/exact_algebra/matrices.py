@@ -7,11 +7,13 @@ unit, so its pivot count is the rank.  Over Z a diagonal-only ``smith``
 reads one invariant factor 1 per unit pivot and runs the gcd elimination
 of ``_Work`` on the remainder only, which is the step a modular
 elimination (one that bounds coefficient growth) would replace.  Kernels
-over Z and F_p and solves over F_p back-substitute through the pivot rows
-that the elimination records (``_kernel``); over Z the kernel of a
-non-empty remainder comes from the V of its Smith form.  Smith forms that
-need U or V (the integer ``solve``, the module maps) run ``_Work`` on the
-whole matrix.
+and solves, over Z and F_p, back-substitute through the pivot rows that
+the elimination records (``_kernel``); over Z a non-empty remainder is
+handed to a Smith form with V (the kernel) or with U and V (the solve).
+So every solve, kernel, rank and Smith diagonal starts with the unit-pivot
+elimination; only the module maps (U in ``canonicalize``, V for an image
+lattice) run a Smith form with a transform on a whole matrix, a small
+module presentation.
 """
 from __future__ import annotations
 
@@ -115,9 +117,6 @@ class IntMatrix:
     def column(self, j: int) -> dict:
         return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
-    def row(self, i: int) -> dict:
-        return {j: v for (ii, j), v in self.entries.items() if ii == i}
-
     def __repr__(self):
         if self.rows * self.cols <= 64:
             return f"IntMatrix({self.to_dense()})"
@@ -175,15 +174,6 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, ent)
 
     __rmul__ = __mul__
-
-    def apply(self, vec: dict) -> dict:
-        """Apply to a sparse column vector (dict col-index -> value)."""
-        out = {}
-        for (i, j), v in self.entries.items():
-            x = vec.get(j)
-            if x:
-                out[i] = out.get(i, 0) + v * x
-        return {i: v for i, v in out.items() if v}
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -282,7 +272,8 @@ _EMPTY: dict = {}   # read-only stand-in for a missing row
 class _Work:
     """Mutable row/column-indexed sparse matrix used during reduction.
 
-    With ``queued`` it also keeps a lazy pivot queue: a heap of
+    The matrix being reduced keeps a lazy pivot queue (the transforms,
+    built by ``identity``, keep none): a heap of
     ``(|v| != 1, |v|, Markowitz cost, row, col)`` keys.  An entry is pushed
     when it is created or its |v| falls, and the sole entry of a row or
     column that an elimination leaves as a singleton is pushed again, since
@@ -292,7 +283,7 @@ class _Work:
 
     __slots__ = ("row", "colind", "peak", "queue", "nnz")
 
-    def __init__(self, m: IntMatrix, queued: bool = False):
+    def __init__(self, m: IntMatrix):
         self.row = {}
         self.colind = {}
         for (i, j), v in m.entries.items():
@@ -300,9 +291,7 @@ class _Work:
             self.colind.setdefault(j, set()).add(i)
         self.peak = m.max_abs()
         self.nnz = m.nnz()
-        self.queue = None
-        if queued:
-            self._rebuild_queue()
+        self._rebuild_queue()
 
     @classmethod
     def identity(cls, n: int) -> "_Work":
@@ -536,7 +525,8 @@ def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomp
     invariant factor 1, and the gcd elimination of ``_smith_work`` runs on
     the Schur complement that is left, which is small or empty on the
     matrices this package produces.  With U or V the gcd elimination runs
-    on A itself; ``kernel_basis`` asks for V of a remainder only.
+    on A itself; ``kernel_basis`` asks for V and ``solve`` for U and V of
+    a remainder only.
     """
     if need_U or need_V:
         return _smith_work(A, need_U, need_V)
@@ -557,7 +547,7 @@ def _smith_work(A: IntMatrix, need_U: bool, need_V: bool) -> SmithDecomposition:
     growth stays in check on the sparse boundary matrices this package
     produces, and the pivot path does not depend on set iteration order.
     """
-    w = _Work(A, queued=True)
+    w = _Work(A)
     U = _Work.identity(A.rows) if need_U else None
     V = _Work.identity(A.cols) if need_V else None
     diag = []
@@ -696,17 +686,19 @@ def _kernel(A: IntMatrix, p: int = 0, limit: Optional[int] = None) -> Optional[I
     columns below it only).  A pivot's row reads u*x_j + sum r_c*x_c = 0
     over columns c that are free or pivoted later, so the pivot rows are
     solved once each, latest first, for x_j as a combination of the free
-    columns.  The kernel of the Schur complement on the free columns (over
-    Z, the trailing columns of V in its Smith form; over F_p it is empty,
-    so the unit vectors) is then extended to the pivot columns.  Over F_p
-    with ``limit``, a row left over lies in the columns from ``limit`` on
-    alone and the result is None.
+    columns.  Without ``limit`` the kernel of the Schur complement on the
+    free columns (over Z, the trailing columns of V in its Smith form; over
+    F_p it is empty, so the unit vectors) is then extended to the pivot
+    columns.  With ``limit`` the columns from ``limit`` on are pinned
+    instead: the result has one column per pinned column c, 1 at c and, on
+    the free columns below ``limit``, a solution of the remainder, extended
+    to the pivot columns and cut to the rows below ``limit``; None when
+    there is none, as when a row is left in the pinned columns alone (over
+    F_p every row left is one).
     """
     rows = _rows_of(A, p)
     pivots = []
     _eliminate_units(rows, p, pivots, limit)
-    if rows and p:
-        return None
     coords = {}           # pivot column -> {free column: coefficient}
     for j, inv, r in reversed(pivots):
         acc = {}
@@ -719,17 +711,31 @@ def _kernel(A: IntMatrix, p: int = 0, limit: Optional[int] = None) -> Optional[I
     for j, row in coords.items():
         for f, w in row.items():
             through.setdefault(f, {})[j] = w
-    free = [j for j in range(A.cols) if j not in coords]
-    basis = [{f: 1} for f in free]
-    if rows:
-        at = {f: k for k, f in enumerate(free)}
-        sd = smith(IntMatrix(len(rows), len(free), {
-            (i, at[j]): v for i, r in enumerate(rows.values()) for j, v in r.items()}),
-            need_U=False, need_V=True)
-        basis = [{} for _ in range(len(free) - sd.rank)]
-        for (k, c), v in sd.V.entries.items():
-            if c >= sd.rank:
-                basis[c - sd.rank][free[k]] = v
+    n = A.cols if limit is None else limit
+    free = [j for j in range(n) if j not in coords]
+    at = {f: k for k, f in enumerate(free)}
+    rest = IntMatrix(len(rows), len(free), {
+        (i, at[j]): v for i, r in enumerate(rows.values()) for j, v in r.items() if j < n})
+    if limit is None:
+        basis = [{f: 1} for f in free]
+        if rows:
+            sd = smith(rest, need_U=False, need_V=True)
+            basis = [{} for _ in range(len(free) - sd.rank)]
+            for (k, c), v in sd.V.entries.items():
+                if c >= sd.rank:
+                    basis[c - sd.rank][free[k]] = v
+    else:
+        basis = [{c: 1} for c in range(n, A.cols)]
+        if any(min(r) >= n for r in rows.values()):
+            return None       # 0 = a nonzero entry of B
+        if rows:
+            Y = _smith_solve(rest, IntMatrix(len(rows), A.cols - n, {
+                (i, j - n): -v for i, r in enumerate(rows.values())
+                for j, v in r.items() if j >= n}))
+            if Y is None:
+                return None
+            for (k, c), v in Y.entries.items():
+                basis[c][free[k]] = v
     cols = []
     for b in basis:
         x = dict(b)
@@ -737,7 +743,23 @@ def _kernel(A: IntMatrix, p: int = 0, limit: Optional[int] = None) -> Optional[I
             for j, w in through.get(f, _EMPTY).items():
                 x[j] = x.get(j, 0) + v * w
         cols.append(x)
-    return IntMatrix.from_columns(cols, A.cols)
+    return IntMatrix(n, len(cols), {(i, c): v for c, x in enumerate(cols)
+                                    for i, v in x.items() if i < n})
+
+
+def _smith_solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
+    """Solve A X = B over Z from the Smith form U A V = D of all of A:
+    X = V Y with D Y = U B; None when U B leaves D's rows or its rank."""
+    sd = smith(A, need_U=True, need_V=True)
+    ent = {}
+    for (i, j), v in (sd.U * B).entries.items():
+        if i >= sd.rank:
+            return None
+        q, rem = divmod(v, sd.diagonal[i])
+        if rem:
+            return None
+        ent[(i, j)] = q
+    return sd.V * IntMatrix(A.cols, B.cols, ent)
 
 
 def kernel_basis(A: IntMatrix) -> IntMatrix:
@@ -749,19 +771,17 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
 
 def solve(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
-    """Solve A X = B over the integers; None when no solution exists."""
+    """Solve A X = B over the integers; None when no solution exists.
+
+    ``_kernel`` of [A | -B] with pivots in A's columns only and B's columns
+    pinned: each unit pivot fixes one coordinate of X, and the unit-free
+    rows left in A's free columns go to ``_smith_solve``, which picks one
+    solution there when it is not unique; free coordinates that no row
+    left involves are 0.
+    """
     if A.rows != B.rows:
         raise ValueError("shape mismatch in solve")
-    sd = smith(A, need_U=True, need_V=True)
-    ent = {}
-    for (i, j), v in (sd.U * B).entries.items():
-        if i >= sd.rank:
-            return None
-        q, rem = divmod(v, sd.diagonal[i])
-        if rem:
-            return None
-        ent[(i, j)] = q
-    return sd.V * IntMatrix(A.cols, B.cols, ent)
+    return _kernel(A.hstack(-B), 0, A.cols)
 
 
 def rank_mod_p(A: IntMatrix, p: int) -> int:
@@ -776,17 +796,15 @@ def kernel_basis_mod_p(A: IntMatrix, p: int) -> IntMatrix:
 
 
 def solve_mod_p(A: IntMatrix, B: IntMatrix, p: int) -> Optional[IntMatrix]:
-    """Solve A X = B over F_p; None when inconsistent.
+    """Solve A X = B over F_p, entries in 0..p-1; None when inconsistent.
 
-    The kernel of [A | -B] with pivots in A's columns only has one column
-    per column c of B, 1 at c and 0 at A's free columns: X above it.
+    The route of ``solve``: every nonzero entry is a unit, so a row left
+    after the pivots in A's columns lies in B's columns alone and makes
+    the system inconsistent; A's free coordinates are 0.
     """
     if A.rows != B.rows:
         raise ValueError("shape mismatch in solve_mod_p")
-    K = _kernel(A.hstack(-B), p, A.cols)
-    if K is None:
-        return None
-    return K.submatrix(range(A.cols), range(K.cols - B.cols, K.cols))
+    return _kernel(A.hstack(-B), p, A.cols)
 
 
 def random_sparse(rows: int, cols: int, density: float, seed: int = 0,

@@ -135,10 +135,6 @@ class FGModule:
     def is_free(self) -> bool:
         return not self.torsion
 
-    @property
-    def is_torsion(self) -> bool:
-        return self.rank == 0
-
     def order(self) -> Optional[int]:
         """Number of elements; None when infinite."""
         if self.rank:
@@ -260,9 +256,6 @@ class GradedModule:
 
     def torsion_part(self) -> "GradedModule":
         return GradedModule({k: v.torsion_part() for k, v in self._data.items()})
-
-    def total_rank(self) -> int:
-        return sum(v.rank for v in self._data.values())
 
     def __str__(self):
         if not self._data:

@@ -385,9 +385,6 @@ class IntersectionProfile:
     def has_components(self) -> bool:
         return self.comp_F is not None
 
-    def peripheral_is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.peripheral.values())
-
     def peripheral_group(self, k: int) -> ExtensionOutcome:
         return self.peripheral.get(
             k, ExtensionOutcome.of(FGModule.zero(), FGModule.zero()))

@@ -123,11 +123,6 @@ class FilteredComplex:
         return [m for m in _shortest_list(s, self._maximal, self._maximal_by_vertex)
                 if s <= m]
 
-    def simplices_of_dim(self, k: int) -> List[Tuple]:
-        out = [self.sorted_vertices(s) for s in self.simplices if len(s) == k + 1]
-        out.sort()
-        return out
-
     def max_level(self, s: Iterable) -> int:
         return max(self.levels[v] for v in s)
 
@@ -197,11 +192,6 @@ class FilteredComplex:
                 self._stratum_of[s] = st
         return strata
 
-    def stratum_of(self, s: Iterable) -> "Stratum":
-        if self._strata is None:
-            self.strata()
-        return self._stratum_of[frozenset(s)]
-
     def strata_met_by(self, s: Iterable) -> List["Stratum"]:
         """Strata whose point set the simplex meets: one per level present."""
         s = frozenset(s)
@@ -236,7 +226,7 @@ class FilteredComplex:
         if not self.simplices:
             raise StratifiedValidationError(["suspension of the empty complex"])
         south = _fresh_vertex(self.levels)
-        north = south + 1 if isinstance(south, int) else f"{south}'"
+        north = south + 1
         levels = {v: lv + 1 for v, lv in self.levels.items()}
         levels[south] = 0
         levels[north] = 0

@@ -417,6 +417,19 @@ class TestBenchSnf:
                        "2 does not divide 3\n")
         assert "random 4x4" not in out
 
+    def test_asks_for_no_transform(self, monkeypatch, capsys):
+        import strathom.cli
+        from strathom.exact_algebra import smith
+        asked = []
+
+        def recorded(m, need_U=True, need_V=True):
+            asked.append((need_U, need_V))
+            return smith(m, need_U, need_V)
+        monkeypatch.setattr(strathom.cli, "smith", recorded)
+        code, out, _ = run(capsys, "bench-snf", "--random", "30", "20", "0.2")
+        assert code == 0 and "random 30x20" in out
+        assert asked == [(False, False)]
+
 
 @pytest.mark.parametrize("atom_name,p,builds", [("RP3", 1, 1), ("RP2", 0, 2)],
                          ids=["cone(RP3)-Dp=p", "cone(RP2)-Dp!=p"])

@@ -1,8 +1,15 @@
 """Module maps: kernels, cokernels, torsion/free splitting, subgroups."""
+import contextlib
+import io
+import json
+
 import pytest
 
+import strathom.exact_algebra.maps as maps
+from strathom.cli import main
 from strathom.exact_algebra import (FGModule, IntMatrix, ModuleMap,
-                                    Presentation, ker_coker, split_components)
+                                    Presentation, ker_coker, smith, solve,
+                                    split_components)
 from strathom.exact_algebra.maps import (MapValidationError, canonicalize,
                                          connecting_map, subgroup_presentation)
 
@@ -101,3 +108,53 @@ class TestSubgroups:
         pres = Presentation(3, IntMatrix.from_rows([[2, 0], [0, 6], [0, 0]]))
         cano = canonicalize(pres)
         assert cano.module == FG(1, 2, 6)
+
+
+# The closed-form profiles of the acceptance criteria 1-6 and 11, whose
+# kernels, cokernels and subgroups build image lattices.
+CLOSED_FORM = [
+    ({"type": "suspension", "of": {"type": "atom", "name": "RP3"}}, 1),
+    ({"type": "suspension",
+      "of": {"type": "product", "factors": ["S1", "S1", "RP3"]}}, 2),
+    ({"type": "suspension", "of": {"type": "product", "factors": ["RP3", "S2"]}}, 1),
+    ({"type": "thom_circle", "base": {"type": "atom", "name": "S2"},
+      "euler": {"s2": 2}}, 1),
+    ({"type": "thom_circle",
+      "base": {"type": "product", "factors": ["RP3", "CP2", "S1"]},
+      "euler": {"a": 1, "w": 3}}, 4),
+    ({"type": "thom_circle", "base": {"type": "product", "factors": ["S2", "RP3", "S3"]},
+      "euler": {"s2": 3, "a": 1}}, 4),
+    ({"type": "mapping_torus",
+      "of": {"type": "suspension",
+             "of": {"type": "product", "factors": ["S1", "S1", "RP3"]}},
+      "action": {"3": [[1, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, -1], [0, 0, 1, 0]]}}, 2),
+    ({"type": "suspension", "of": {"type": "atom", "name": "T2"}}, 0),
+]
+
+
+def inverse_times_diagonal(m: IntMatrix) -> IntMatrix:
+    """The image basis U^-1.D from the Smith form U.m.V = D."""
+    sd = smith(m, need_U=True, need_V=False)
+    Uinv = solve(sd.U, IntMatrix.identity(m.rows))
+    return IntMatrix.from_columns(
+        [{i: d * v for i, v in Uinv.column(k).items()} for k, d in enumerate(sd.diagonal)],
+        m.rows)
+
+
+def test_column_span_basis_is_inverse_times_diagonal(monkeypatch, tmp_path):
+    seen = []
+
+    def recorded(m):
+        seen.append(m)
+        return span_basis(m)
+    span_basis = maps._column_span_basis
+    monkeypatch.setattr(maps, "_column_span_basis", recorded)
+    for n, (space, k) in enumerate(CLOSED_FORM):
+        path = tmp_path / f"{n}.json"
+        path.write_text(json.dumps({"space": space, "perversity": k, "ring": "Z"}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["profile", str(path), "--json", "--strict"]) == 0
+    monkeypatch.undo()
+    assert seen
+    for m in seen:
+        assert maps._column_span_basis(m) == inverse_times_diagonal(m), m

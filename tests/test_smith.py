@@ -11,6 +11,7 @@ import pytest
 
 import strathom.exact_algebra.complexes as complexes
 import strathom.exact_algebra.matrices as matrices
+from strathom.blowup import GlobalBlowupComplex
 from strathom.chains import RegularComplex, intersection_complex
 from strathom.exact_algebra import (ChainComplex, Coefficients, IntMatrix,
                                     homology_all, kernel_basis, smith, solve)
@@ -19,6 +20,7 @@ from strathom.stratified import Perversity
 from strathom.triangulations import projective_plane, triangulation_of
 
 ZZ = Coefficients("Z")
+F2 = Coefficients("Fp", 2)
 ATOMS = ("S1", "S2", "S3", "T2", "RP2", "RP3")
 SPACES = {name: (lambda a=name: triangulation_of(a)) for name in ATOMS}
 SPACES.update({f"cone({a})": (lambda a=a: triangulation_of(a).cone()) for a in ATOMS})
@@ -315,3 +317,128 @@ def test_kernel_units_after_fill(n):
 def test_kernel_of_zero_and_empty_shapes(rows, cols):
     K = assert_kernel(IntMatrix(rows, cols))
     assert K == IntMatrix.identity(cols)
+
+
+# The integer ``solve`` takes the unit pivots of [A | -B] in A's columns and
+# hands only the unit-free remainder to ``_smith_solve``; the reference is
+# ``_smith_solve`` on all of A.  Where the solution is not unique the two
+# may pick different ones, so each is checked by A.X = B.
+
+def right_sides(A: IntMatrix, seed: int):
+    """(kind, B) with B = A.R (``unique`` or ``non-unique``), with a column
+    outside the rational span of A (``rank``) or inside it but outside the
+    integer span (``divisibility``)."""
+    sd = smith(A, need_U=False, need_V=True)
+    R = random_matrix(A.cols, 3, 0.5, (-2, -1, 1, 2), seed)
+    out = [("unique" if sd.rank == A.cols else "non-unique", A * R)]
+    if sd.rank < A.rows:
+        # y with y.A = 0 is not in the span of A: y.y > 0
+        y = kernel_basis(A.transpose()).submatrix(range(A.rows), [0])
+        out.append(("rank", (A * R).submatrix(range(A.rows), [0]).hstack(y)))
+    for k, d in enumerate(sd.diagonal):
+        if d > 1:
+            AV = (A * sd.V).submatrix(range(A.rows), [k])
+            out.append(("divisibility", IntMatrix(A.rows, 1, {
+                ij: v // d for ij, v in AV.entries.items()})))
+            break
+    return out
+
+
+def assert_solve(A: IntMatrix, seed: int, label="") -> set:
+    kinds = set()
+    for kind, B in right_sides(A, seed):
+        X, R = solve(A, B), matrices._smith_solve(A, B)
+        consistent = kind in ("unique", "non-unique")
+        assert (X is not None) == (R is not None) == consistent, (label, kind)
+        if consistent:
+            assert A * X == B and A * R == B, (label, kind)
+        kinds.add(kind)
+    return kinds
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_solve_matches_whole_matrix_smith_solve(name):
+    kinds = set()
+    for seed, (label, A) in enumerate(matrices_of(SPACES[name]())):
+        kinds |= assert_solve(A, seed, label)
+    assert {"non-unique", "rank"} <= kinds
+    assert ("divisibility" in kinds) == ("RP" in name)
+
+
+# Unit-free matrices at the shapes of ``test_kernel_without_units``: the
+# remainder is the whole matrix there, and from 25x40 on the coefficient
+# growth of the gcd elimination (ROADMAP 2c) makes one solve take seconds
+# (25x40) or more than 10 s (60x45, 80x80) on either route.
+CASES = ([(shape, (-1, 1)) for shape in MIXED_SHAPES]
+         + [(shape, (-3, -1, 1, 3)) for shape in MIXED_SHAPES]
+         + [(shape, (-6, -2, 2, 3, 4)) for shape in
+            [(3, 7, 0.5), (12, 12, 0.3), (6, 20, 0.4), (10, 16, 0.3)]])
+
+
+def test_solve_matches_whole_matrix_smith_solve_random():
+    kinds = set()
+    for (rows, cols, density), values in CASES:
+        for seed in range(3):
+            A = random_matrix(rows, cols, density, values, seed)
+            kinds |= assert_solve(A, seed, (rows, cols, values, seed))
+            kinds |= assert_solve(A.transpose(), seed, (rows, cols, values, seed))
+    assert kinds == {"unique", "non-unique", "rank", "divisibility"}
+
+
+def induced_complexes():
+    """Every allowable subcomplex of the SPACES at each apex perversity,
+    over Z and F2: the chain side, and the blow-up side where n <= 3."""
+    for name in sorted(SPACES):
+        X = SPACES[name]()
+        singular = [st for st in X.strata() if not st.regular]
+        for p in range(max(X.n - 1, 1)) if singular else (0,):
+            pv = Perversity(X, {st.key: p for st in singular})
+            for ring in (ZZ, F2):
+                yield f"{name} p={p} {ring} chains", intersection_complex(X, pv, ring)
+                if X.n <= 3:
+                    yield (f"{name} p={p} {ring} blow-up",
+                           GlobalBlowupComplex(X, ring).intersection_complex(pv))
+
+
+def test_induced_complexes_run_no_transform(monkeypatch):
+    transforms = []
+    smith_work = matrices._smith_work
+
+    def counted(A, need_U, need_V):
+        if need_U or need_V:
+            transforms.append(A)
+        return smith_work(A, need_U, need_V)
+    count = 0
+    for label, C in induced_complexes():
+        monkeypatch.setattr(matrices, "_smith_work", counted)
+        C.complex
+        monkeypatch.undo()
+        assert not transforms, label
+        count += 1
+    assert count == 110
+
+
+def test_solve_hands_smith_the_remainder_only(monkeypatch):
+    calls = []
+
+    def recorded(M, need_U=True, need_V=True):
+        calls.append(M)
+        return smith(M, need_U, need_V)
+    remainders = 0
+    for (rows, cols, density), values in CASES:
+        for seed in range(3):
+            A = random_matrix(rows, cols, density, values, seed)
+            B = A * random_matrix(cols, 2, 0.5, (-2, -1, 1, 2), seed)
+            left = matrices._rows_of(A.hstack(-B))
+            pivots = matrices._eliminate_units(left, 0, None, A.cols)[0]
+            calls.clear()
+            monkeypatch.setattr(matrices, "smith", recorded)
+            assert A * solve(A, B) == B
+            monkeypatch.undo()
+            assert len(calls) == (1 if left else 0), (rows, cols, values, seed)
+            if left:
+                (M,) = calls
+                assert M.rows == len(left) and M.cols == A.cols - pivots
+                assert not any(abs(v) == 1 for v in M.entries.values())
+                remainders += 1
+    assert remainders

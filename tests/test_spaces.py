@@ -2,6 +2,8 @@
 mapping tori, Thom spaces of circle bundles."""
 import pytest
 
+from strathom.blowup import blowup_cohomology
+from strathom.chains import intersection_cohomology, intersection_homology
 from strathom.exact_algebra import Coefficients, FGModule, GradedModule, smith
 from strathom.spaces import (AtomSpace, DisjointUnion, IsolatedSing,
                              MappingTorus, Suspension, ThomCircle, atom,
@@ -10,6 +12,8 @@ from strathom.spaces import (AtomSpace, DisjointUnion, IsolatedSing,
                              eval_mapping_torus, eval_suspension,
                              eval_thom_circle, product_atom,
                              relative_suspension)
+from strathom.stratified import Perversity
+from strathom.triangulations import triangulation_of
 
 Z = FGModule.free
 Zmod = FGModule.cyclic
@@ -246,3 +250,19 @@ class TestEvalExpression:
         pr = eval_expression(e, 1)
         assert pr.peripheral_group(2).resolved == FG(0, 2, 2)
         assert pr.locally_torsion_free() is False
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q", "F2", "F3"])
+@pytest.mark.parametrize("name", ["S1", "S2", "S3", "T2", "RP2", "RP3"])
+def test_atom_groups_match_its_triangulation(name, ring):
+    # On a manifold (no singular stratum) both engines compute the atom's
+    # own groups.  Over F_p this pins ManifoldAtom.cohomology's change of
+    # coefficients, H^j (x) F_p + Tor(H^(j+1), F_p), which is not the
+    # Hom/Ext dual of verdier_dual_cohomology.
+    R = Coefficients.parse(ring)
+    X = triangulation_of(name)
+    p = Perversity(X, {})
+    a = atom(name)
+    assert intersection_cohomology(X, p, R) == a.cohomology(R)
+    assert blowup_cohomology(X, p, R) == a.cohomology(R)
+    assert intersection_homology(X, p, R) == a.homology(R)
