@@ -31,16 +31,18 @@ def perverse_degree(X: FilteredComplex, s) -> Tuple:
 
 
 def allowable(X: FilteredComplex, s, p: Perversity) -> bool:
-    """The Goresky-MacPherson inequality against every stratum met by s."""
-    s = frozenset(s)
-    if not X.is_regular(s):
+    """The Goresky-MacPherson inequality against every stratum met by s.
+    Along the stratum of level i, ||s|| (``perverse_degree`` in codimension
+    n - i) is the number of vertices of s of level <= i, less one."""
+    count = [0] * (X.n + 1)
+    for v in s:
+        count[X.levels[v]] += 1
+    if not count[X.n]:
         return False
-    dim = len(s) - 1
-    pd = perverse_degree(X, s)
-    for st in X.strata_met_by(s):
-        if st.regular:
-            continue
-        if pd[st.codim] > dim - st.codim + p(st):
+    dim, below = len(s) - 1, -1
+    for st in X.strata_met_by(s)[:-1]:      # the last one met is regular
+        below += count[st.level]
+        if below > dim - st.codim + p(st):
             return False
     return True
 

@@ -12,6 +12,7 @@ byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -48,10 +49,21 @@ _KINDS = {dict: "an object", list: "an array", str: "a string",
           (int, str): "an integer or a string"}
 
 
+class _Node(dict):
+    """A JSON object whose missing field is an input error naming it."""
+
+    def __missing__(self, key):
+        raise InputError(f"{self.what} has no field {key!r}")
+
+
 def _typed(value, kind, what: str):
-    """value, which must be of the JSON kind ``kind`` (a key of _KINDS)."""
+    """value, which must be of the JSON kind ``kind`` (a key of _KINDS); an
+    object is named by its "type" (a space node), else by ``what``."""
     if not isinstance(value, kind):
         raise InputError(f"{what} must be {_KINDS[kind]}, not {value!r}")
+    if kind is dict:
+        value = _Node(value)
+        value.what = f"a space node of type {value['type']!r}" if "type" in value else what
     return value
 
 
@@ -63,12 +75,9 @@ def _int(value, what: str) -> int:
         if isinstance(value, float) and value.is_integer():
             return int(value)
         if isinstance(value, str):
-            return int(value)
+            with contextlib.suppress(ValueError):
+                return int(value)
     raise InputError(f"{what} must be an integer, not {value!r}")
-
-
-def _space_node(data) -> dict:
-    return _typed(data, dict, "a space expression")
 
 
 def _parts(data: dict) -> list:
@@ -79,14 +88,16 @@ def _parts(data: dict) -> list:
 
 
 def parse_space(data: dict) -> SpaceExpr:
-    t = _space_node(data).get("type")
+    data = _typed(data, dict, "a space expression")
+    t = data.get("type")
     if t == "atom":
         return AtomSpace(atom(_typed(data["name"], str, "an atom name")))
     if t == "product":
         factors = []
         seen = set()
         for i, f in enumerate(_typed(data["factors"], list, "'factors'")):
-            a = atom(_typed(f["name"] if isinstance(f, dict) else f, str, "an atom name"))
+            a = atom(_typed(_typed(f, dict, "a product factor")["name"]
+                            if isinstance(f, dict) else f, str, "an atom name"))
             if a.name in seen:
                 a = atom_renamed(a, chr(ord("b") + i))
             seen.add(a.name)
@@ -134,6 +145,7 @@ def parse_space(data: dict) -> SpaceExpr:
 def parse_complex(data: dict) -> FilteredComplex:
     # relabel to consecutive integers: keeps vertex ordering deterministic
     # and lets the constructors allocate fresh vertices
+    data = _typed(data, dict, "a space expression")
     vertices = [_typed(v, dict, "a vertex")
                 for v in _typed(data["vertices"], list, "'vertices'")]
     ids = sorted({_typed(v["id"], (int, str), "a vertex id") for v in vertices}, key=str)
@@ -165,7 +177,8 @@ def load_job(path: str) -> dict:
 # -- realization for the simplicial engine --------------------------------
 
 def realize(data: dict) -> Optional[FilteredComplex]:
-    t = _space_node(data).get("type")
+    data = _typed(data, dict, "a space expression")
+    t = data.get("type")
     if t == "complex":
         return parse_complex(data)
     if t == "atom":
@@ -200,7 +213,7 @@ def perversity_for(X: FilteredComplex, spec) -> Perversity:
         return Perversity(X, {st.key: k for st in X.strata() if not st.regular})
     if "codim" in spec:
         return Perversity.from_codim_values(
-            X, {int(c): _int(v, "a perversity value")
+            X, {_int(c, "a codimension"): _int(v, "a perversity value")
                 for c, v in _typed(spec["codim"], dict, "'codim'").items()})
     if "gm" in spec:
         return Perversity.from_gm(
@@ -356,7 +369,8 @@ def cmd_profile(args) -> int:
         ring = Coefficients.parse(str(args.ring or data.get("ring", "Z")))
         pspecs = [data.get("perversity", 0)]
         if args.perversity is not None:
-            pspecs = [int(v) for v in str(args.perversity).split(",")]
+            pspecs = [_int(v, "a perversity value")
+                      for v in str(args.perversity).split(",")]
         for pspec in pspecs:
             per_perversity: List[Tuple[str, DualityReport]] = []
             if engine in ("symbolic", "both") and space_data.get("type") != "complex":
@@ -485,9 +499,8 @@ def cmd_crosscheck(args) -> int:
             parse_space(space_data)         # names an unknown atom
             print("symbolic-only: expression has no simplicial realization")
             return 0
-        ks = [int(v) for v in (args.perversity.split(",") if args.perversity else [])]
-        if not ks:
-            ks = list(range(0, max(X.n - 1, 1)))
+        ks = ([_int(v, "a perversity value") for v in args.perversity.split(",")]
+              if args.perversity else range(max(X.n - 1, 1)))
         for k in ks:
             ok &= _crosscheck_one(space_data, X, k, rows)
     except BAD_INPUT as e:
@@ -590,7 +603,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

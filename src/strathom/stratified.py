@@ -46,8 +46,7 @@ class FilteredComplex:
         self._sorted_cache: Dict[FrozenSet, Tuple] = {}
         self._maximal, self._maximal_by_vertex = self._index_maximal()
         self.validate(closed=not close)
-        self._strata = None
-        self._stratum_of: Dict[FrozenSet, "Stratum"] = {}
+        self._strata = None             # and _vertex_stratum, set by strata()
 
     # -- validation ----------------------------------------------------
 
@@ -136,73 +135,57 @@ class FilteredComplex:
             blocks[self.levels[v]].append(v)
         return [tuple(b) for b in blocks]
 
-    def front_face(self, s: Iterable, i: int) -> Tuple:
-        """Vertices of level <= i, in order: the intersection with X_i."""
-        return tuple(v for v in self.sorted_vertices(frozenset(s))
-                     if self.levels[v] <= i)
-
     # -- strata ----------------------------------------------------------
 
     def strata(self) -> List["Stratum"]:
+        """Strata of level l: the components of the graph of level-l
+        vertices and level-l edges.  A simplex of top level l is joined to
+        its level-l vertices through its faces of top level l, so these are
+        the components of X_l minus X_{l-1}.  Components of one level are
+        numbered by their least member simplex, vertices sorted by str."""
         if self._strata is not None:
             return self._strata
-        by_level: Dict[int, List[FrozenSet]] = {}
+        parent = {v: v for v in self.levels}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in (s for s in self.simplices if len(s) == 2):
+            if self.levels[a] == self.levels[b]:
+                parent[find(a)] = find(b)
+        root = {v: find(v) for v in self.levels}
+        comps: Dict[int, List] = {}         # level -> component roots
+        for r in set(root.values()):
+            comps.setdefault(self.levels[r], []).append(r)
+        several = {level for level, rs in comps.items() if len(rs) > 1}
+        dim, least = {}, {}
         for s in self.simplices:
-            by_level.setdefault(self.max_level(s), []).append(s)
-        strata = []
-        for level in sorted(by_level):
-            members = by_level[level]
-            parent = {s: s for s in members}
-
-            def find(x):
-                while parent[x] is not x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            def union(a, b):
-                ra, rb = find(a), find(b)
-                if ra is not rb:
-                    parent[ra] = rb
-
-            member_set = set(members)
-            for s in members:
-                if len(s) > 1:
-                    for face in itertools.combinations(s, len(s) - 1):
-                        f = frozenset(face)
-                        if f in member_set:
-                            union(s, f)
-            groups: Dict[FrozenSet, List[FrozenSet]] = {}
-            for s in members:
-                groups.setdefault(find(s), []).append(s)
-            comps = sorted(groups.values(),
-                           key=lambda g: min(tuple(sorted(s, key=str)) for s in g))
-            for idx, comp in enumerate(comps):
-                strata.append(Stratum(
-                    level=level,
-                    index=idx,
-                    simplices=frozenset(comp),
-                    dim=max(len(s) - 1 for s in comp),
-                    codim=self.n - level,
-                    regular=(level == self.n),
-                ))
+            top = max(s, key=self.levels.__getitem__)
+            r = root[top]
+            dim[r] = max(dim.get(r, 0), len(s) - 1)
+            if self.levels[top] in several:
+                t = tuple(sorted(s, key=str))
+                least[r] = min(least.get(r, t), t)
+        strata, of_root = [], {}
+        for level in sorted(comps):
+            for idx, r in enumerate(sorted(comps[level], key=least.get)):
+                of_root[r] = Stratum(level=level, index=idx, dim=dim[r],
+                                     codim=self.n - level, regular=(level == self.n))
+                strata.append(of_root[r])
         self._strata = strata
-        for st in strata:
-            for s in st.simplices:
-                self._stratum_of[s] = st
+        self._vertex_stratum = {v: of_root[r] for v, r in root.items()}
         return strata
 
     def strata_met_by(self, s: Iterable) -> List["Stratum"]:
-        """Strata whose point set the simplex meets: one per level present."""
-        s = frozenset(s)
-        if self._strata is None:
-            self.strata()
-        seen_levels = sorted({self.levels[v] for v in s})
-        out = []
-        for i in seen_levels:
-            front = frozenset(self.front_face(s, i))
-            out.append(self._stratum_of[front])
-        return out
+        """Strata whose point set the simplex meets, one per level present:
+        the stratum of any vertex of s at that level (the edges of s join
+        its vertices of one level into one stratum)."""
+        self.strata()
+        at = {self.levels[v]: v for v in s}
+        return [self._vertex_stratum[at[i]] for i in sorted(at)]
 
     # -- constructors ------------------------------------------------------
 
@@ -278,10 +261,9 @@ def _fresh_vertex(levels: Dict) -> int:
 
 @dataclass(frozen=True)
 class Stratum:
-    """Connected component of X_i minus X_{i-1}, as its member simplices."""
+    """Connected component of X_i minus X_{i-1}."""
     level: int
     index: int
-    simplices: FrozenSet
     dim: int
     codim: int
     regular: bool

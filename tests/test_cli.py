@@ -1,5 +1,9 @@
 """CLI: parsing, reports, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,26 @@ class TestProfile:
         assert_one_line_error(code, err)
         assert "must" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["profile", "validate", "crosscheck"])
+    @pytest.mark.parametrize("space,message", [
+        ({"type": "cone"}, "a space node of type 'cone' has no field 'of'"),
+        ({"type": "complex", "dimension": 2, "simplices": []},
+         "a space node of type 'complex' has no field 'vertices'"),
+        ({"type": "complex", "dimension": 2, "vertices": [{"id": 0}], "simplices": []},
+         "a vertex has no field 'level'"),
+        ({"type": "product", "factors": [{}]},
+         "a product factor has no field 'name'"),
+        ({"type": "mapping_torus", "of": {"type": "atom", "name": "S1"},
+          "action": {"x": [[1]]}}, "a degree must be an integer, not 'x'")],
+        ids=["cone-without-of", "complex-without-vertices", "vertex-without-level",
+             "factor-without-name", "torus-action-degree-x"])
+    def test_missing_field_and_non_numeral_are_named(self, tmp_path, capsys,
+                                                     command, space, message):
+        f = write(tmp_path, "named.json", {"space": space, "perversity": 1})
+        code, out, err = run(capsys, command, f)
+        assert_one_line_error(code, err)
+        assert err.endswith(f": {message}\n") and out == ""
+
     @pytest.mark.parametrize("engine", ["symbolic", "simplicial", "both"])
     def test_list_perversity_is_input_error(self, tmp_path, capsys, engine):
         f = write(tmp_path, "pl.json", {
@@ -226,6 +250,12 @@ class TestProfile:
     def test_bad_perversity_option_is_input_error(self, susp_rp2, capsys):
         code, _, err = run(capsys, "profile", susp_rp2, "--perversity", "x")
         assert_one_line_error(code, err)
+
+    @pytest.mark.parametrize("command", ["profile", "crosscheck"])
+    def test_non_numeral_perversity_option_is_named(self, susp_rp2, capsys, command):
+        code, _, err = run(capsys, command, susp_rp2, "--perversity", "0,x")
+        assert_one_line_error(code, err)
+        assert err.endswith(": a perversity value must be an integer, not 'x'\n")
 
     def test_parse_error_reported_with_position(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
@@ -463,3 +493,12 @@ def test_crosscheck_builds_one_integer_complex_per_perversity(monkeypatch, cone_
     code, out, _ = run(capsys, "crosscheck", cone_rp2, "--perversity", "0,1")
     assert code == 0 and "crosscheck: pass" in out
     assert len(integer) == 2
+
+
+def test_python_dash_m_runs_the_command(cone_rp2):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "strathom", "validate", cone_rp2],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("valid: cone(RP2")

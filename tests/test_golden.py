@@ -1,9 +1,11 @@
-"""Golden outputs: ``strathom profile --json`` on a fixed job set must stay
-byte-identical.
+"""Golden outputs: ``strathom profile --json`` and ``strathom validate`` on
+a fixed job set must stay byte-identical.
 
 Each case runs the CLI in process on an input under ``golden/jobs`` and
-compares standard output with the file ``golden/<case>.out``.  To record a
-new case, run this module as a script (``PYTHONPATH=src python
+compares standard output with the file ``golden/<case>.out``.  The
+``validate`` cases print every stratum with its (level, index) key, so they
+pin the stratum numbering; the disjoint unions have several strata on every
+level.  To record a new case, run this module as a script (``PYTHONPATH=src python
 tests/test_golden.py``); it writes the missing ``.out`` files and leaves the
 existing ones alone.
 """
@@ -28,12 +30,22 @@ CASES = {
     "susp-rp3": ["susp-rp3.json"],
 }
 
+VALIDATE_CASES = {
+    "validate-susp-rp3": "susp-rp3.json",
+    "validate-union-susp-rp2-cone-t2": "union-susp-rp2-cone-t2.json",
+    "validate-union-susp2-rp2-t2": "union-susp2-rp2-t2.json",
+}
+
 
 def run_case(name: str) -> bytes:
-    job, *opts = CASES[name]
+    if name in VALIDATE_CASES:
+        argv = ["validate", str(GOLDEN / "jobs" / VALIDATE_CASES[name])]
+    else:
+        job, *opts = CASES[name]
+        argv = ["profile", str(GOLDEN / "jobs" / job), "--json", *opts]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["profile", str(GOLDEN / "jobs" / job), "--json", *opts])
+        code = main(argv)
     assert code == 0, (name, code)
     return out.getvalue().encode("utf-8")
 
@@ -43,8 +55,13 @@ def test_profile_json_is_byte_identical(name):
     assert run_case(name) == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
+def test_validate_output_is_byte_identical(name):
+    assert run_case(name) == (GOLDEN / f"{name}.out").read_bytes()
+
+
 if __name__ == "__main__":
-    for case in sorted(CASES):
+    for case in sorted(CASES) + sorted(VALIDATE_CASES):
         path = GOLDEN / f"{case}.out"
         if not path.exists():
             path.write_bytes(run_case(case))
