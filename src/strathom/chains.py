@@ -3,10 +3,10 @@
 Chains are combinations of regular simplices with the regular-part
 boundary; a chain is of p-intersection when it and its boundary are
 spanned by allowable simplices.  This module decides which simplices are
-allowable; ``exact_algebra.allowable_subcomplex`` cuts the intersection
-lattice out of the regular chain complex, exactly over Z and mod p for
-field coefficients, and homology and the dual cohomology are read from
-its invariant factors.
+allowable; ``exact_algebra.Subcomplex`` reads the homology of the
+intersection chains, exactly over Z and mod p for field coefficients, from
+one fused elimination of each regular boundary matrix, and the dual
+cohomology from the same invariant factors one degree along.
 """
 from __future__ import annotations
 

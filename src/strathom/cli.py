@@ -237,7 +237,7 @@ def graded_str(g: Optional[GradedModule]) -> str:
 
 def report_to_json(rep: DualityReport, digest: str) -> dict:
     periph = {}
-    for k, e in sorted(rep.peripheral.items()):
+    for k, e in sorted((rep.peripheral or {}).items()):
         entry = {"order": e.order(), "rank": e.rank,
                  "sub": {"rank": e.sub.rank, "torsion": list(e.sub.torsion)},
                  "quot": {"rank": e.quot.rank, "torsion": list(e.quot.torsion)}}
@@ -285,7 +285,9 @@ def print_report_text(rep: DualityReport, out):
         w(f"  GH^*_(Dp) : {graded_str(rep.gh_dual)}\n")
     if rep.h_blowup is not None:
         w(f"  H~^*_p : {graded_str(rep.h_blowup)}\n")
-    if rep.peripheral:
+    if rep.peripheral is None:
+        w("  peripheral R^*: not computed (simplicial engine)\n")
+    elif rep.peripheral:
         w("  peripheral R^*:\n")
         for k, e in sorted(rep.peripheral.items()):
             w(f"    [{k}] {e}\n")
@@ -328,7 +330,7 @@ def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
     ic = intersection_complex(X, p, ring)
     gh = homology_all(ic, ring)
     # Dp = p for the middle perversity of an isolated singularity in even
-    # dimension; GH^*_Dp still reads its own Smith forms of the transposes
+    # dimension; GH^*_Dp then reads the factors that GH_* already found
     dp = p.complementary()
     ic_dual = ic if dp == p else intersection_complex(X, dp, ring)
     ghd = homology_all(ic_dual.dualize(), ring)
@@ -339,7 +341,7 @@ def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
         perversity=str(pspec),
         gh_lower=gh, gh_dual=ghd, h_blowup=hb,
         comp_F=None, comp_TK=None, comp_TC=None,
-        peripheral={},
+        peripheral=None,
         torsion_free_pairing="insufficient data",
         torsion_pairing="insufficient data",
         poincare_duality=None, locally_torsion_free=None,

@@ -1,25 +1,21 @@
 """Chain complexes of free modules with exact homology.
 
 A complex carries its orientation explicitly: ``hom`` complexes lower the
-degree, ``coh`` complexes raise it.  Homology is read from invariant
-factors alone: H_k = R^(n_k - r_out - r_in) plus Z/d for each invariant
-factor d > 1 of the differential entering degree k, with ranks and factors
-from diagonal-only Smith forms over Z and Q and ranks from elimination
-over F_p; ``homology_all`` reads each differential once.
-
-``allowable_subcomplex`` cuts the subcomplex spanned by allowed basis
-elements with allowed differential out of an ambient complex; both
-intersection engines use it.  A ``Subcomplex`` presents its homology by the
-ambient products d.B_k, so the induced differential is solved for only
-when a chain map needs it.
+degree, ``coh`` complexes raise it.  ``homology_all`` reads homology from
+invariant factors alone: diagonal-only Smith forms over Z and Q, ranks over
+F_p.  A ``Subcomplex`` (allowed basis elements with allowed differential;
+both intersection engines use it) gets them from one fused elimination per
+ambient differential, ``matrices.split_factors``, with no lattice basis and
+no product; ``allowable_subcomplex`` builds the bases on request.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from .matrices import (IntMatrix, kernel_basis, kernel_basis_mod_p,
-                       rank_mod_p, smith, solve, solve_mod_p)
+                       rank_mod_p, smith, solve, solve_mod_p, split_factors)
 from .modules import Coefficients, FGModule, GradedModule
 
 
@@ -81,6 +77,15 @@ class ChainComplex:
             return self.diffs[k]
         return IntMatrix(self.rank(k + self.step), self.rank(k))
 
+    def factors(self, k: int, ring: Coefficients) -> tuple:
+        """Invariant factors of the map leaving degree k (over F_p, 1s)."""
+        m = self.diff(k)
+        if m.is_zero():
+            return ()
+        if ring.kind == "Fp":
+            return (1,) * rank_mod_p(m, ring.p)
+        return smith(m, need_U=False, need_V=False).diagonal
+
     def dualize(self) -> "ChainComplex":
         """Linear dual: transposed differentials, opposite orientation.
 
@@ -107,62 +112,38 @@ class ChainComplex:
         return cls(orientation, {}, {})
 
 
-def _invariant_factors(m: IntMatrix, ring: Coefficients) -> tuple:
-    """Invariant factors of m over Z; over F_p, rank-many units."""
-    if m.is_zero():
-        return ()
-    if ring.kind == "Fp":
-        return (1,) * rank_mod_p(m, ring.p)
-    return smith(m, need_U=False, need_V=False).diagonal
-
-
-def _group(n: int, d_out: tuple, d_in: tuple, ring: Coefficients) -> FGModule:
-    torsion = [d for d in d_in if d > 1] if ring.kind == "Z" else []
-    return FGModule.from_factors(n - len(d_out) - len(d_in), torsion)
-
-
-def homology(C, k: int, ring: Coefficients = Coefficients("Z")) -> FGModule:
-    """H_k = Z^(n_k - r_out - r_in) + sum of Z/d_i.
-
-    r_out and r_in are the ranks of the differentials leaving and entering
-    degree k, and the d_i > 1 are the invariant factors of the entering
-    one; over a field there is no torsion term.  ``C`` is a ChainComplex or
-    anything with the same ``rank``/``diff``/``step`` reading, such as a
-    Subcomplex, whose ``diff`` has the invariant factors of the
-    differential without being it.
-    """
-    n = C.rank(k)
-    if n == 0:
-        return FGModule.zero()
-    return _group(n, _invariant_factors(C.diff(k), ring),
-                  _invariant_factors(C.diff(k - C.step), ring), ring)
-
-
 def homology_all(C, ring: Coefficients = Coefficients("Z")) -> GradedModule:
-    """Every H_k of ``homology``, with one Smith form (over F_p, one rank)
-    per differential: the map leaving degree k is also the one entering
-    degree k + step."""
+    """Every H_k = R^(n_k - r_out - r_in) + sum of Z/d_i, where r_out and
+    r_in are the ranks of the maps leaving and entering degree k and the
+    d_i > 1 the invariant factors of the entering one (no torsion over a
+    field).  ``C`` reads ``support``/``rank``/``factors``/``step``, as a
+    ChainComplex and a Subcomplex do; each differential is read once.
+    """
     factors: Dict[int, tuple] = {}
 
     def leaving(k):
         if k not in factors:
-            factors[k] = _invariant_factors(C.diff(k), ring)
+            factors[k] = C.factors(k, ring)
         return factors[k]
 
-    return GradedModule({k: _group(C.rank(k), leaving(k), leaving(k - C.step), ring)
-                         for k in C.support()})
+    groups = {}
+    for k in C.support():
+        out, into = leaving(k), leaving(k - C.step)
+        torsion = [d for d in into if d > 1] if ring.kind == "Z" else []
+        groups[k] = FGModule.from_factors(C.rank(k) - len(out) - len(into), torsion)
+    return GradedModule(groups)
+
+
+def homology(C, k: int, ring: Coefficients = Coefficients("Z")) -> FGModule:
+    """H_k alone, read from ``homology_all``."""
+    return homology_all(C, ring)[k]
 
 
 def allowable_subcomplex(ambient: ChainComplex, allowed: Dict[int, List[int]],
                          ring: Coefficients) -> Dict[int, IntMatrix]:
-    """Saturated lattice bases of the allowable subcomplex, per degree.
-
-    In degree k the lattice is the kernel of "differential, then projection
-    away from the allowed coordinates of degree k + step", taken on the
-    allowed coordinates of degree k (over F_p: the kernel mod p).  Columns
-    of ``bases[k]`` are in ambient coordinates.  The lattices form a
-    subcomplex because d o d = 0 in the ambient complex.
-    """
+    """Saturated lattice bases of the allowable subcomplex, per degree and
+    in ambient coordinates: the kernel (over F_p, mod p) of d on the allowed
+    coordinates of degree k, followed by projection to the banned ones."""
     bases = {}
     for k in ambient.support():
         cols = allowed.get(k, [])
@@ -176,35 +157,56 @@ def allowable_subcomplex(ambient: ChainComplex, allowed: Dict[int, List[int]],
 
 
 class Subcomplex:
-    """The allowable subcomplex of ``ambient``, given by its lattice bases.
-
-    ``diff(k)`` is the ambient product d.B_k, not the induced differential
-    D_k.  Since d.B_k = B_(k+step).D_k and a saturated B_(k+step) is part
-    of a unimodular matrix (over F_p: has full column rank), the product
-    has the invariant factors and the rank mod p of D_k, which is all
-    ``homology`` reads.  ``complex`` solves for D_k on first use.
+    """The lattices I_k of chains on the allowed coordinates A_k of
+    ``ambient`` with differential on allowed coordinates (over F_p, spaces).
+    ``split_factors`` of each d transposed, cut to the rows A_k, with the
+    banned targets as the columns below the split, reads rank I_k and the
+    factors of d on I_k, which are those of the induced differential, as
+    I_(k+step) is saturated.  ``bases`` and ``complex`` are built on request.
     """
 
     def __init__(self, ambient: ChainComplex, allowed: Dict[int, List[int]],
                  ring: Coefficients):
         self.ambient = ambient
+        self.allowed = allowed
         self.ring = ring
         self.step = ambient.step
-        self.bases = allowable_subcomplex(ambient, allowed, ring)
-        self._images: Dict[int, IntMatrix] = {}
-        self._complex: Optional[ChainComplex] = None
+
+    @cached_property
+    def _splits(self) -> Dict[int, tuple]:
+        """Per degree k: (rank of d on A_k into the banned targets, factors)."""
+        p = self.ring.p if self.ring.kind == "Fp" else 0
+        out = {}
+        for k, cols in self.allowed.items():
+            # banned target i is column i, allowed target i is column rows + i
+            d, kept = self.ambient.diff(k), set(self.allowed.get(k + self.step, ()))
+            cols, rows = set(cols), {}
+            for (i, j), v in d.entries.items():
+                if j in cols and (not p or v % p):
+                    rows.setdefault(j, {})[i + d.rows * (i in kept)] = v % p if p else v
+            out[k] = (split_factors(rows, d.rows, p, self.ring.kind == "Z")
+                      if rows else (0, ()))
+        return out
 
     def support(self) -> List[int]:
-        return sorted(k for k, B in self.bases.items() if B.cols)
+        return [k for k in sorted(self.allowed) if self.rank(k)]
 
     def rank(self, k: int) -> int:
-        return self.bases[k].cols if k in self.bases else 0
+        return len(self.allowed.get(k, ())) - self._splits.get(k, (0,))[0]
+
+    def factors(self, k: int, ring: Coefficients) -> tuple:
+        if ring != self.ring:
+            raise ValueError(f"a subcomplex over {self.ring} read over {ring}")
+        return self._splits.get(k, (0, ()))[1]
+
+    @cached_property
+    def bases(self) -> Dict[int, IntMatrix]:
+        """Saturated lattice bases of the I_k, in ambient coordinates."""
+        return allowable_subcomplex(self.ambient, self.allowed, self.ring)
 
     def diff(self, k: int) -> IntMatrix:
-        if k not in self._images:
-            B = self.bases.get(k, IntMatrix(0, 0))
-            self._images[k] = self.ambient.diff(k) * B
-        return self._images[k]
+        """The ambient product d.B_k = B_(k+step).D_k."""
+        return self.ambient.diff(k) * self.bases.get(k, IntMatrix(0, 0))
 
     def dualize(self) -> "DualComplex":
         return DualComplex(self)
@@ -221,41 +223,33 @@ class Subcomplex:
             return solve_mod_p(B, vectors, self.ring.p)
         return solve(B, vectors)
 
-    @property
+    @cached_property
     def complex(self) -> ChainComplex:
         """The induced differentials in the lattice bases."""
-        if self._complex is None:
-            diffs = {}
-            for k in self.support():
-                Y = self.coordinates(k + self.step, self.diff(k))
-                if Y is None:
-                    raise ComplexValidationError(
-                        f"differential at degree {k} escapes the allowable lattice")
-                if not Y.is_zero():
-                    diffs[k] = Y
-            self._complex = ChainComplex(
-                self.ambient.orientation, {k: self.rank(k) for k in self.support()},
-                diffs, modulus=(self.ring.p if self.ring.kind == "Fp" else None))
-        return self._complex
+        ranks = {k: B.cols for k, B in self.bases.items() if B.cols}
+        diffs = {}
+        for k in ranks:
+            Y = self.coordinates(k + self.step, self.diff(k))
+            if Y is None:
+                raise ComplexValidationError(
+                    f"differential at degree {k} escapes the allowable lattice")
+            if not Y.is_zero():
+                diffs[k] = Y
+        return ChainComplex(self.ambient.orientation, ranks, diffs,
+                            modulus=(self.ring.p if self.ring.kind == "Fp" else None))
 
 
 class DualComplex:
-    """Hom(C, R) read for homology: transposed differentials, opposite
-    orientation.  Transposes keep invariant factors, so the units in the
-    dual sign convention do not matter (see ChainComplex.dualize)."""
+    """Hom(C, R) read for homology, in the opposite orientation.  A
+    transpose keeps invariant factors, so the dual reads those of C one
+    degree along; the dual sign convention is units (ChainComplex.dualize)."""
 
     def __init__(self, C):
-        self.C = C
-        self.step = -C.step
+        self.C, self.step = C, -C.step
+        self.support, self.rank = C.support, C.rank
 
-    def support(self) -> List[int]:
-        return self.C.support()
-
-    def rank(self, k: int) -> int:
-        return self.C.rank(k)
-
-    def diff(self, k: int) -> IntMatrix:
-        return self.C.diff(k + self.step).transpose()
+    def factors(self, k: int, ring: Coefficients) -> tuple:
+        return self.C.factors(k + self.step, ring)
 
 
 @dataclass

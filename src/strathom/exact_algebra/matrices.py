@@ -13,7 +13,8 @@ handed to a Smith form with V (the kernel) or with U and V (the solve).
 So every solve, kernel, rank and Smith diagonal starts with the unit-pivot
 elimination; only the module maps (U in ``canonicalize``, V for an image
 lattice) run a Smith form with a transform on a whole matrix, a small
-module presentation.
+module presentation.  ``split_factors`` runs it in two phases, in a block
+of columns and then in all, for the homology of an allowable subcomplex.
 """
 from __future__ import annotations
 
@@ -530,13 +531,46 @@ def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomp
     """
     if need_U or need_V:
         return _smith_work(A, need_U, need_V)
-    rows = _rows_of(A)
-    units, peak = _eliminate_units(rows)
-    rest = _smith_work(IntMatrix(A.rows, A.cols, {(i, j): v for i, r in rows.items()
-                                                  for j, v in r.items()}),
+    diagonal, peak = _diagonal(_rows_of(A))
+    return SmithDecomposition(A, diagonal, None, None, peak_abs=max(A.max_abs(), peak))
+
+
+def _diagonal(rows: dict, p: int = 0) -> tuple:
+    """(invariant factors, largest |entry| made) of the matrix in ``rows``,
+    consumed: unit pivots, then over Z the gcd elimination of the rest."""
+    units, peak = _eliminate_units(rows, p)
+    if p or not rows:
+        return (1,) * units, peak
+    rest = _smith_work(IntMatrix(max(rows) + 1, max(max(r) for r in rows.values()) + 1,
+                                 {(i, j): v for i, r in rows.items() for j, v in r.items()}),
                        False, False)
-    return SmithDecomposition(A, (1,) * units + rest.diagonal, None, None,
-                              peak_abs=max(A.max_abs(), peak, rest.peak_abs))
+    return (1,) * units + rest.diagonal, max(peak, rest.peak_abs)
+
+
+def split_factors(rows: dict, limit: int, p: int = 0, torsion: bool = True) -> tuple:
+    """(rank of the columns below ``limit``, invariant factors of x -> xM on
+    the lattice L of row combinations x that vanish there) for the matrix M
+    in ``rows``, consumed; over F_p or without ``torsion`` only the number
+    of factors is meant.  Phase 1 pivots on units below ``limit``: its row
+    operations keep the row lattice, so the rows left span L unless one
+    keeps an entry there (a non-unit over Z).  Phase 2 eliminates them in
+    every column.  Else L is the left kernel of the block below ``limit``
+    applied to the rest, or, without ``torsion``, two ranks give the count.
+    """
+    pivots = _eliminate_units(rows, p, None, limit)[0]
+    if p or all(min(r) >= limit for r in rows.values()):
+        return pivots, _diagonal(rows, p)[0]
+    at = {i: a for a, i in enumerate(rows)}
+    n = max(limit, max(max(r) for r in rows.values()) + 1)
+    R = IntMatrix(len(at), n, {(at[i], j): v for i, r in rows.items() for j, v in r.items()})
+    low = R.submatrix(range(R.rows), range(limit))
+    if not torsion:
+        lost = smith(low, need_U=False, need_V=False).rank
+        return pivots + lost, (1,) * (smith(R, need_U=False, need_V=False).rank - lost)
+    K = kernel_basis(low.transpose())
+    return pivots + R.rows - K.cols, smith(
+        K.transpose() * R.submatrix(range(R.rows), range(limit, n)),
+        need_U=False, need_V=False).diagonal
 
 
 def _smith_work(A: IntMatrix, need_U: bool, need_V: bool) -> SmithDecomposition:

@@ -85,7 +85,7 @@ class DualityReport:
     comp_F: Optional[GradedModule]
     comp_TK: Optional[GradedModule]
     comp_TC: Optional[GradedModule]
-    peripheral: Dict[int, ExtensionOutcome]
+    peripheral: Optional[Dict[int, ExtensionOutcome]]   # None: not computed
     torsion_free_pairing: str
     torsion_pairing: str
     poincare_duality: Optional[bool]

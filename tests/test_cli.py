@@ -108,6 +108,17 @@ class TestProfile:
         assert code == 0
         assert "engine: symbolic" in out and "engine: simplicial" in out
 
+    def test_simplicial_text_report_does_not_claim_zero_peripheral(self, tmp_path, capsys):
+        f = write(tmp_path, "sr.json", {
+            "space": {"type": "suspension", "of": {"type": "atom", "name": "RP2"}},
+            "perversity": 1})
+        code, out, _ = run(capsys, "profile", f, "--engine", "both")
+        symbolic, simplicial = out.split("== engine: simplicial ==")
+        assert code == 0
+        assert "  peripheral R^*:\n    [2] Z/2 + Z/2\n" in symbolic
+        assert "  peripheral R^*: not computed (simplicial engine)\n" in simplicial
+        assert "peripheral R^* = 0" not in out
+
     def test_unknown_atom_is_validation_error(self, tmp_path, capsys):
         f = write(tmp_path, "bad.json", {
             "space": {"type": "atom", "name": "K3"}})

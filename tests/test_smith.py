@@ -411,6 +411,34 @@ def test_solve_matches_whole_matrix_smith_solve_random():
     assert kinds == {"unique", "non-unique", "rank", "divisibility"}
 
 
+# split_factors eliminates units in the banned columns (those below the
+# limit) first; the reference takes the left kernel of the whole banned
+# block and applies it to the whole rest of the matrix.
+
+def whole_split(A: IntMatrix, limit: int):
+    low = A.submatrix(range(A.rows), range(limit))
+    K = kernel_basis(low.transpose())
+    return A.rows - K.cols, diagonal(K.transpose() * A.submatrix(
+        range(A.rows), range(limit, A.cols)))
+
+
+def test_split_factors_match_whole_matrices():
+    for (rows, cols, density), values in CASES:
+        for seed in range(3):
+            A = random_matrix(rows, cols, density, values, seed)
+            for limit in (0, cols // 2, cols):
+                label = (rows, cols, values, seed, limit)
+                lost, factors = whole_split(A, limit)
+                assert matrices.split_factors(matrices._rows_of(A), limit) == \
+                    (lost, factors), label
+                got = matrices.split_factors(matrices._rows_of(A), limit, 0, False)
+                assert (got[0], len(got[1])) == (lost, len(factors)), label
+                for p in (2, 3):
+                    low = matrices.rank_mod_p(A.submatrix(range(rows), range(limit)), p)
+                    assert matrices.split_factors(matrices._rows_of(A, p), limit, p) == \
+                        (low, (1,) * (matrices.rank_mod_p(A, p) - low)), (label, p)
+
+
 def induced_complexes():
     """Every allowable subcomplex of the SPACES at each apex perversity,
     over Z and F2: the chain side, and the blow-up side where n <= 3."""

@@ -1,16 +1,27 @@
 """The allowable subcomplex read by invariant factors against its induced
-complex.
+complex, and what the homology paths leave out.
 
-Both engines compute (co)homology from the ambient products d.B_k.  The
-reference is the induced differential D_k, solved for in the lattice
-bases and run through the same ``homology_all``: the groups must agree on
-both sides, for the dual cohomology too, over every coefficient ring.
+Both engines read (co)homology from one fused elimination per ambient
+differential.  The reference is the induced differential D_k, solved for
+in the lattice bases and run through the same ``homology_all``: the groups
+must agree on both sides, for the dual cohomology too, over every
+coefficient ring.  The entry points that compute groups build no lattice
+basis, run no kernel over F_p, and multiply no ambient differential by
+anything but another one (the d o d = 0 check of the ambient complex).
 """
+import contextlib
+import io
+from pathlib import Path
+
 import pytest
 
-from strathom.blowup import GlobalBlowupComplex
-from strathom.chains import intersection_complex
-from strathom.exact_algebra import Coefficients, homology_all
+import strathom.exact_algebra.complexes as complexes
+import strathom.exact_algebra.matrices as matrices
+from strathom.blowup import GlobalBlowupComplex, blowup_cohomology
+from strathom.chains import (intersection_cohomology, intersection_complex,
+                             intersection_homology)
+from strathom.cli import main
+from strathom.exact_algebra import Coefficients, IntMatrix, homology_all
 from strathom.stratified import Perversity
 from strathom.triangulations import projective_plane, torus
 
@@ -44,3 +55,84 @@ def test_products_match_induced_complex(space, ring):
                 == homology_all(ic.complex.dualize(), ring)), k
         bi = G.intersection_complex(p)
         assert homology_all(bi, ring) == homology_all(bi.complex, ring), k
+
+
+JOBS = Path(__file__).resolve().parent / "golden" / "jobs"
+
+
+def run_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+
+def entry_points(ring):
+    """The public routes to groups over ``ring``, on susp(RP2) at p = 1."""
+    X = SPACES["susp(RP2)"]()
+    p = apex_perversity(X, 1)
+    yield lambda: intersection_homology(X, p, ring)
+    yield lambda: intersection_cohomology(X, p, ring)
+    yield lambda: blowup_cohomology(X, p, ring)
+    yield lambda: run_cli("profile", str(JOBS / "complex-susp-rp2.json"),
+                          "--perversity", "1", "--ring", str(ring))
+
+
+def crosscheck():
+    run_cli("crosscheck", str(JOBS / "susp-t2.json"))
+
+
+def recording(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_no_lattice_basis_on_the_homology_paths(monkeypatch):
+    calls = recording(monkeypatch, complexes, "allowable_subcomplex")
+    for ring in RINGS:
+        for run in entry_points(ring):
+            run()
+    crosscheck()
+    assert not calls
+
+
+@pytest.mark.parametrize("ring", RINGS[2:], ids=str)
+def test_no_kernel_over_a_prime_field(ring, monkeypatch):
+    calls = recording(monkeypatch, matrices, "_kernel")
+    for run in entry_points(ring):
+        run()
+    assert not calls
+
+
+def test_no_product_with_an_ambient_differential(monkeypatch):
+    products, subcomplexes = [], []
+    mul, init = IntMatrix.__mul__, complexes.Subcomplex.__init__
+
+    def recorded_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    def recorded_init(self, *args):
+        subcomplexes.append(self)
+        init(self, *args)
+    monkeypatch.setattr(IntMatrix, "__mul__", recorded_mul)
+    monkeypatch.setattr(complexes.Subcomplex, "__init__", recorded_init)
+    for run in entry_points(Coefficients("Z")):
+        run()
+    crosscheck()
+    monkeypatch.undo()
+    ambient = {id(d) for s in subcomplexes for d in s.ambient.diffs.values()}
+    assert subcomplexes and ambient
+    # a product of two ambient differentials is the d o d = 0 check
+    assert all((id(a) in ambient) == (id(b) in ambient) for a, b in products)
+
+
+def test_a_subcomplex_is_read_over_its_own_ring_only():
+    X = SPACES["susp(RP2)"]()
+    ic = intersection_complex(X, apex_perversity(X, 1), Coefficients("Z"))
+    with pytest.raises(ValueError):
+        homology_all(ic, Coefficients("Fp", 2))
