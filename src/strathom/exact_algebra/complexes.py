@@ -184,8 +184,7 @@ class Subcomplex:
             for (i, j), v in d.entries.items():
                 if j in cols and (not p or v % p):
                     rows.setdefault(j, {})[i + d.rows * (i in kept)] = v % p if p else v
-            out[k] = (split_factors(rows, d.rows, p, self.ring.kind == "Z")
-                      if rows else (0, ()))
+            out[k] = split_factors(rows, d.rows, p) if rows else (0, ())
         return out
 
     def support(self) -> List[int]:

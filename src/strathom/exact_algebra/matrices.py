@@ -547,30 +547,30 @@ def _diagonal(rows: dict, p: int = 0) -> tuple:
     return (1,) * units + rest.diagonal, max(peak, rest.peak_abs)
 
 
-def split_factors(rows: dict, limit: int, p: int = 0, torsion: bool = True) -> tuple:
+def split_factors(rows: dict, limit: int, p: int = 0) -> tuple:
     """(rank of the columns below ``limit``, invariant factors of x -> xM on
     the lattice L of row combinations x that vanish there) for the matrix M
-    in ``rows``, consumed; over F_p or without ``torsion`` only the number
-    of factors is meant.  Phase 1 pivots on units below ``limit``: its row
-    operations keep the row lattice, so the rows left span L unless one
-    keeps an entry there (a non-unit over Z).  Phase 2 eliminates them in
-    every column.  Else L is the left kernel of the block below ``limit``
-    applied to the rest, or, without ``torsion``, two ranks give the count.
+    in ``rows``, consumed; over F_p the factors are rank-many 1s.
+
+    Phase 1 pivots on units below ``limit``: its row operations keep the
+    row lattice, so the rows left span L, except those that keep an entry
+    there (non-units, over Z only).  The left kernel of their block below
+    ``limit``, applied to the rest of them, replaces them.  Phase 2
+    eliminates the rows in every column, as the diagonal-only ``smith``.
     """
     pivots = _eliminate_units(rows, p, None, limit)[0]
-    if p or all(min(r) >= limit for r in rows.values()):
-        return pivots, _diagonal(rows, p)[0]
-    at = {i: a for a, i in enumerate(rows)}
-    n = max(limit, max(max(r) for r in rows.values()) + 1)
-    R = IntMatrix(len(at), n, {(at[i], j): v for i, r in rows.items() for j, v in r.items()})
-    low = R.submatrix(range(R.rows), range(limit))
-    if not torsion:
-        lost = smith(low, need_U=False, need_V=False).rank
-        return pivots + lost, (1,) * (smith(R, need_U=False, need_V=False).rank - lost)
-    K = kernel_basis(low.transpose())
-    return pivots + R.rows - K.cols, smith(
-        K.transpose() * R.submatrix(range(R.rows), range(limit, n)),
-        need_U=False, need_V=False).diagonal
+    stalled = [i for i, r in rows.items() if min(r) < limit]
+    if stalled:
+        low = IntMatrix(len(stalled), limit, {(a, j): v for a, i in enumerate(stalled)
+                                              for j, v in rows[i].items() if j < limit})
+        K = kernel_basis(low.transpose())
+        top, n = max(rows) + 1, max(max(r) for r in rows.values()) + 1
+        high = IntMatrix(len(stalled), n, {(a, j): v for a, i in enumerate(stalled)
+                                           for j, v in rows.pop(i).items() if j >= limit})
+        for (c, j), v in (K.transpose() * high).entries.items():
+            rows.setdefault(top + c, {})[j] = v
+        pivots += len(stalled) - K.cols
+    return pivots, _diagonal(rows, p)[0]
 
 
 def _smith_work(A: IntMatrix, need_U: bool, need_V: bool) -> SmithDecomposition:

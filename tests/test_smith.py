@@ -148,9 +148,9 @@ def counting_splits(monkeypatch):
     calls = []
     split_factors = complexes.split_factors
 
-    def counted(rows, limit, p=0, torsion=True):
+    def counted(rows, limit, p=0):
         calls.append(limit)
-        return split_factors(rows, limit, p, torsion)
+        return split_factors(rows, limit, p)
     monkeypatch.setattr(complexes, "split_factors", counted)
     return calls
 
@@ -431,8 +431,6 @@ def test_split_factors_match_whole_matrices():
                 lost, factors = whole_split(A, limit)
                 assert matrices.split_factors(matrices._rows_of(A), limit) == \
                     (lost, factors), label
-                got = matrices.split_factors(matrices._rows_of(A), limit, 0, False)
-                assert (got[0], len(got[1])) == (lost, len(factors)), label
                 for p in (2, 3):
                     low = matrices.rank_mod_p(A.submatrix(range(rows), range(limit)), p)
                     assert matrices.split_factors(matrices._rows_of(A, p), limit, p) == \
