@@ -142,8 +142,8 @@ def homology(C, k: int, ring: Coefficients = Coefficients("Z")) -> FGModule:
 def allowable_subcomplex(ambient: ChainComplex, allowed: Dict[int, List[int]],
                          ring: Coefficients) -> Dict[int, IntMatrix]:
     """Saturated lattice bases of the allowable subcomplex, per degree and
-    in ambient coordinates: the kernel (over F_p, mod p) of d on the allowed
-    coordinates of degree k, followed by projection to the banned ones."""
+    in ambient coordinates: on the allowed coordinates of degree k, the
+    kernel (over F_p, mod p) of d followed by projection to the banned ones."""
     bases = {}
     for k in ambient.support():
         cols = allowed.get(k, [])
@@ -158,7 +158,7 @@ def allowable_subcomplex(ambient: ChainComplex, allowed: Dict[int, List[int]],
 
 class Subcomplex:
     """The lattices I_k of chains on the allowed coordinates A_k of
-    ``ambient`` with differential on allowed coordinates (over F_p, spaces).
+    ``ambient`` with differential on allowed coordinates (over F_p, subspaces).
     ``split_factors`` of each d transposed, cut to the rows A_k, with the
     banned targets as the columns below the split, reads rank I_k and the
     factors of d on I_k, which are those of the induced differential, as
