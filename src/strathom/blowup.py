@@ -29,8 +29,10 @@ empty) and a_i = deg_0 + ... + deg_{i-1}.  Then d(tau, eps) is the sum of
 A full-support label has no coface within its own blocks, because each of
 its slots already holds the whole block: the local coboundary on tau is
 the eps flips alone, and every other term adds one vertex of the link.
-``GlobalBlowupComplex`` computes each carrier's block sizes and star
-strata once, and its link extensions once per assembly of the full complex.
+``GlobalBlowupComplex`` builds each carrier in one pass at construction,
+from one ``maximal_cofaces`` call: its block sizes, its link extensions
+and the singular strata met by its star, all kept for the differential
+and the allowability test.
 """
 from __future__ import annotations
 
@@ -42,10 +44,6 @@ from .exact_algebra import (ChainComplex, ChainMap, Coefficients, GradedModule,
 from .stratified import FilteredComplex, Perversity
 
 
-def _sort_key(v):
-    return (0, v) if isinstance(v, int) else (1, str(v))
-
-
 # -- the global complex --------------------------------------------------
 
 class GlobalLabel(NamedTuple):
@@ -55,15 +53,12 @@ class GlobalLabel(NamedTuple):
     eps: Tuple            # one flag per slot 0..n-1; 0 on slots with an empty block
 
 
-class _Carrier:
-    """What a regular carrier simplex contributes, computed once: the sizes
-    of its join blocks and the singular strata met by its regular star."""
-    __slots__ = ("sizes", "cone_slots", "star")
-
-    def __init__(self, blocks):
-        self.sizes = tuple(len(b) for b in blocks)
-        self.cone_slots = tuple(i for i in range(len(blocks) - 1) if blocks[i])
-        self.star: Optional[List] = None
+class _Carrier(NamedTuple):
+    """What a regular carrier simplex contributes, computed once."""
+    sizes: Tuple          # sizes of the join blocks
+    cone_slots: Tuple     # the nonempty cone slots
+    links: List           # (slot, pos, tau * w) per link vertex w: see __init__
+    star: List            # the singular strata met by the regular star
 
 
 class GlobalBlowupComplex:
@@ -77,59 +72,53 @@ class GlobalBlowupComplex:
     def __init__(self, X: FilteredComplex, ring: Coefficients = Coefficients("Z")):
         self.X = X
         self.ring = ring
-        self.n = X.n
+        self.n = n = X.n
         self.basis: Dict[int, List[GlobalLabel]] = {}
         self.index: Dict[GlobalLabel, Tuple[int, int]] = {}
         self._carriers: Dict[Tuple, _Carrier] = {}
         self._maximal_strata: Dict = {}
-        self._links: Optional[Dict[Tuple, List]] = None
-        self._visit_order = {v: i for i, v in enumerate(X.levels)}
-        n = self.n
-        regulars = [X.sorted_vertices(s) for s in X.simplices if X.is_regular(s)]
-        regulars.sort()
-        for tau in regulars:
-            c = self._carriers[tau] = _Carrier(X.join_decomposition(tau))
+        visit_order = {v: i for i, v in enumerate(X.levels)}
+        for tau in X.regular_simplices:
+            blocks = X.join_decomposition(tau)
+            tset = frozenset(tau)
+            cofaces = X.maximal_cofaces(tset)
+            # each vertex w of the link of tau, in ``X.levels`` order, lies
+            # in block ``slot`` of tau * w, at ``pos``
+            links = []
+            for w in sorted(set().union(*cofaces) - tset, key=visit_order.__getitem__):
+                bigger = X.sorted_vertices(tset | {w})
+                slot = X.levels[w]
+                pos = [v for v in bigger if X.levels[v] == slot].index(w)
+                links.append((slot, pos, bigger))
+            star = {}
+            for m in cofaces:
+                for st in self._singular_strata_of_maximal(m):
+                    star[st.key] = st
+            c = self._carriers[tau] = _Carrier(
+                tuple(len(b) for b in blocks), tuple(i for i in range(n) if blocks[i]),
+                links, list(star.values()))
+            # carriers come sorted and flags in product order, so each
+            # degree's labels are already in (carrier, eps) order
             base_deg = sum(size - 1 for size in c.sizes if size)
             for flags in itertools.product((0, 1), repeat=len(c.cone_slots)):
                 eps = [0] * n
                 for s_i, fl in zip(c.cone_slots, flags):
                     eps[s_i] = fl
-                self.basis.setdefault(base_deg + sum(flags), []).append(
-                    GlobalLabel(tau, tuple(eps)))
-        for k in self.basis:
-            self.basis[k].sort()
-            for i, g in enumerate(self.basis[k]):
-                self.index[g] = (k, i)
-        self._diffs: Dict[int, IntMatrix] = {}
+                k = base_deg + sum(flags)
+                g = GlobalLabel(tau, tuple(eps))
+                labels = self.basis.setdefault(k, [])
+                self.index[g] = (k, len(labels))
+                labels.append(g)
         self._complex: Optional[ChainComplex] = None
 
     def rank(self, k: int) -> int:
         return len(self.basis.get(k, ()))
 
-    def _link_extensions(self, tau: Tuple) -> List[Tuple[int, int, Tuple]]:
-        """(slot, pos, tau * w) for each vertex w of the link of tau, in
-        ``X.levels`` order: w lies in block ``slot`` of tau * w, at ``pos``."""
-        X = self.X
-        tset = frozenset(tau)
-        link = set().union(*X.maximal_cofaces(tset)) - tset
-        out = []
-        for w in sorted(link, key=self._visit_order.__getitem__):
-            bigger = X.sorted_vertices(tset | {w})
-            slot = X.levels[w]
-            block = [v for v in bigger if X.levels[v] == slot]
-            if slot < self.n:
-                block.sort(key=_sort_key)
-            out.append((slot, block.index(w), bigger))
-        return out
-
     def differential(self, k: int) -> IntMatrix:
         """d of (tau, eps): flip eps 0 -> 1 on a nonempty cone slot, then add
         each link vertex w of tau in ``X.levels`` order (module docstring)."""
-        if k in self._diffs:
-            return self._diffs[k]
         n = self.n
         index = self.index
-        links = self._links if self._links is not None else {}
         ent = {}
         for j, g in enumerate(self.basis.get(k, ())):
             tau, eps = g
@@ -143,10 +132,7 @@ class GlobalBlowupComplex:
                 if not eps[i]:
                     flipped = eps[:i] + (1,) + eps[i + 1:]
                     ent[(index[(tau, flipped)][1], j)] = -1 if acc[i] & 1 else 1
-            ext = links.get(tau)
-            if ext is None:
-                ext = links[tau] = self._link_extensions(tau)
-            for slot, pos, bigger in ext:
+            for slot, pos, bigger in c.links:
                 if slot == n:
                     e2, sign_exp = eps, pos + acc[n]
                 elif c.sizes[slot]:
@@ -154,35 +140,16 @@ class GlobalBlowupComplex:
                 else:
                     e2, sign_exp = eps[:slot] + (1,) + eps[slot + 1:], 1 + acc[slot]
                 ent[(index[(bigger, e2)][1], j)] = -1 if sign_exp & 1 else 1
-        m = IntMatrix(self.rank(k + 1), self.rank(k), ent)
-        self._diffs[k] = m
-        return m
+        return IntMatrix(self.rank(k + 1), self.rank(k), ent)
 
     def full_complex(self) -> ChainComplex:
         if self._complex is None:
-            # the link table, the largest one, lives only while the
-            # differentials assemble: it is gone before any Smith form runs
-            self._links = {}
-            try:
-                diffs = {k: self.differential(k) for k in self.basis}
-            finally:
-                self._links = None
+            diffs = {k: self.differential(k) for k in self.basis}
             ranks = {k: self.rank(k) for k in self.basis}
             self._complex = ChainComplex("coh", ranks, diffs, basis=dict(self.basis))
         return self._complex
 
     # -- perversity ------------------------------------------------------
-
-    def _star_strata(self, tau: Tuple) -> List:
-        """Singular strata met by the regular star of tau."""
-        c = self._carriers[tau]
-        if c.star is None:
-            seen = {}
-            for m in self.X.maximal_cofaces(tau):
-                for st in self._singular_strata_of_maximal(m):
-                    seen[st.key] = st
-            c.star = list(seen.values())
-        return c.star
 
     def _singular_strata_of_maximal(self, m) -> List:
         out = self._maximal_strata.get(m)
@@ -199,9 +166,9 @@ class GlobalBlowupComplex:
         n = self.n
         # per carrier: the least p(S) over its star strata, by slot
         bound: Dict[Tuple, Dict[int, int]] = {}
-        for tau in self._carriers:
+        for tau, c in self._carriers.items():
             b = bound[tau] = {}
-            for st in self._star_strata(tau):
+            for st in c.star:
                 slot, v = n - st.codim, p(st)
                 b[slot] = min(b.get(slot, v), v)
         out = {}

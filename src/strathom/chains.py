@@ -1,12 +1,14 @@
 """The intersection chain complex of a filtered complex.
 
 Chains are combinations of regular simplices with the regular-part
-boundary; a chain is of p-intersection when it and its boundary are
-spanned by allowable simplices.  This module decides which simplices are
-allowable; ``exact_algebra.Subcomplex`` reads the homology of the
-intersection chains, exactly over Z and mod p for field coefficients, from
-one fused elimination of each regular boundary matrix, and the dual
-cohomology from the same invariant factors one degree along.
+boundary (``regular_complex``, on the basis that the blown-up complex
+shares, ``FilteredComplex.regular_simplices``); a chain is of
+p-intersection when it and its boundary are spanned by allowable
+simplices.  This module decides which simplices are allowable;
+``exact_algebra.Subcomplex`` reads the homology of the intersection
+chains, exactly over Z and mod p for field coefficients, from one fused
+elimination of each regular boundary matrix, and the dual cohomology from
+the same invariant factors one degree along.
 """
 from __future__ import annotations
 
@@ -47,48 +49,24 @@ def allowable(X: FilteredComplex, s, p: Perversity) -> bool:
     return True
 
 
-class RegularComplex:
-    """Ambient complex of regular simplices with the regular boundary."""
-
-    def __init__(self, X: FilteredComplex):
-        self.X = X
-        self.by_degree: Dict[int, List[Tuple]] = {}
-        for s in X.simplices:
-            if X.is_regular(s):
-                self.by_degree.setdefault(len(s) - 1, []).append(X.sorted_vertices(s))
-        for k in self.by_degree:
-            self.by_degree[k].sort()
-        self.index: Dict[int, Dict[Tuple, int]] = {
-            k: {s: i for i, s in enumerate(v)} for k, v in self.by_degree.items()}
-        self._diffs: Dict[int, IntMatrix] = {}
-
-    def simplices(self, k: int) -> List[Tuple]:
-        return self.by_degree.get(k, [])
-
-    def rank(self, k: int) -> int:
-        return len(self.by_degree.get(k, ()))
-
-    def boundary_matrix(self, k: int) -> IntMatrix:
-        """Regular part of the simplicial boundary, degree k -> k-1."""
-        if k in self._diffs:
-            return self._diffs[k]
-        rows = self.rank(k - 1)
-        cols = self.rank(k)
-        ent = {}
-        idx = self.index.get(k - 1, {})
-        for j, s in enumerate(self.simplices(k)):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if face and face in idx:
-                    ent[(idx[face], j)] = ent.get((idx[face], j), 0) + (-1) ** i
-        m = IntMatrix(rows, cols, ent)
-        self._diffs[k] = m
-        return m
-
-    def chain_complex(self) -> ChainComplex:
-        ranks = {k: self.rank(k) for k in self.by_degree}
-        diffs = {k: self.boundary_matrix(k) for k in self.by_degree if k > 0}
-        return ChainComplex("hom", ranks, diffs, basis=dict(self.by_degree))
+def regular_complex(X: FilteredComplex) -> ChainComplex:
+    """Ambient complex of regular simplices with the regular part of the
+    simplicial boundary, degree k -> k-1."""
+    basis: Dict[int, List[Tuple]] = {}
+    for s in X.regular_simplices:
+        basis.setdefault(len(s) - 1, []).append(s)
+    diffs = {}
+    for k, simps in basis.items():
+        if k:
+            idx = {s: i for i, s in enumerate(basis.get(k - 1, ()))}
+            ent = {}
+            for j, s in enumerate(simps):
+                for i in range(len(s)):
+                    face = s[:i] + s[i + 1:]
+                    if face in idx:
+                        ent[(idx[face], j)] = -1 if i & 1 else 1
+            diffs[k] = IntMatrix(len(idx), len(simps), ent)
+    return ChainComplex("hom", {k: len(v) for k, v in basis.items()}, diffs, basis=basis)
 
 
 def regular_boundary(X: FilteredComplex, chain: Dict[Tuple, int]) -> Dict[Tuple, int]:
@@ -107,7 +85,7 @@ def intersection_complex(X: FilteredComplex, p: Perversity,
                          ring: Coefficients = Coefficients("Z")) -> Subcomplex:
     """The p-intersection lattice: the allowable subcomplex of the regular
     chain complex of X."""
-    amb = RegularComplex(X).chain_complex()
+    amb = regular_complex(X)
     allowed = {k: [j for j, s in enumerate(simps) if allowable(X, s, p)]
                for k, simps in amb.basis.items()}
     return Subcomplex(amb, allowed, ring)

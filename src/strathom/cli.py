@@ -26,8 +26,8 @@ from .exact_algebra import (Coefficients, GradedModule, IntMatrix,
 from .stratified import (FilteredComplex, GMPerversity, Perversity,
                          StratifiedValidationError)
 from .triangulations import has_triangulation, triangulation_of
-from .chains import (RegularComplex, intersection_cohomology,
-                     intersection_complex)
+from .chains import (intersection_cohomology, intersection_complex,
+                     regular_complex)
 from .blowup import blowup_cohomology
 from .spaces import (AtomSpace, DisjointUnion, IsolatedSing, MappingTorus,
                      OpenCone, SpaceExpr, Suspension, ThomCircle, atom,
@@ -527,10 +527,8 @@ def cmd_bench_snf(args) -> int:
     if args.builtin:
         if args.builtin == "susp-rp3":
             X = triangulation_of("RP3").suspension()
-            reg = RegularComplex(X)
-            for k in sorted(reg.by_degree):
-                if k:
-                    jobs.append((f"susp(RP3) boundary d_{k}", reg.boundary_matrix(k)))
+            for k, m in sorted(regular_complex(X).diffs.items()):
+                jobs.append((f"susp(RP3) boundary d_{k}", m))
         else:
             print(f"unknown builtin {args.builtin!r}", file=sys.stderr)
             return 2

@@ -101,12 +101,6 @@ class ChainComplex:
         return ChainComplex(new_orient, dict(self.ranks), diffs, check=False,
                             modulus=self.modulus)
 
-    def shift(self, s: int) -> "ChainComplex":
-        return ChainComplex(self.orientation,
-                            {k + s: r for k, r in self.ranks.items()},
-                            {k + s: m for k, m in self.diffs.items()}, check=False,
-                            modulus=self.modulus)
-
     @classmethod
     def zero(cls, orientation: str = "hom") -> "ChainComplex":
         return cls(orientation, {}, {})

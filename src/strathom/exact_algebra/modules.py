@@ -238,13 +238,6 @@ class GradedModule:
     def is_zero(self) -> bool:
         return not self._data
 
-    def shift(self, s: int) -> "GradedModule":
-        return GradedModule({k + s: v for k, v in self._data.items()})
-
-    def reflect(self, n: int) -> "GradedModule":
-        """Degree reversal k -> n - k, used by duality checks."""
-        return GradedModule({n - k: v for k, v in self._data.items()})
-
     def direct_sum(self, other: "GradedModule") -> "GradedModule":
         out = dict(self._data)
         for k, v in other._data.items():
@@ -269,10 +262,9 @@ def verdier_dual_homology(H: GradedModule) -> GradedModule:
     """Homology of the dual complex, from the universal coefficient split.
 
     Degree k of the output is Hom(H^k, R) + Ext(H^{k+1}, R).  The input is
-    read cohomologically and the output homologically; reflecting through
-    the ambient duality dimension is left to callers (see
-    GradedModule.reflect), so that applying the chain-side dual after this
-    one is the identity.
+    read cohomologically and the output homologically; reindexing k -> n - k
+    through the ambient duality dimension is left to callers, so that
+    applying the chain-side dual after this one is the identity.
     """
     degrees = set(H.support()) | {k - 1 for k in H.support()}
     out = {}

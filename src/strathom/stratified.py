@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 
@@ -92,6 +93,12 @@ class FilteredComplex:
             t = tuple(sorted(s, key=lambda v: (self.levels[v], v)))
             self._sorted_cache[s] = t
         return t
+
+    @cached_property
+    def regular_simplices(self) -> List[Tuple]:
+        """The regular simplices as ``sorted_vertices`` tuples, sorted: the
+        basis order of both ambient complexes."""
+        return sorted(self.sorted_vertices(s) for s in self.simplices if self.is_regular(s))
 
     def _index_maximal(self):
         """Maximal simplices (size descending, then the str-sorted vertex

@@ -15,11 +15,16 @@ carrier's star.  Slow, but it follows the definitions directly.
 import itertools
 from typing import Dict, List, Tuple
 
-from strathom.blowup import GlobalLabel, _sort_key
+from strathom.blowup import GlobalLabel
 from strathom.exact_algebra import ChainComplex, IntMatrix
 from strathom.stratified import FilteredComplex
 
 NEG_INF = float("-inf")
+
+
+def _sort_key(v):
+    """Vertex order within a block: ints by value, anything else by str."""
+    return (0, v) if isinstance(v, int) else (1, str(v))
 
 
 class LocalBlowupComplex:

@@ -4,7 +4,8 @@ label-walk oracle (``blowup_oracle``).
 The tables must give the same basis in the same order, the same
 differential matrices with the same entry order (it fixes the SNF pivot
 path and so every reported basis) and the same allowed lists for every
-perversity.  A count guard keeps the per-carrier data computed once.
+perversity.  A count guard keeps the per-carrier data computed once, from
+one ``maximal_cofaces`` call per carrier.
 """
 import pytest
 
@@ -44,7 +45,7 @@ def test_differentials_match_label_walk(name, make):
     X = make()
     G = GlobalBlowupComplex(X)
     G.full_complex()
-    alone = GlobalBlowupComplex(X)      # each degree without the shared table
+    alone = GlobalBlowupComplex(X)      # each degree alone, without full_complex
     for k in sorted(G.basis):
         got, want = G.differential(k), label_walk_differential(G, k)
         assert got == want, (name, k)
@@ -73,7 +74,7 @@ def test_carrier_data_computed_once(monkeypatch):
     X = SUSP2["susp2(T2)"]()
     perversities = [Perversity.from_gm(X, GMPerversity([0, 0, 0, a, b]))
                     for a, b in ((0, 0), (1, 2))]
-    calls = {"strata_met_by": 0, "join_decomposition": 0}
+    calls = {"strata_met_by": 0, "join_decomposition": 0, "maximal_cofaces": 0}
     for attr in calls:
         orig = getattr(FilteredComplex, attr)
 
@@ -88,4 +89,4 @@ def test_carrier_data_computed_once(monkeypatch):
     regular = sum(1 for s in X.simplices if X.is_regular(s))
     assert 0 < calls["strata_met_by"] <= len(X.maximal_simplices())
     assert 0 < calls["join_decomposition"] <= regular
-    assert G._links is None         # the link table is freed after assembly
+    assert calls["maximal_cofaces"] == len(G._carriers) == regular

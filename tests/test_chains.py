@@ -1,16 +1,17 @@
 """Intersection chain complexes against the cone-formula oracles."""
 import pytest
 
-from strathom.chains import (RegularComplex, allowable,
-                             intersection_cohomology, intersection_complex,
-                             intersection_homology, perverse_degree,
-                             regular_boundary)
+from strathom.chains import (allowable, intersection_cohomology,
+                             intersection_complex, intersection_homology,
+                             perverse_degree, regular_boundary,
+                             regular_complex)
 from strathom.exact_algebra import (Coefficients, FGModule, GradedModule,
                                     homology_all, smith, solve)
 from strathom.exact_algebra import \
     verdier_dual_cohomology as cohomology_via_uct
 from strathom.stratified import Perversity
 from strathom.triangulations import circle, projective_plane, sphere, torus
+from test_maximal import SPACES
 
 Z = FGModule.free
 Zmod = FGModule.cyclic
@@ -102,14 +103,31 @@ class TestRegularBoundary:
 
     def test_dd_zero(self):
         X = projective_plane().suspension()
-        RegularComplex(X).chain_complex()     # constructor asserts d d = 0
+        regular_complex(X)     # constructor asserts d d = 0
+
+
+@pytest.mark.parametrize("name, make", SPACES, ids=[s[0] for s in SPACES])
+def test_regular_complex_columns_are_regular_boundaries(name, make):
+    X = make()
+    C = regular_complex(X)
+    regular = [X.sorted_vertices(s) for s in X.simplices if X.is_regular(s)]
+    assert sum(map(len, C.basis.values())) == len(regular)
+    for k, simps in C.basis.items():
+        assert simps == sorted(s for s in regular if len(s) == k + 1), (name, k)
+    for k in sorted(C.basis):
+        if k:
+            faces, columns = C.basis.get(k - 1, []), {}
+            for (i, j), v in C.diff(k).entries.items():
+                columns.setdefault(j, {})[faces[i]] = v
+            for j, s in enumerate(C.basis[k]):
+                assert columns.get(j, {}) == regular_boundary(X, {s: 1}), (name, k, s)
 
 
 class TestIntersectionComplex:
     def test_manifold_full_complex(self):
         X = torus()
         ic = intersection_complex(X, Perversity(X, {}))
-        amb = RegularComplex(X)
+        amb = regular_complex(X)
         for k in (0, 1, 2):
             assert ic.bases[k].cols == amb.rank(k)
 

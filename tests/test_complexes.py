@@ -19,8 +19,8 @@ def circle_complex():
 def rp2_complex():
     """Standard 6-vertex projective plane, dimensions (6, 15, 10)."""
     from strathom.triangulations import projective_plane
-    from strathom.chains import RegularComplex
-    return RegularComplex(projective_plane()).chain_complex()
+    from strathom.chains import regular_complex
+    return regular_complex(projective_plane())
 
 
 def brute_force_homology(C, k):

@@ -11,7 +11,7 @@ from strathom.exact_algebra import (IntMatrix, kernel_basis,
                                     rank_mod_p, smith, solve)
 from strathom.exact_algebra.matrices import _rows_of, solve_mod_p
 from strathom.triangulations import triangulation_of
-from strathom.chains import RegularComplex
+from strathom.chains import regular_complex
 
 
 def _echelon_mod_p(A, p):
@@ -195,7 +195,7 @@ def rank_cases():
                        for j in range(c) if rng.random() < density})
     for name in ("RP2", "T2", "RP3"):
         X = triangulation_of(name).suspension()
-        for k, m in RegularComplex(X).chain_complex().diffs.items():
+        for k, m in regular_complex(X).diffs.items():
             yield f"susp({name}) d_{k}", m
             yield f"susp({name}) 3*d_{k}^T", m.transpose() * 3
 

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from blowup_oracle import as_local, carrier_of_local, label_coboundary, slot_degree
-from strathom.blowup import GlobalBlowupComplex, _sort_key
+from blowup_oracle import (_sort_key, as_local, carrier_of_local, label_coboundary,
+                           slot_degree)
+from strathom.blowup import GlobalBlowupComplex
 from strathom.exact_algebra import IntMatrix
 from strathom.stratified import FilteredComplex, StratifiedValidationError
 from strathom.triangulations import (circle, projective_plane,
@@ -116,7 +117,7 @@ def test_star_strata_match_scan(name, make):
     for s in X.simplices:
         if X.is_regular(s):
             tau = X.sorted_vertices(s)
-            got = G._star_strata(tau)
+            got = G._carriers[tau].star
             want = scanned_star_strata(X, maximal, tau)
             assert [st.key for st in got] == [st.key for st in want]
 

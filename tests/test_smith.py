@@ -12,7 +12,7 @@ import pytest
 import strathom.exact_algebra.complexes as complexes
 import strathom.exact_algebra.matrices as matrices
 from strathom.blowup import GlobalBlowupComplex
-from strathom.chains import RegularComplex, intersection_complex
+from strathom.chains import intersection_complex, regular_complex
 from strathom.exact_algebra import (ChainComplex, Coefficients, IntMatrix,
                                     homology_all, kernel_basis, smith, solve)
 from strathom.exact_algebra.complexes import homology
@@ -57,7 +57,7 @@ def assert_decomposition(A: IntMatrix, check_det: bool = True):
 
 def matrices_of(X):
     """Every boundary matrix of X and every allowable product d.B_k."""
-    amb = RegularComplex(X).chain_complex()
+    amb = regular_complex(X)
     out = [(f"d_{k}", m) for k, m in sorted(amb.diffs.items())]
     singular = [st for st in X.strata() if not st.regular]
     for p in range(max(X.n - 1, 1)) if singular else (0,):
@@ -81,7 +81,7 @@ def test_diagonal_invariant_under_transpose_and_permutation(name):
 @pytest.mark.parametrize("name", ["RP2", "susp(RP2)", "cone(T2)"])
 def test_kernel_of_boundaries(name):
     X = SPACES[name]()
-    for k, A in RegularComplex(X).chain_complex().diffs.items():
+    for k, A in regular_complex(X).diffs.items():
         K = kernel_basis(A)
         assert K.rows == A.cols and K.cols == A.cols - len(diagonal(A)), k
         assert (A * K).is_zero(), k
@@ -158,7 +158,7 @@ def counting_splits(monkeypatch):
 @pytest.mark.parametrize("name", ["susp(RP2)", "cone(T2)", "susp2(RP2)"])
 def test_homology_all_one_smith_per_differential(name, monkeypatch):
     X = SPACES[name]()
-    amb = RegularComplex(X).chain_complex()
+    amb = regular_complex(X)
     for C in (amb, amb.dualize()):
         nonzero = {k for k in C.support() if not C.diff(k).is_zero()}
         single = {k: homology(C, k, ZZ) for k in C.support()}

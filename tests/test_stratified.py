@@ -184,7 +184,7 @@ class TestConstructors:
 
     def test_triangulation_homologies(self):
         # spot-check the registered complexes feeding the cross-checks
-        from strathom.chains import RegularComplex
+        from strathom.chains import regular_complex
         from strathom.exact_algebra import FGModule, GradedModule, homology_all
         Z, Zm = FGModule.free, FGModule.cyclic
         expects = {
@@ -195,13 +195,13 @@ class TestConstructors:
         }
         for name, X in [("S1", circle(3)), ("S2", sphere(2)),
                         ("T2", torus()), ("RP2", projective_plane())]:
-            H = homology_all(RegularComplex(X).chain_complex())
+            H = homology_all(regular_complex(X))
             assert H == expects[name], name
 
     def test_rp3_triangulation(self):
-        from strathom.chains import RegularComplex
+        from strathom.chains import regular_complex
         from strathom.exact_algebra import FGModule, GradedModule, homology_all
         X = projective_space_3()
-        H = homology_all(RegularComplex(X).chain_complex())
+        H = homology_all(regular_complex(X))
         assert H == GradedModule({0: FGModule.free(1), 1: FGModule.cyclic(2),
                                   3: FGModule.free(1)})
