@@ -442,7 +442,7 @@ def cmd_validate(args) -> int:
         print(f"invalid: {e}", file=sys.stderr)
         return 2
     print(f"valid: {X.name}: n={X.n}, {len(X.levels)} vertices, "
-          f"{len(X.simplices)} simplices")
+          f"{len(X.table)} simplices")
     for st in X.strata():
         print(f"  {st}")
     return 0

@@ -439,7 +439,8 @@ def _eliminate_units(rows: dict, p: int = 0, pivots: Optional[list] = None,
     unit entry (with ``limit``, none in a column below ``limit``: pivots
     are taken there only).  A unit pivot splits off one invariant factor 1
     without changing the others.  The heap is filled with the live units
-    whenever it runs dry, and an entry left alone in its row or column is
+    of the pivotable columns (read from the column index) whenever it runs
+    dry, and an entry left alone in its row or column is
     pushed at cost 0; a popped key whose cost has grown is pushed back.
     Each pivot is appended to ``pivots`` as (column, inverse of the pivot,
     the rest of its row).  Returns (number of pivots, largest |entry|
@@ -456,9 +457,9 @@ def _eliminate_units(rows: dict, p: int = 0, pivots: Optional[list] = None,
     count = peak = 0
     while rows:
         if not heap:
-            heap = [((len(r) - 1) * (len(cols[j]) - 1), i, j)
-                    for i, r in rows.items() for j, v in r.items()
-                    if (p or v == 1 or v == -1) and j < limit]
+            heap = [((len(rows[i]) - 1) * (len(s) - 1), i, j)
+                    for j, s in cols.items() if j < limit for i in s
+                    if p or rows[i][j] in (1, -1)]
             if not heap:
                 break
             heapq.heapify(heap)

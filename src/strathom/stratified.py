@@ -6,13 +6,22 @@ face of a simplex spanned by vertices of level <= i is then exactly its
 intersection with the i-th filtration stage, so every simplex is filtered
 with a canonical join decomposition.  Constructors build cones,
 suspensions and disjoint unions with the conic filtration.
+
+A ``FilteredComplex`` numbers its vertices 0..V-1 in (level, id) order,
+the order of ``sorted_vertices``, and keeps one table of simplices: the
+set ``table`` of sorted tuples of vertex numbers.  The faces that
+``itertools.combinations`` yields of a sorted tuple are sorted, so the
+closure under faces builds no frozenset and sorts nothing; the last entry
+of a tuple is a vertex of its top level.  Validation, the maximal
+simplices, ``strata()`` and ``regular_simplices`` read the table, and
+``simplices`` (frozensets of vertex ids) is built on first read only.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
 class StratifiedValidationError(ValueError):
@@ -21,31 +30,53 @@ class StratifiedValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def _close_under_faces(simplices):
-    out = set()
-    for s in simplices:
-        s = tuple(s)
-        for r in range(1, len(s) + 1):
-            for face in itertools.combinations(s, r):
-                out.add(frozenset(face))
-    return out
-
-
 class FilteredComplex:
-    """Finite simplicial complex with a vertex-level filtration."""
+    """Finite simplicial complex with a vertex-level filtration.
+
+    ``table`` holds every simplex once, as the sorted tuple of its vertex
+    numbers (module docstring); ``simplices``, the same simplices as
+    frozensets of vertex ids, is built on first read."""
 
     def __init__(self, dimension: int, levels: Dict, simplices, close: bool = True,
                  name: str = ""):
         self.n = dimension
         self.levels = dict(levels)
         self.name = name
-        raw = {frozenset(s) for s in simplices}
-        raw |= {frozenset([v]) for v in self.levels}
+        # vertex numbers in (level, id) order; a vertex with no level comes
+        # after all others, in order of appearance, and validate rejects it
+        self._ids = ids = sorted(self.levels, key=lambda v: (self.levels[v], v))
+        number = {v: i for i, v in enumerate(ids)}
+        given = {(i,) for i in range(len(ids))}
+        for s in simplices:
+            try:
+                given.add(tuple(sorted({number[v] for v in s})))
+            except KeyError:
+                for v in s:
+                    if v not in number:
+                        number[v] = len(ids)
+                        ids.append(v)
+                given.add(tuple(sorted({number[v] for v in s})))
         if close:
-            raw = _close_under_faces(raw)
-        self.simplices = raw
+            # combinations of a sorted tuple are sorted; a simplex already
+            # listed as a face has all its faces listed too
+            given.discard(())
+            faces = set()
+            for t in given:
+                if t not in faces:
+                    for r in range(1, len(t)):
+                        faces.update(itertools.combinations(t, r))
+            self.table = given | faces
+            maximal = given - faces
+        else:
+            self.table = given
+            maximal = _not_a_face(given)
+        self._maximal = sorted((frozenset(map(ids.__getitem__, t)) for t in maximal),
+                               key=lambda s: (-len(s), tuple(sorted(s, key=str))))
+        self._maximal_by_vertex: Dict = {}
+        for m in self._maximal:
+            for v in m:
+                self._maximal_by_vertex.setdefault(v, []).append(m)
         self._sorted_cache: Dict[FrozenSet, Tuple] = {}
-        self._maximal, self._maximal_by_vertex = self._index_maximal()
         self.validate(closed=not close)
         self._strata = None             # and _vertex_stratum, set by strata()
 
@@ -56,19 +87,23 @@ class FilteredComplex:
         for v, lv in self.levels.items():
             if not (0 <= lv <= self.n):
                 violations.append(f"vertex {v} has level {lv} outside 0..{self.n}")
-        for s in self.simplices:
-            for v in s:
-                if v not in self.levels:
-                    violations.append(f"simplex {sorted(s, key=str)} uses unknown vertex {v}")
+        known = len(self.levels)
+        if len(self._ids) > known:
+            for t in self.table:
+                for i in t:
+                    if i >= known:
+                        violations.append(f"simplex {self._by_str(t)} uses unknown vertex "
+                                          f"{self._ids[i]}")
         if violations:
             raise StratifiedValidationError(violations)
         if closed:
-            for s in self.simplices:
-                if len(s) > 1:
-                    for face in itertools.combinations(s, len(s) - 1):
-                        if frozenset(face) not in self.simplices:
+            for t in self.table:
+                if len(t) > 1:
+                    for i in range(len(t)):
+                        face = t[:i] + t[i + 1:]
+                        if face not in self.table:
                             violations.append(
-                                f"missing face {sorted(face, key=str)} of {sorted(s, key=str)}")
+                                f"missing face {self._by_str(face)} of {self._by_str(t)}")
         if not any(lv == self.n for lv in self.levels.values()):
             violations.append(f"no vertex of level {self.n}: X_{self.n - 1} = X")
         maximal = self.maximal_simplices()
@@ -84,6 +119,10 @@ class FilteredComplex:
             raise StratifiedValidationError(violations)
         return self
 
+    def _by_str(self, t: Tuple) -> List:
+        """The vertex ids of a table tuple, sorted by ``str``."""
+        return sorted(map(self._ids.__getitem__, t), key=str)
+
     # -- basic structure -------------------------------------------------
 
     def sorted_vertices(self, s: FrozenSet) -> Tuple:
@@ -95,29 +134,19 @@ class FilteredComplex:
         return t
 
     @cached_property
+    def simplices(self) -> Set[FrozenSet]:
+        """Every simplex as a frozenset of vertex ids, built on first read
+        from ``table`` (for the constructors below, tests and oracles)."""
+        return {frozenset(map(self._ids.__getitem__, t)) for t in self.table}
+
+    @cached_property
     def regular_simplices(self) -> List[Tuple]:
         """The regular simplices as ``sorted_vertices`` tuples, sorted: the
-        basis order of both ambient complexes."""
-        return sorted(self.sorted_vertices(s) for s in self.simplices if self.is_regular(s))
-
-    def _index_maximal(self):
-        """Maximal simplices (size descending, then the str-sorted vertex
-        tuple) and, per vertex, the maximal simplices containing it in that
-        order.  A proper coface of s is listed under every vertex of s, so
-        s is tested against the shortest of its vertices' lists only."""
-        by_size = sorted(self.simplices,
-                         key=lambda s: (-len(s), tuple(sorted(s, key=str))))
-        maximal: List[FrozenSet] = []
-        by_vertex: Dict = {}
-        for s in by_size:
-            for m in _shortest_list(s, maximal, by_vertex):
-                if s < m:
-                    break
-            else:
-                maximal.append(s)
-                for v in s:
-                    by_vertex.setdefault(v, []).append(s)
-        return maximal, by_vertex
+        basis order of both ambient complexes.  A table tuple is regular
+        when its last vertex number is one of a top-level vertex."""
+        top = sum(1 for lv in self.levels.values() if lv < self.n)
+        ids = self._ids
+        return sorted(tuple(map(ids.__getitem__, t)) for t in self.table if t and t[-1] >= top)
 
     def maximal_simplices(self) -> List[FrozenSet]:
         """Maximal simplices, found once at construction (do not mutate)."""
@@ -152,7 +181,9 @@ class FilteredComplex:
         numbered by their least member simplex, vertices sorted by str."""
         if self._strata is not None:
             return self._strata
-        parent = {v: v for v in self.levels}
+        ids = self._ids
+        level_of = [self.levels[v] for v in ids]
+        parent = list(range(len(ids)))
 
         def find(x):
             while parent[x] != x:
@@ -160,22 +191,22 @@ class FilteredComplex:
                 x = parent[x]
             return x
 
-        for a, b in (s for s in self.simplices if len(s) == 2):
-            if self.levels[a] == self.levels[b]:
-                parent[find(a)] = find(b)
-        root = {v: find(v) for v in self.levels}
+        for t in self.table:
+            if len(t) == 2 and level_of[t[0]] == level_of[t[1]]:
+                parent[find(t[0])] = find(t[1])
+        root = [find(i) for i in range(len(ids))]
         comps: Dict[int, List] = {}         # level -> component roots
-        for r in set(root.values()):
-            comps.setdefault(self.levels[r], []).append(r)
+        for r in set(root):
+            comps.setdefault(level_of[r], []).append(r)
         several = {level for level, rs in comps.items() if len(rs) > 1}
         dim, least = {}, {}
-        for s in self.simplices:
-            top = max(s, key=self.levels.__getitem__)
-            r = root[top]
-            dim[r] = max(dim.get(r, 0), len(s) - 1)
-            if self.levels[top] in several:
-                t = tuple(sorted(s, key=str))
-                least[r] = min(least.get(r, t), t)
+        for t in self.table:
+            if t:                           # the top vertex of t is its last
+                r = root[t[-1]]
+                dim[r] = max(dim.get(r, 0), len(t) - 1)
+                if level_of[t[-1]] in several:
+                    s = tuple(self._by_str(t))
+                    least[r] = min(least.get(r, s), s)
         strata, of_root = [], {}
         for level in sorted(comps):
             for idx, r in enumerate(sorted(comps[level], key=least.get)):
@@ -183,7 +214,7 @@ class FilteredComplex:
                                      codim=self.n - level, regular=(level == self.n))
                 strata.append(of_root[r])
         self._strata = strata
-        self._vertex_stratum = {v: of_root[r] for v, r in root.items()}
+        self._vertex_stratum = {v: of_root[r] for v, r in zip(ids, root)}
         return strata
 
     def strata_met_by(self, s: Iterable) -> List["Stratum"]:
@@ -247,7 +278,7 @@ class FilteredComplex:
 
     def __repr__(self):
         return (f"FilteredComplex({self.name or 'X'}, n={self.n}, "
-                f"{len(self.levels)} vertices, {len(self.simplices)} simplices)")
+                f"{len(self.levels)} vertices, {len(self.table)} simplices)")
 
 
 def _shortest_list(s: FrozenSet, maximal: List[FrozenSet], by_vertex: Dict) -> List:
@@ -259,6 +290,20 @@ def _shortest_list(s: FrozenSet, maximal: List[FrozenSet], by_vertex: Dict) -> L
         if len(listed) < len(out):
             out = listed
     return out
+
+
+def _not_a_face(table: Set[Tuple]) -> Set[Tuple]:
+    """The tuples of ``table`` in no larger one.  When every codimension-one
+    face is listed, these are the tuples that are no such face; otherwise
+    (a complex that ``validate`` rejects) each pair is tested."""
+    faces = {t[:i] + t[i + 1:] for t in table if len(t) > 1 for i in range(len(t))}
+    if faces <= table:
+        out = table - faces
+        if len(table) > 1:
+            out.discard(())
+        return out
+    sets = [set(t) for t in table]
+    return {t for t in table if not any(set(t) < u for u in sets)}
 
 
 def _fresh_vertex(levels: Dict) -> int:

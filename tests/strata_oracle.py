@@ -1,6 +1,13 @@
-"""Strata and allowability computed from the definitions, kept as the
-oracle for ``FilteredComplex.strata``, ``strata_met_by`` and
+"""Simplices, maximal simplices, strata and allowability computed from
+the definitions, kept as the oracle for ``FilteredComplex.simplices``,
+``maximal_simplices``, ``strata``, ``strata_met_by`` and
 ``chains.allowable``.
+
+The simplices are the frozensets of the input and of its listed vertices,
+with every nonempty face of each when the complex is closed.  The maximal
+simplices are sorted by size descending, then by the vertex tuple sorted
+by ``str``, and each is kept when it lies in no maximal simplex found
+before it.
 
 A stratum of level l is a connected component of X_l minus X_{l-1}: here,
 a class of the simplices whose top vertex level is l under the relation
@@ -17,7 +24,42 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List
 
 from strathom.chains import perverse_degree
-from strathom.stratified import FilteredComplex, Perversity
+from strathom.stratified import FilteredComplex, Perversity, _shortest_list
+
+
+def close_under_faces(simplices):
+    out = set()
+    for s in simplices:
+        s = tuple(s)
+        for r in range(1, len(s) + 1):
+            for face in itertools.combinations(s, r):
+                out.add(frozenset(face))
+    return out
+
+
+def simplex_set(levels, given, close: bool):
+    """The simplices of ``FilteredComplex(n, levels, given, close)``."""
+    raw = {frozenset(s) for s in given} | {frozenset([v]) for v in levels}
+    return close_under_faces(raw) if close else raw
+
+
+def index_maximal(X: FilteredComplex):
+    """Maximal simplices (size descending, then the str-sorted vertex
+    tuple) and, per vertex, the maximal simplices containing it in that
+    order.  A proper coface of s is listed under every vertex of s, so s
+    is tested against the shortest of its vertices' lists only."""
+    by_size = sorted(X.simplices, key=lambda s: (-len(s), tuple(sorted(s, key=str))))
+    maximal: List[FrozenSet] = []
+    by_vertex: Dict = {}
+    for s in by_size:
+        for m in _shortest_list(s, maximal, by_vertex):
+            if s < m:
+                break
+        else:
+            maximal.append(s)
+            for v in s:
+                by_vertex.setdefault(v, []).append(s)
+    return maximal, by_vertex
 
 
 @dataclass(frozen=True)
