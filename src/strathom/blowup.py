@@ -29,10 +29,11 @@ empty) and a_i = deg_0 + ... + deg_{i-1}.  Then d(tau, eps) is the sum of
 A full-support label has no coface within its own blocks, because each of
 its slots already holds the whole block: the local coboundary on tau is
 the eps flips alone, and every other term adds one vertex of the link.
-``GlobalBlowupComplex`` builds each carrier in one pass at construction,
-from one ``maximal_cofaces`` call: its block sizes, its link extensions
-and the singular strata met by its star, all kept for the differential
-and the allowability test.
+``GlobalBlowupComplex`` builds every carrier at construction from
+``X.regular_simplices`` alone: its block sizes, its link extensions (each
+tau * w is a regular simplex of the list) and the singular strata met by
+its star (those of the vertices of tau and of its link), all kept for the
+differential and the allowability test.
 """
 from __future__ import annotations
 
@@ -58,48 +59,54 @@ class _Carrier(NamedTuple):
     sizes: Tuple          # sizes of the join blocks
     cone_slots: Tuple     # the nonempty cone slots
     links: List           # (slot, pos, tau * w) per link vertex w: see __init__
-    star: List            # the singular strata met by the regular star
+    star: List            # the singular strata met by the star, by key
 
 
 class GlobalBlowupComplex:
     """Blown-up cochain complex of the whole complex, with its perverse
     filtration data.
 
-    ``full_complex`` is N~*(X); ``intersection_complex(p)`` carves out the
-    p-allowable part with allowable coboundary.
+    ``full_complex`` is N~*(X), the same for every perversity and ring;
+    ``intersection_complex(p, ring)`` carves out the p-allowable part with
+    allowable coboundary.
     """
 
-    def __init__(self, X: FilteredComplex, ring: Coefficients = Coefficients("Z")):
+    def __init__(self, X: FilteredComplex):
         self.X = X
-        self.ring = ring
         self.n = n = X.n
+        levels = X.levels
         self.basis: Dict[int, List[GlobalLabel]] = {}
         self.index: Dict[GlobalLabel, Tuple[int, int]] = {}
         self._carriers: Dict[Tuple, _Carrier] = {}
-        self._maximal_strata: Dict = {}
-        visit_order = {v: i for i, v in enumerate(X.levels)}
-        for tau in X.regular_simplices:
-            blocks = X.join_decomposition(tau)
-            tset = frozenset(tau)
-            cofaces = X.maximal_cofaces(tset)
-            # each vertex w of the link of tau, in ``X.levels`` order, lies
-            # in block ``slot`` of tau * w, at ``pos``
+        stratum = {v: X.strata_met_by((v,))[0] for v in levels}
+        visit_order = {v: i for i, v in enumerate(levels)}
+        # each link extension tau * w of a regular simplex is a regular
+        # simplex one dimension up, with w at index i: one pass over the
+        # list finds every link
+        found = {tau: [] for tau in X.regular_simplices}
+        for big in X.regular_simplices:
+            for i in range(len(big)):
+                ext = found.get(big[:i] + big[i + 1:])
+                if ext is not None:
+                    ext.append((visit_order[big[i]], i, big))
+        for tau, ext in found.items():
+            sizes = [0] * (n + 1)
+            for v in tau:
+                sizes[levels[v]] += 1
+            # w lies in block ``slot`` of tau * w, at ``pos``, after the
+            # vertices of tau below that level
             links = []
-            for w in sorted(set().union(*cofaces) - tset, key=visit_order.__getitem__):
-                bigger = X.sorted_vertices(tset | {w})
-                slot = X.levels[w]
-                pos = [v for v in bigger if X.levels[v] == slot].index(w)
-                links.append((slot, pos, bigger))
-            star = {}
-            for m in cofaces:
-                for st in self._singular_strata_of_maximal(m):
-                    star[st.key] = st
+            star = {stratum[v] for v in tau}
+            for _, i, big in sorted(ext):
+                slot = levels[big[i]]
+                links.append((slot, i - sum(sizes[:slot]), big))
+                star.add(stratum[big[i]])
             c = self._carriers[tau] = _Carrier(
-                tuple(len(b) for b in blocks), tuple(i for i in range(n) if blocks[i]),
-                links, list(star.values()))
+                tuple(sizes), tuple(i for i in range(n) if sizes[i]), links,
+                sorted((st for st in star if not st.regular), key=lambda st: st.key))
             # carriers come sorted and flags in product order, so each
             # degree's labels are already in (carrier, eps) order
-            base_deg = sum(size - 1 for size in c.sizes if size)
+            base_deg = sum(size - 1 for size in sizes if size)
             for flags in itertools.product((0, 1), repeat=len(c.cone_slots)):
                 eps = [0] * n
                 for s_i, fl in zip(c.cone_slots, flags):
@@ -151,13 +158,6 @@ class GlobalBlowupComplex:
 
     # -- perversity ------------------------------------------------------
 
-    def _singular_strata_of_maximal(self, m) -> List:
-        out = self._maximal_strata.get(m)
-        if out is None:
-            out = [st for st in self.X.strata_met_by(m) if not st.regular]
-            self._maximal_strata[m] = out
-        return out
-
     def allowed_indices(self, p: Perversity) -> Dict[int, List[int]]:
         """Indices of the p-allowable basis elements: along each singular
         stratum S of the star, the perverse degree of slot n - codim S (-inf
@@ -186,18 +186,19 @@ class GlobalBlowupComplex:
                     ok.append(i)
         return out
 
-    def intersection_complex(self, p: Perversity) -> "BlowupIntersection":
-        return BlowupIntersection(self, p)
+    def intersection_complex(self, p: Perversity,
+                             ring: Coefficients = Coefficients("Z")) -> BlowupIntersection:
+        return BlowupIntersection(self, p, ring)
 
 
 class BlowupIntersection(Subcomplex):
     """The subcomplex of p-allowable cochains with p-allowable coboundary,
     cut out of the full blown-up complex."""
 
-    def __init__(self, G: GlobalBlowupComplex, p: Perversity):
+    def __init__(self, G: GlobalBlowupComplex, p: Perversity, ring: Coefficients):
         self.global_complex = G
         self.perversity = p
-        super().__init__(G.full_complex(), G.allowed_indices(p), G.ring)
+        super().__init__(G.full_complex(), G.allowed_indices(p), ring)
 
     def cohomology(self) -> GradedModule:
         return homology_all(self, self.ring)
@@ -211,7 +212,7 @@ class BlowupIntersection(Subcomplex):
 
 def blowup_complex(X: FilteredComplex, p: Perversity,
                    ring: Coefficients = Coefficients("Z")) -> BlowupIntersection:
-    return GlobalBlowupComplex(X, ring).intersection_complex(p)
+    return GlobalBlowupComplex(X).intersection_complex(p, ring)
 
 
 def blowup_cohomology(X: FilteredComplex, p: Perversity,
@@ -224,9 +225,9 @@ def relative_complex(X: FilteredComplex, p: Perversity, q: Perversity,
     """Homotopy cofiber of the inclusion N~_p c N~_q, as a mapping cone."""
     if not (p <= q):
         raise ValueError("relative complex needs p <= q stratum-wise")
-    G = GlobalBlowupComplex(X, ring)
-    ip = G.intersection_complex(p)
-    iq = G.intersection_complex(q)
+    G = GlobalBlowupComplex(X)
+    ip = G.intersection_complex(p, ring)
+    iq = G.intersection_complex(q, ring)
     mats = {}
     for k, Bp in ip.bases.items():
         if Bp.cols == 0:

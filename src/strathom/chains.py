@@ -73,7 +73,7 @@ def regular_boundary(X: FilteredComplex, chain: Dict[Tuple, int]) -> Dict[Tuple,
     """Regular part of the simplicial boundary of a chain (sparse form)."""
     out: Dict[Tuple, int] = {}
     for s, coeff in chain.items():
-        s = X.sorted_vertices(frozenset(s))
+        s = X.sorted_vertices(s)
         for i in range(len(s)):
             face = s[:i] + s[i + 1:]
             if face and X.is_regular(face):

@@ -200,6 +200,20 @@ def realize(data: dict) -> Optional[FilteredComplex]:
     return None
 
 
+def _raw_complex_in(data) -> bool:
+    """Whether a raw complex lies in the expression, under cones,
+    suspensions and unions: it has no closed form, so only the simplicial
+    engine reads it."""
+    if not isinstance(data, dict):
+        return False
+    t = data.get("type")
+    if t in ("cone", "suspension"):
+        return _raw_complex_in(data.get("of"))
+    if t == "disjoint_union" and isinstance(data.get("parts"), list):
+        return any(_raw_complex_in(p) for p in data["parts"])
+    return t == "complex"
+
+
 def apex_value(spec) -> int:
     """The closed-form engine's perversity: one apex value."""
     if isinstance(spec, (dict, list)):
@@ -366,6 +380,7 @@ def cmd_profile(args) -> int:
     digest = data.pop("_digest")
     engine = args.engine or data.get("engine", "symbolic")
     space_data = data.get("space", data)
+    raw = _raw_complex_in(space_data)
     reports: List[Tuple[str, DualityReport]] = []
     try:
         ring = Coefficients.parse(str(args.ring or data.get("ring", "Z")))
@@ -375,16 +390,18 @@ def cmd_profile(args) -> int:
                       for v in str(args.perversity).split(",")]
         for pspec in pspecs:
             per_perversity: List[Tuple[str, DualityReport]] = []
-            if engine in ("symbolic", "both") and space_data.get("type") != "complex":
+            if engine in ("symbolic", "both") and not raw:
                 per_perversity.append(
                     ("symbolic", symbolic_report(space_data, apex_value(pspec), ring)))
-            if engine in ("simplicial", "both") or space_data.get("type") == "complex":
+            if engine in ("simplicial", "both") or raw:
                 X = realize(space_data)
                 if X is None:
                     if engine == "simplicial":
                         print("symbolic-only: no simplicial realization",
                               file=sys.stderr)
                         return 2
+                    if raw:     # beside a part with no triangulation: no engine reads it
+                        parse_space(space_data)
                 else:
                     name = _typed(space_data.get("name", X.name), str, "'name'")
                     per_perversity.append(
@@ -452,7 +469,7 @@ def _crosscheck_one(data: dict, X: FilteredComplex, k: int, out_rows: list) -> b
     ok_all = True
     ring = Coefficients("Z")
     gh = hb = None          # a raw complex has no closed form
-    if data.get("type") != "complex":
+    if not _raw_complex_in(data):
         prof = eval_expression(parse_space(data), k, ring)
         gh, hb = prof.gh_lower, prof.h_blowup
     p = perversity_for(X, k)

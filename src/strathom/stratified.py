@@ -5,7 +5,8 @@ The filtration is encoded by a level in 0..n on each vertex; the front
 face of a simplex spanned by vertices of level <= i is then exactly its
 intersection with the i-th filtration stage, so every simplex is filtered
 with a canonical join decomposition.  Constructors build cones,
-suspensions and disjoint unions with the conic filtration.
+suspensions and disjoint unions with the conic filtration, from the
+maximal simplices of their inputs.
 
 A ``FilteredComplex`` numbers its vertices 0..V-1 in (level, id) order,
 the order of ``sorted_vertices``, and keeps one table of simplices: the
@@ -14,7 +15,8 @@ set ``table`` of sorted tuples of vertex numbers.  The faces that
 closure under faces builds no frozenset and sorts nothing; the last entry
 of a tuple is a vertex of its top level.  Validation, the maximal
 simplices, ``strata()`` and ``regular_simplices`` read the table, and
-``simplices`` (frozensets of vertex ids) is built on first read only.
+``simplices`` (frozensets of vertex ids, for tests and oracles) is built
+on first read only.
 """
 from __future__ import annotations
 
@@ -72,11 +74,6 @@ class FilteredComplex:
             maximal = _not_a_face(given)
         self._maximal = sorted((frozenset(map(ids.__getitem__, t)) for t in maximal),
                                key=lambda s: (-len(s), tuple(sorted(s, key=str))))
-        self._maximal_by_vertex: Dict = {}
-        for m in self._maximal:
-            for v in m:
-                self._maximal_by_vertex.setdefault(v, []).append(m)
-        self._sorted_cache: Dict[FrozenSet, Tuple] = {}
         self.validate(closed=not close)
         self._strata = None             # and _vertex_stratum, set by strata()
 
@@ -125,18 +122,14 @@ class FilteredComplex:
 
     # -- basic structure -------------------------------------------------
 
-    def sorted_vertices(self, s: FrozenSet) -> Tuple:
+    def sorted_vertices(self, s: Iterable) -> Tuple:
         """Vertices ordered by (level, id): the join decomposition order."""
-        t = self._sorted_cache.get(s)
-        if t is None:
-            t = tuple(sorted(s, key=lambda v: (self.levels[v], v)))
-            self._sorted_cache[s] = t
-        return t
+        return tuple(sorted(s, key=lambda v: (self.levels[v], v)))
 
     @cached_property
     def simplices(self) -> Set[FrozenSet]:
         """Every simplex as a frozenset of vertex ids, built on first read
-        from ``table`` (for the constructors below, tests and oracles)."""
+        from ``table`` (for tests and oracles)."""
         return {frozenset(map(self._ids.__getitem__, t)) for t in self.table}
 
     @cached_property
@@ -152,24 +145,11 @@ class FilteredComplex:
         """Maximal simplices, found once at construction (do not mutate)."""
         return self._maximal
 
-    def maximal_cofaces(self, s: Iterable) -> List[FrozenSet]:
-        """Maximal simplices containing s, in ``maximal_simplices`` order."""
-        s = frozenset(s)
-        return [m for m in _shortest_list(s, self._maximal, self._maximal_by_vertex)
-                if s <= m]
-
     def max_level(self, s: Iterable) -> int:
         return max(self.levels[v] for v in s)
 
     def is_regular(self, s: Iterable) -> bool:
         return self.max_level(s) == self.n
-
-    def join_decomposition(self, s: Iterable) -> List[Tuple]:
-        """Blocks Delta_0, ..., Delta_n of the filtered simplex (may be empty)."""
-        blocks = [[] for _ in range(self.n + 1)]
-        for v in self.sorted_vertices(frozenset(s)):
-            blocks[self.levels[v]].append(v)
-        return [tuple(b) for b in blocks]
 
     # -- strata ----------------------------------------------------------
 
@@ -230,35 +210,26 @@ class FilteredComplex:
     def cone(self, name: str = "") -> "FilteredComplex":
         """Simplicial cone with the conic filtration: apex at level 0,
         all other levels shifted up by one."""
-        if not self.simplices:
+        if not self.levels:
             raise StratifiedValidationError(["cone on the empty complex: links must be non-empty"])
         apex = _fresh_vertex(self.levels)
         levels = {v: lv + 1 for v, lv in self.levels.items()}
         levels[apex] = 0
-        simplices = set()
-        for s in self.simplices:
-            simplices.add(s)
-            simplices.add(s | {apex})
-        simplices.add(frozenset([apex]))
-        return FilteredComplex(self.n + 1, levels, simplices, close=False,
+        return FilteredComplex(self.n + 1, levels,
+                               [m | {apex} for m in self.maximal_simplices()],
                                name=name or (f"cone({self.name})" if self.name else "cone"))
 
     def suspension(self, name: str = "") -> "FilteredComplex":
-        if not self.simplices:
+        if not self.levels:
             raise StratifiedValidationError(["suspension of the empty complex"])
         south = _fresh_vertex(self.levels)
         north = south + 1
         levels = {v: lv + 1 for v, lv in self.levels.items()}
         levels[south] = 0
         levels[north] = 0
-        simplices = set()
-        for s in self.simplices:
-            simplices.add(s)
-            simplices.add(s | {south})
-            simplices.add(s | {north})
-        simplices.add(frozenset([south]))
-        simplices.add(frozenset([north]))
-        return FilteredComplex(self.n + 1, levels, simplices, close=False,
+        return FilteredComplex(self.n + 1, levels,
+                               [m | {pole} for m in self.maximal_simplices()
+                                for pole in (south, north)],
                                name=name or (f"susp({self.name})" if self.name else "susp"))
 
     def disjoint_union(self, other: "FilteredComplex", name: str = "") -> "FilteredComplex":
@@ -270,26 +241,14 @@ class FilteredComplex:
         relabel = {v: v + offset for v in other.levels}
         for v, lv in other.levels.items():
             levels[relabel[v]] = lv
-        simplices = set(self.simplices)
-        for s in other.simplices:
-            simplices.add(frozenset(relabel[v] for v in s))
-        return FilteredComplex(self.n, levels, simplices, close=False,
+        maximal = self.maximal_simplices() + [[relabel[v] for v in m]
+                                               for m in other.maximal_simplices()]
+        return FilteredComplex(self.n, levels, maximal,
                                name=name or f"({self.name} + {other.name})")
 
     def __repr__(self):
         return (f"FilteredComplex({self.name or 'X'}, n={self.n}, "
                 f"{len(self.levels)} vertices, {len(self.table)} simplices)")
-
-
-def _shortest_list(s: FrozenSet, maximal: List[FrozenSet], by_vertex: Dict) -> List:
-    """The shortest list of maximal simplices containing a vertex of s (all
-    of ``maximal`` when s is empty): it holds every maximal coface of s."""
-    out = maximal
-    for v in s:
-        listed = by_vertex.get(v, ())
-        if len(listed) < len(out):
-            out = listed
-    return out
 
 
 def _not_a_face(table: Set[Tuple]) -> Set[Tuple]:

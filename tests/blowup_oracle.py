@@ -3,8 +3,9 @@ complex built on them, kept as the oracle for the per-carrier tables of
 ``GlobalBlowupComplex``.
 
 ``LocalBlowupComplex`` is the full tensor complex N*(cD0) (x) ... (x)
-N*(Dn) of one regular simplex, with ``label_coboundary`` its coboundary
-and ``local_perverse_degree`` the perverse degree of a local label.
+N*(Dn) of one regular simplex, with blocks D_i from ``join_decomposition``,
+``label_coboundary`` its coboundary and ``local_perverse_degree`` the
+perverse degree of a local label.
 
 In the label walk, every global basis element is expanded into its full local tensor label, the
 label's coboundary is walked term by term with ``label_coboundary``, each
@@ -15,11 +16,20 @@ carrier's star.  Slow, but it follows the definitions directly.
 import itertools
 from typing import Dict, List, Tuple
 
+from strata_oracle import maximal_by_vertex, maximal_cofaces
 from strathom.blowup import GlobalLabel
 from strathom.exact_algebra import ChainComplex, IntMatrix
 from strathom.stratified import FilteredComplex
 
 NEG_INF = float("-inf")
+
+
+def join_decomposition(X: FilteredComplex, s) -> List[Tuple]:
+    """Blocks Delta_0, ..., Delta_n of the filtered simplex (may be empty)."""
+    blocks = [[] for _ in range(X.n + 1)]
+    for v in X.sorted_vertices(s):
+        blocks[X.levels[v]].append(v)
+    return [tuple(b) for b in blocks]
 
 
 def _sort_key(v):
@@ -38,10 +48,10 @@ class LocalBlowupComplex:
 
     def __init__(self, X: FilteredComplex, simplex):
         self.X = X
-        self.simplex = X.sorted_vertices(frozenset(simplex))
+        self.simplex = X.sorted_vertices(simplex)
         if not X.is_regular(self.simplex):
             raise ValueError("blow-up is defined on regular simplices only")
-        self.blocks = X.join_decomposition(self.simplex)
+        self.blocks = join_decomposition(X, self.simplex)
         self.n = X.n
         self.labels: Dict[int, List[Tuple]] = {}
         self.index: Dict[Tuple, Tuple[int, int]] = {}
@@ -159,7 +169,7 @@ def local_complex(X: FilteredComplex, simplex) -> LocalBlowupComplex:
 
 def as_local(g: GlobalLabel, X: FilteredComplex) -> Tuple:
     """The full-support local label of a global basis element."""
-    blocks = X.join_decomposition(g.carrier)
+    blocks = join_decomposition(X, g.carrier)
     out = []
     for i in range(X.n):
         if blocks[i]:
@@ -192,7 +202,7 @@ def label_walk_basis(X):
     n = X.n
     basis = {}
     for tau in sorted(X.sorted_vertices(s) for s in X.simplices if X.is_regular(s)):
-        blocks = X.join_decomposition(tau)
+        blocks = join_decomposition(X, tau)
         cone_slots = [i for i in range(n) if blocks[i]]
         base_deg = sum(len(blocks[i]) - 1 for i in range(n + 1) if blocks[i])
         for flags in itertools.product((0, 1), repeat=len(cone_slots)):
@@ -226,11 +236,12 @@ def label_walk_differential(G, k) -> IntMatrix:
     X, n = G.X, G.n
     ent = {}
     visit_order = {v: i for i, v in enumerate(X.levels)}
+    by_vertex = maximal_by_vertex(X)
     for j, g in enumerate(G.basis.get(k, ())):
         lab = as_local(g, X)
-        terms = list(label_coboundary(lab, X.join_decomposition(g.carrier), n))
+        terms = list(label_coboundary(lab, join_decomposition(X, g.carrier), n))
         carrier_set = frozenset(g.carrier)
-        link = set().union(*X.maximal_cofaces(carrier_set)) - carrier_set
+        link = set().union(*maximal_cofaces(X, carrier_set, by_vertex)) - carrier_set
         for w in sorted(link, key=visit_order.__getitem__):
             bigger = carrier_set | {w}
             big_lab = list(lab)
@@ -253,22 +264,23 @@ def label_walk_differential(G, k) -> IntMatrix:
     return IntMatrix(G.rank(k + 1), G.rank(k), {ij: v for ij, v in ent.items() if v})
 
 
-def star_strata(X, tau):
+def star_strata(X, tau, by_vertex):
     """Singular strata met by a maximal coface of tau."""
     seen = {}
-    for m in X.maximal_cofaces(tau):
+    for m in maximal_cofaces(X, tau, by_vertex):
         for st in X.strata_met_by(m):
             if not st.regular:
                 seen[st.key] = st
     return list(seen.values())
 
 
-def is_allowed(G, g, p) -> bool:
+def is_allowed(G, g, p, by_vertex) -> bool:
     lab = as_local(g, G.X)
     return all(local_perverse_degree(lab, st.codim, G.n) <= p(st)
-               for st in star_strata(G.X, g.carrier))
+               for st in star_strata(G.X, g.carrier, by_vertex))
 
 
 def scanned_allowed_indices(G, p):
-    return {k: [i for i, g in enumerate(labels) if is_allowed(G, g, p)]
+    by_vertex = maximal_by_vertex(G.X)
+    return {k: [i for i, g in enumerate(labels) if is_allowed(G, g, p, by_vertex)]
             for k, labels in G.basis.items()}

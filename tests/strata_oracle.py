@@ -1,7 +1,8 @@
 """Simplices, maximal simplices, strata and allowability computed from
 the definitions, kept as the oracle for ``FilteredComplex.simplices``,
 ``maximal_simplices``, ``strata``, ``strata_met_by`` and
-``chains.allowable``.
+``chains.allowable``, with the maximal cofaces of a simplex for the
+blow-up oracles.
 
 The simplices are the frozensets of the input and of its listed vertices,
 with every nonempty face of each when the complex is closed.  The maximal
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List
 
 from strathom.chains import perverse_degree
-from strathom.stratified import FilteredComplex, Perversity, _shortest_list
+from strathom.stratified import FilteredComplex, Perversity
 
 
 def close_under_faces(simplices):
@@ -43,6 +44,34 @@ def simplex_set(levels, given, close: bool):
     return close_under_faces(raw) if close else raw
 
 
+def shortest_list(s: FrozenSet, maximal: List[FrozenSet], by_vertex: Dict) -> List:
+    """The shortest list of maximal simplices containing a vertex of s (all
+    of ``maximal`` when s is empty): it holds every maximal coface of s."""
+    out = maximal
+    for v in s:
+        listed = by_vertex.get(v, ())
+        if len(listed) < len(out):
+            out = listed
+    return out
+
+
+def maximal_by_vertex(X: FilteredComplex) -> Dict:
+    """Per vertex, the maximal simplices of X containing it, in
+    ``maximal_simplices`` order."""
+    by_vertex: Dict = {}
+    for m in X.maximal_simplices():
+        for v in m:
+            by_vertex.setdefault(v, []).append(m)
+    return by_vertex
+
+
+def maximal_cofaces(X: FilteredComplex, s, by_vertex: Dict) -> List[FrozenSet]:
+    """Maximal simplices containing s, in ``maximal_simplices`` order;
+    ``by_vertex`` is ``maximal_by_vertex(X)``."""
+    s = frozenset(s)
+    return [m for m in shortest_list(s, X.maximal_simplices(), by_vertex) if s <= m]
+
+
 def index_maximal(X: FilteredComplex):
     """Maximal simplices (size descending, then the str-sorted vertex
     tuple) and, per vertex, the maximal simplices containing it in that
@@ -52,7 +81,7 @@ def index_maximal(X: FilteredComplex):
     maximal: List[FrozenSet] = []
     by_vertex: Dict = {}
     for s in by_size:
-        for m in _shortest_list(s, maximal, by_vertex):
+        for m in shortest_list(s, maximal, by_vertex):
             if s < m:
                 break
         else:

@@ -293,7 +293,7 @@ def test_criterion_12_property_suites():
                 for deg, B in ic.bases.items():
                     if B.cols:
                         assert all(d == 1 for d in smith(B, False, False).diagonal)
-                G = GlobalBlowupComplex(X, ZZ)
+                G = GlobalBlowupComplex(X)
                 G.full_complex()
                 bi = G.intersection_complex(p)
                 for deg, B in bi.bases.items():

@@ -131,7 +131,7 @@ def equalizer_rank(X, k):
 class TestGlobalComplex:
     def test_carrier_basis_matches_equalizer(self):
         for X in (torus(), circle(4).cone(), projective_plane().cone()):
-            G = GlobalBlowupComplex(X, ZZ)
+            G = GlobalBlowupComplex(X)
             for k in sorted(G.basis):
                 assert G.rank(k) == equalizer_rank(X, k), (X.name, k)
 
@@ -142,13 +142,13 @@ class TestGlobalComplex:
 
     def test_dd_zero(self):
         X = projective_plane().suspension()
-        GlobalBlowupComplex(X, ZZ).full_complex()
+        GlobalBlowupComplex(X).full_complex()
 
     def test_restriction_compatibility(self):
         # a global element evaluated on a simplex then restricted to a
         # regular face equals its evaluation on the face
         X = projective_plane().cone()
-        G = GlobalBlowupComplex(X, ZZ)
+        G = GlobalBlowupComplex(X)
         rng = random.Random(5)
         k = 1
         coeffs = {g: rng.randint(-3, 3) for g in G.basis[k]}
@@ -208,7 +208,7 @@ class TestBlowupCohomology:
 
     def test_monotone_in_perversity(self):
         X = torus().suspension()
-        G = GlobalBlowupComplex(X, ZZ)
+        G = GlobalBlowupComplex(X)
         lo = G.intersection_complex(apex_perversity(X, 0))
         hi = G.intersection_complex(apex_perversity(X, 1))
         assert hi.contains_basis_of(lo)

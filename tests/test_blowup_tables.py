@@ -5,7 +5,8 @@ The tables must give the same basis in the same order, the same
 differential matrices with the same entry order (it fixes the SNF pivot
 path and so every reported basis) and the same allowed lists for every
 perversity.  A count guard keeps the per-carrier data computed once, from
-one ``maximal_cofaces`` call per carrier.
+``X.regular_simplices`` and one stratum lookup per vertex, and an identity
+check keeps each link extension the tuple of that list, not a copy.
 """
 import pytest
 
@@ -74,7 +75,7 @@ def test_carrier_data_computed_once(monkeypatch):
     X = SUSP2["susp2(T2)"]()
     perversities = [Perversity.from_gm(X, GMPerversity([0, 0, 0, a, b]))
                     for a, b in ((0, 0), (1, 2))]
-    calls = {"strata_met_by": 0, "join_decomposition": 0, "maximal_cofaces": 0}
+    calls = {"strata_met_by": 0, "sorted_vertices": 0}
     for attr in calls:
         orig = getattr(FilteredComplex, attr)
 
@@ -86,7 +87,16 @@ def test_carrier_data_computed_once(monkeypatch):
     G.full_complex()
     for p in perversities:
         G.allowed_indices(p)
-    regular = sum(1 for s in X.simplices if X.is_regular(s))
-    assert 0 < calls["strata_met_by"] <= len(X.maximal_simplices())
-    assert 0 < calls["join_decomposition"] <= regular
-    assert calls["maximal_cofaces"] == len(G._carriers) == regular
+    assert 0 < calls["strata_met_by"] <= len(X.levels)
+    assert calls["sorted_vertices"] == 0
+
+
+@pytest.mark.parametrize("name, make", SPACES, ids=IDS)
+def test_link_extensions_are_the_listed_simplices(name, make):
+    X = make()
+    G = GlobalBlowupComplex(X)
+    listed = {t: t for t in X.regular_simplices}
+    assert list(G._carriers) == X.regular_simplices
+    for c in G._carriers.values():
+        for _, _, bigger in c.links:
+            assert bigger is listed[bigger]

