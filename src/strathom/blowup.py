@@ -89,7 +89,9 @@ class GlobalBlowupComplex:
                 ext = found.get(big[:i] + big[i + 1:])
                 if ext is not None:
                     ext.append((visit_order[big[i]], i, big))
-        for tau, ext in found.items():
+        # popping frees each extension list once its links are built
+        for tau in X.regular_simplices:
+            ext = found.pop(tau)
             sizes = [0] * (n + 1)
             for v in tau:
                 sizes[levels[v]] += 1
@@ -203,12 +205,6 @@ class BlowupIntersection(Subcomplex):
     def cohomology(self) -> GradedModule:
         return homology_all(self, self.ring)
 
-    def contains_basis_of(self, other: "BlowupIntersection") -> bool:
-        """Lattice inclusion test: every basis vector of ``other`` lies in
-        our lattice (used for monotonicity in the perversity)."""
-        return all(self.coordinates(k, B) is not None
-                   for k, B in other.bases.items() if B.cols)
-
 
 def blowup_complex(X: FilteredComplex, p: Perversity,
                    ring: Coefficients = Coefficients("Z")) -> BlowupIntersection:
@@ -221,23 +217,22 @@ def blowup_cohomology(X: FilteredComplex, p: Perversity,
 
 
 def relative_complex(X: FilteredComplex, p: Perversity, q: Perversity,
-                     ring: Coefficients = Coefficients("Z")) -> ChainComplex:
-    """Homotopy cofiber of the inclusion N~_p c N~_q, as a mapping cone."""
+                     ring: Coefficients = Coefficients("Z")) -> Subcomplex:
+    """Homotopy cofiber of the inclusion N~_p c N~_q, as an allowable
+    subcomplex of the cone of the identity of A = N~*(X), with
+    D(b, a) = (db + a, -da): the allowed coordinates A_q on b and A_p, one
+    degree up, on a.  For p <= q, A_p c A_q, so db + a is allowed iff db is,
+    and (b, a) is allowable with allowable boundary iff b is in I_q and a in
+    I_p.  The subcomplex is thus the mapping cone of I_p -> I_q."""
     if not (p <= q):
         raise ValueError("relative complex needs p <= q stratum-wise")
     G = GlobalBlowupComplex(X)
-    ip = G.intersection_complex(p, ring)
-    iq = G.intersection_complex(q, ring)
-    mats = {}
-    for k, Bp in ip.bases.items():
-        if Bp.cols == 0:
-            continue
-        Y = iq.coordinates(k, Bp)
-        if Y is None:
-            raise ValueError("inclusion of intersection complexes fails")
-        mats[k] = Y
-    incl = ChainMap(ip.complex, iq.complex, mats)
-    return mapping_cone(incl)
+    A = G.full_complex()
+    cone = mapping_cone(ChainMap.identity(A))
+    on_p, on_q = G.allowed_indices(p), G.allowed_indices(q)
+    allowed = {j: on_q.get(j, []) + [A.rank(j) + i for i in on_p.get(j + 1, ())]
+               for j in cone.support()}
+    return Subcomplex(cone, allowed, ring)
 
 
 def relative_cohomology(X: FilteredComplex, p: Perversity, q: Perversity,

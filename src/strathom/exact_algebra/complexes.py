@@ -3,10 +3,11 @@
 A complex carries its orientation explicitly: ``hom`` complexes lower the
 degree, ``coh`` complexes raise it.  ``homology_all`` reads homology from
 invariant factors alone: diagonal-only Smith forms over Z and Q, ranks over
-F_p.  A ``Subcomplex`` (allowed basis elements with allowed differential;
-both intersection engines use it) gets them from one fused elimination per
-ambient differential, ``matrices.split_factors``, with no lattice basis and
-no product; ``allowable_subcomplex`` builds the bases on request.
+F_p.  A ``Subcomplex`` (allowed basis elements with allowed differential:
+both intersection engines and the relative complex, a subcomplex of the
+cone of an identity) gets them from one fused elimination per ambient
+differential, ``matrices.split_factors``, with no lattice basis, no solve
+and no product.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional
 
-from .matrices import (IntMatrix, kernel_basis, kernel_basis_mod_p,
-                       rank_mod_p, smith, solve, solve_mod_p, split_factors)
+from .matrices import IntMatrix, rank_mod_p, smith, split_factors
 from .modules import Coefficients, FGModule, GradedModule
 
 
@@ -133,30 +133,14 @@ def homology(C, k: int, ring: Coefficients = Coefficients("Z")) -> FGModule:
     return homology_all(C, ring)[k]
 
 
-def allowable_subcomplex(ambient: ChainComplex, allowed: Dict[int, List[int]],
-                         ring: Coefficients) -> Dict[int, IntMatrix]:
-    """Saturated lattice bases of the allowable subcomplex, per degree and
-    in ambient coordinates: on the allowed coordinates of degree k, the
-    kernel (over F_p, mod p) of d followed by projection to the banned ones."""
-    bases = {}
-    for k in ambient.support():
-        cols = allowed.get(k, [])
-        nxt = set(allowed.get(k + ambient.step, []))
-        banned = [i for i in range(ambient.rank(k + ambient.step)) if i not in nxt]
-        M = ambient.diff(k).submatrix(banned, cols)
-        K = kernel_basis_mod_p(M, ring.p) if ring.kind == "Fp" else kernel_basis(M)
-        bases[k] = IntMatrix(ambient.rank(k), K.cols,
-                             {(cols[i], j): v for (i, j), v in K.entries.items()})
-    return bases
-
-
 class Subcomplex:
     """The lattices I_k of chains on the allowed coordinates A_k of
     ``ambient`` with differential on allowed coordinates (over F_p, subspaces).
     ``split_factors`` of each d transposed, cut to the rows A_k, with the
     banned targets as the columns below the split, reads rank I_k and the
     factors of d on I_k, which are those of the induced differential, as
-    I_(k+step) is saturated.  ``bases`` and ``complex`` are built on request.
+    I_(k+step) is saturated.  Reading those factors is its one job: no
+    basis of I_k is ever built.
     """
 
     def __init__(self, ambient: ChainComplex, allowed: Dict[int, List[int]],
@@ -192,44 +176,8 @@ class Subcomplex:
             raise ValueError(f"a subcomplex over {self.ring} read over {ring}")
         return self._splits.get(k, (0, ()))[1]
 
-    @cached_property
-    def bases(self) -> Dict[int, IntMatrix]:
-        """Saturated lattice bases of the I_k, in ambient coordinates."""
-        return allowable_subcomplex(self.ambient, self.allowed, self.ring)
-
-    def diff(self, k: int) -> IntMatrix:
-        """The ambient product d.B_k = B_(k+step).D_k."""
-        return self.ambient.diff(k) * self.bases.get(k, IntMatrix(0, 0))
-
     def dualize(self) -> "DualComplex":
         return DualComplex(self)
-
-    def basis_chain(self, k: int, j: int) -> dict:
-        """Column j of B_k as {ambient basis label: coefficient}."""
-        labels = self.ambient.basis[k]
-        return {labels[i]: v for i, v in self.bases[k].column(j).items()}
-
-    def coordinates(self, k: int, vectors: IntMatrix) -> Optional[IntMatrix]:
-        """Y with B_k Y = vectors, or None when a column leaves the lattice."""
-        B = self.bases.get(k, IntMatrix(vectors.rows, 0))
-        if self.ring.kind == "Fp":
-            return solve_mod_p(B, vectors, self.ring.p)
-        return solve(B, vectors)
-
-    @cached_property
-    def complex(self) -> ChainComplex:
-        """The induced differentials in the lattice bases."""
-        ranks = {k: B.cols for k, B in self.bases.items() if B.cols}
-        diffs = {}
-        for k in ranks:
-            Y = self.coordinates(k + self.step, self.diff(k))
-            if Y is None:
-                raise ComplexValidationError(
-                    f"differential at degree {k} escapes the allowable lattice")
-            if not Y.is_zero():
-                diffs[k] = Y
-        return ChainComplex(self.ambient.orientation, ranks, diffs,
-                            modulus=(self.ring.p if self.ring.kind == "Fp" else None))
 
 
 class DualComplex:

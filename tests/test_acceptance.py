@@ -21,6 +21,7 @@ from strathom.spaces import (AtomSpace, MappingTorus, Suspension, ThomCircle,
 from strathom.stratified import Perversity
 from strathom.triangulations import (projective_plane, projective_space_3,
                                      sphere, torus)
+from subcomplex_oracle import Lattice
 
 Z = FGModule.free
 Zmod = FGModule.cyclic
@@ -290,13 +291,13 @@ def test_criterion_12_property_suites():
             for k in (0, 1):
                 p = apex_perversity(X, k)
                 ic = intersection_complex(X, p, ZZ)     # validates d d = 0
-                for deg, B in ic.bases.items():
+                for deg, B in Lattice(ic).bases.items():
                     if B.cols:
                         assert all(d == 1 for d in smith(B, False, False).diagonal)
                 G = GlobalBlowupComplex(X)
                 G.full_complex()
                 bi = G.intersection_complex(p)
-                for deg, B in bi.bases.items():
+                for deg, B in Lattice(bi).bases.items():
                     if B.cols:
                         assert all(d == 1 for d in smith(B, False, False).diagonal)
 

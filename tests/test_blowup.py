@@ -5,14 +5,18 @@ import random
 import pytest
 
 import strathom
+import subcomplex_oracle as oracle
 from blowup_oracle import (LocalBlowupComplex, as_local, label_coboundary,
                            local_complex, local_perverse_degree)
 from strathom.blowup import (GlobalBlowupComplex, blowup_cohomology,
                              blowup_complex, relative_cohomology)
+from strathom.chains import allowable
 from strathom.exact_algebra import (Coefficients, FGModule, GradedModule,
-                                    IntMatrix, kernel_basis, smith)
+                                    IntMatrix, homology_all, smith)
+from strathom.exact_algebra.matrices import kernel_basis
 from strathom.stratified import Perversity
 from strathom.triangulations import circle, projective_plane, torus
+from test_smith import SPACES
 
 Z = FGModule.free
 Zmod = FGModule.cyclic
@@ -206,13 +210,6 @@ class TestBlowupCohomology:
         H = blowup_cohomology(X, apex_perversity(X, k), ZZ)
         assert H == expected
 
-    def test_monotone_in_perversity(self):
-        X = torus().suspension()
-        G = GlobalBlowupComplex(X)
-        lo = G.intersection_complex(apex_perversity(X, 0))
-        hi = G.intersection_complex(apex_perversity(X, 1))
-        assert hi.contains_basis_of(lo)
-
     def test_field_duality_consequence(self):
         # over a field the comparison map is a quasi-isomorphism:
         # dim H~^k_p = dim GH^k_Dp
@@ -231,7 +228,7 @@ class TestBlowupCohomology:
     def test_saturation(self):
         X = projective_plane().suspension()
         bi = blowup_complex(X, apex_perversity(X, 1), ZZ)
-        for k, B in bi.bases.items():
+        for k, B in oracle.Lattice(bi).bases.items():
             if B.cols:
                 assert all(d == 1 for d in smith(B, False, False).diagonal)
 
@@ -282,6 +279,45 @@ class TestRelativeComplex:
         def chi(h):
             return sum((-1) ** j * h[j].rank for j in h.support())
         assert chi(hrel) == chi(hq) - chi(hp)
+
+
+NESTING_SPACES = [f"{how}({atom})" for atom in ("S1", "S2", "T2", "RP2")
+                  for how in ("cone", "susp")] + ["susp2(RP2)"]
+
+
+@pytest.mark.parametrize("name", sorted(NESTING_SPACES))
+def test_allowed_coordinates_nest_in_the_perversity(name):
+    """For p <= q every p-allowable basis element of the blown-up complex
+    and every p-allowable simplex is q-allowable: A_p c A_q, the fact the
+    relative complex is read from.  Apex values run 0..n-1."""
+    X = SPACES[name]()
+    G = GlobalBlowupComplex(X)
+    values = range(X.n)
+    allowed = {a: G.allowed_indices(apex_perversity(X, a)) for a in values}
+    on_chains = {a: {s for s in X.simplices if allowable(X, s, apex_perversity(X, a))}
+                 for a in values}
+    for a in values:
+        for b in values[a:]:
+            for k, indices in allowed[a].items():
+                assert set(indices) <= set(allowed[b][k]), (a, b, k)
+            assert on_chains[a] <= on_chains[b], (a, b)
+    # and the inclusion is strict: the values do cut
+    assert allowed[0] != allowed[X.n - 1] and on_chains[0] != on_chains[X.n - 1]
+
+
+@pytest.mark.parametrize("name", ["cone(RP2)", "susp(RP2)", "susp(T2)"])
+def test_relative_cohomology_matches_the_lattice_route(name):
+    """The cone of the identity cut to A_q and A_p against the cone of the
+    inclusion of induced complexes, solved for in lattice bases, over Z, Q,
+    F2 and F3 at every apex pair a <= b."""
+    X = SPACES[name]()
+    values = range(X.n - 1)
+    for ring in (ZZ, Coefficients("Q"), Coefficients("Fp", 2), Coefficients("Fp", 3)):
+        for a in values:
+            for b in values[a:]:
+                p, q = apex_perversity(X, a), apex_perversity(X, b)
+                expected = homology_all(oracle.relative_complex(X, p, q, ring), ring)
+                assert relative_cohomology(X, p, q, ring) == expected, (str(ring), a, b)
 
 
 @pytest.mark.parametrize("module", [strathom, strathom.exact_algebra],

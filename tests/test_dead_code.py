@@ -15,6 +15,11 @@ No module of ``src/strathom`` reads an underscore attribute of another
 object either: only of ``self``, ``cls`` or the ``other`` argument of a
 method (an object of the same class, as in ``__eq__``).  So the blow-up
 reads strata through ``strata_met_by``, not ``X._vertex_stratum``.
+
+Nor does any module of ``src/strathom`` outside ``exact_algebra``'s
+``matrices``, ``maps`` and ``modules`` name ``kernel_basis``, ``solve`` or
+their mod-p forms: the homology of a complex is read from invariant
+factors, and lattice bases live in ``tests/subcomplex_oracle.py``.
 """
 import ast
 from collections import Counter
@@ -88,3 +93,22 @@ def test_private_read_check_flags_a_foreign_read():
                      "def g(other):\n"
                      "    return other._d\n")
     assert sorted(foreign_private_reads(tree)) == [3, 5]
+
+
+LATTICE_NAMES = {"kernel_basis", "kernel_basis_mod_p", "solve", "solve_mod_p"}
+MODULE_MAP_LAYER = {"exact_algebra/matrices.py", "exact_algebra/maps.py",
+                    "exact_algebra/modules.py"}
+
+
+def test_no_lattice_basis_outside_the_module_map_layer():
+    """Only the matrices and the module maps and modules built on them name
+    a saturated kernel or a solve: no complex, engine or report builds a
+    lattice basis.  A syntax-tree check, since a recorder on
+    ``matrices.solve`` misses a module that imported it by name."""
+    found = []
+    package = ROOT / "src" / "strathom"
+    for path in sorted(package.rglob("*.py")):
+        if path.relative_to(package).as_posix() not in MODULE_MAP_LAYER:
+            named = LATTICE_NAMES & set(references(ast.parse(path.read_text())))
+            found += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(named)]
+    assert not found, "kernel or solve named:\n" + "\n".join(found)

@@ -8,10 +8,11 @@ import pytest
 import strathom.exact_algebra.maps as maps
 from strathom.cli import main
 from strathom.exact_algebra import (FGModule, IntMatrix, ModuleMap,
-                                    Presentation, ker_coker, smith, solve,
+                                    Presentation, ker_coker, smith,
                                     split_components)
 from strathom.exact_algebra.maps import (MapValidationError, canonicalize,
                                          connecting_map, subgroup_presentation)
+from strathom.exact_algebra.matrices import solve
 
 Z = FGModule.free
 Zmod = FGModule.cyclic

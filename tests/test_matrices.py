@@ -6,10 +6,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strathom.exact_algebra import (IntMatrix, kernel_basis,
-                                    kernel_basis_mod_p, random_sparse,
-                                    rank_mod_p, smith, solve)
-from strathom.exact_algebra.matrices import _rows_of, solve_mod_p
+from strathom.exact_algebra import IntMatrix, random_sparse, rank_mod_p, smith
+from strathom.exact_algebra.matrices import (_rows_of, kernel_basis,
+                                             kernel_basis_mod_p, solve,
+                                             solve_mod_p)
 from strathom.triangulations import triangulation_of
 from strathom.chains import regular_complex
 
