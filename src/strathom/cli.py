@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
@@ -176,27 +177,33 @@ def load_job(path: str) -> dict:
 
 # -- realization for the simplicial engine --------------------------------
 
-def realize(data: dict) -> Optional[FilteredComplex]:
+def realize(data: dict, raw: Optional[bool] = None) -> Optional[FilteredComplex]:
+    """The triangulation of a space expression, None when a part has none;
+    beside a raw complex (``raw``), which no closed form reads, an input error."""
     data = _typed(data, dict, "a space expression")
+    raw = _raw_complex_in(data) if raw is None else raw
     t = data.get("type")
+    part = f"a space node of type {t!r}"
     if t == "complex":
         return parse_complex(data)
     if t == "atom":
         name = _typed(data["name"], str, "an atom name")
-        return triangulation_of(name) if has_triangulation(name) else None
-    if t in ("cone", "suspension"):
-        inner = realize(data["of"])
+        if has_triangulation(name):
+            return triangulation_of(name)
+        part = f"atom {name!r}"
+    elif t in ("cone", "suspension"):
+        inner = realize(data["of"], raw)
         if inner is None:
             return None
         return inner.cone() if t == "cone" else inner.suspension()
-    if t == "disjoint_union":
-        parts = [realize(p) for p in _parts(data)]
+    elif t == "disjoint_union":
+        parts = [realize(p, raw) for p in _parts(data)]
         if any(p is None for p in parts):
             return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.disjoint_union(p)
-        return out
+        return functools.reduce(FilteredComplex.disjoint_union, parts)
+    if raw:
+        raise InputError(f"{part} has no triangulation, and the raw complex "
+                         f"beside it has no closed form")
     return None
 
 
@@ -400,8 +407,6 @@ def cmd_profile(args) -> int:
                         print("symbolic-only: no simplicial realization",
                               file=sys.stderr)
                         return 2
-                    if raw:     # beside a part with no triangulation: no engine reads it
-                        parse_space(space_data)
                 else:
                     name = _typed(space_data.get("name", X.name), str, "'name'")
                     per_perversity.append(

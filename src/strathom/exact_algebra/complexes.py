@@ -141,6 +141,13 @@ class Subcomplex:
     factors of d on I_k, which are those of the induced differential, as
     I_(k+step) is saturated.  Reading those factors is its one job: no
     basis of I_k is ever built.
+
+    Clearing: degrees are read in the differential's direction, and the
+    rows A_(k+step) where phase 2 of degree k pivoted are not fed.  Its pivot
+    rows y = d(x), x in I_k, are unit-triangular on their pivots S, so
+    I_(k+step) = span(y) (+) (I_(k+step) on A_(k+step) minus S); d(y) = 0, so
+    the factors of d, and the rank of the banned block, are those on the
+    second summand, and rank I = |A| - phase-1 pivots still holds.
     """
 
     def __init__(self, ambient: ChainComplex, allowed: Dict[int, List[int]],
@@ -154,15 +161,17 @@ class Subcomplex:
     def _splits(self) -> Dict[int, tuple]:
         """Per degree k: (rank of d on A_k into the banned targets, factors)."""
         p = self.ring.p if self.ring.kind == "Fp" else 0
-        out = {}
-        for k, cols in self.allowed.items():
+        out, cleared = {}, {}
+        for k in sorted(self.allowed, reverse=self.step < 0):
             # banned target i is column i, allowed target i is column rows + i
             d, kept = self.ambient.diff(k), set(self.allowed.get(k + self.step, ()))
-            cols, rows = set(cols), {}
+            cols, rows = set(self.allowed[k]).difference(cleared.get(k, ())), {}
             for (i, j), v in d.entries.items():
                 if j in cols and (not p or v % p):
                     rows.setdefault(j, {})[i + d.rows * (i in kept)] = v % p if p else v
-            out[k] = split_factors(rows, d.rows, p) if rows else (0, ())
+            pivots = []
+            out[k] = split_factors(rows, d.rows, p, pivots) if rows else (0, ())
+            cleared[k + self.step] = {j - d.rows for j, _, _ in pivots}
         return out
 
     def support(self) -> List[int]:

@@ -2,8 +2,9 @@
 
 All arithmetic is exact (Python big integers).  One elimination kernel,
 ``_eliminate_units``, serves Z and F_p: it takes unit pivots in Markowitz
-order and leaves the Schur complement.  Over F_p every nonzero entry is a
-unit, so its pivot count is the rank.  Over Z a diagonal-only ``smith``
+order from cost buckets (the last one queued first among equal costs) and
+leaves the Schur complement.  Over F_p every nonzero entry is a unit, so
+its pivot count is the rank.  Over Z a diagonal-only ``smith``
 reads one invariant factor 1 per unit pivot and runs the gcd elimination
 of ``_Work`` on the remainder only, which is the step a modular
 elimination (one that bounds coefficient growth) would replace.  Kernels
@@ -432,19 +433,20 @@ def _eliminate_units(rows: dict, p: int = 0, pivots: Optional[list] = None,
     """Eliminate unit pivots of ``rows`` ({row: {col: entry}}) in place.
 
     Over Z (p = 0) the units are the entries +-1; over F_p (entries in
-    1..p-1) every entry is one.  Each step takes the unit of least
-    Markowitz cost (ties by row, then column) from a lazy heap, subtracts
-    multiples of its row from the other rows of its column and drops its
-    row and column, so ``rows`` ends as the Schur complement, which has no
-    unit entry (with ``limit``, none in a column below ``limit``: pivots
-    are taken there only).  A unit pivot splits off one invariant factor 1
-    without changing the others.  The heap is filled with the live units
-    of the pivotable columns (read from the column index) whenever it runs
-    dry, and an entry left alone in its row or column is
-    pushed at cost 0; a popped key whose cost has grown is pushed back.
-    Each pivot is appended to ``pivots`` as (column, inverse of the pivot,
-    the rest of its row).  Returns (number of pivots, largest |entry|
-    created).
+    1..p-1) every entry is one.  Each step takes a unit of least Markowitz
+    cost, subtracts multiples of its row from the other rows of its column
+    and drops its row and column, so ``rows`` ends as the Schur complement,
+    which has no unit entry (with ``limit``, none in a column below
+    ``limit``: pivots are taken there only).  A unit pivot splits off one
+    invariant factor 1 without changing the others.  Candidates wait in a
+    dict from each cost to a list of (row, col) and a heap of the costs
+    that have one, so the bookkeeping grows with the number of distinct
+    costs; the last one queued at a cost goes first.  The live units of the
+    pivotable columns are queued row by row whenever all lists are empty,
+    an entry left alone in its row or column at cost 0, and a candidate
+    whose cost has grown again at its new cost.  Each pivot is appended to
+    ``pivots`` as (column, inverse of the pivot, the rest of its row).
+    Returns (number of pivots, largest |entry| created).
     """
     if limit is None:
         limit = float("inf")
@@ -452,25 +454,36 @@ def _eliminate_units(rows: dict, p: int = 0, pivots: Optional[list] = None,
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
-    heap = []
-    push = heapq.heappush
+    single, buckets, costs = [], {}, []     # cost 0 (first); cost > 0 -> list; heap
     count = peak = 0
     while rows:
-        if not heap:
-            heap = [((len(rows[i]) - 1) * (len(s) - 1), i, j)
-                    for j, s in cols.items() if j < limit for i in s
-                    if p or rows[i][j] in (1, -1)]
-            if not heap:
+        if not single and not costs:
+            for i, r in rows.items():
+                for j, v in r.items():
+                    if j < limit and (p or v == 1 or v == -1):
+                        c = (len(r) - 1) * (len(cols[j]) - 1)
+                        (buckets.setdefault(c, []) if c else single).append((i, j))
+            costs = list(buckets)
+            heapq.heapify(costs)
+            if not single and not costs:
                 break
-            heapq.heapify(heap)
-        c, pi, pj = heapq.heappop(heap)
+        if single:
+            c, (pi, pj) = 0, single.pop()
+        else:
+            c = costs[0]
+            pi, pj = buckets[c].pop()
+            if not buckets[c]:
+                del buckets[c]
+                heapq.heappop(costs)
         r = rows.get(pi)
         u = r.get(pj) if r else None
         if u is None or not (p or u == 1 or u == -1) or pj >= limit:
             continue
         cost = (len(r) - 1) * (len(cols[pj]) - 1)
         if cost > c:
-            push(heap, (cost, pi, pj))
+            if cost not in buckets:
+                heapq.heappush(costs, cost)
+            buckets.setdefault(cost, []).append((pi, pj))
             continue
         count += 1
         del rows[pi]
@@ -484,7 +497,7 @@ def _eliminate_units(rows: dict, p: int = 0, pivots: Optional[list] = None,
                 (i,) = s
                 v = rows[i][j]
                 if p or v == 1 or v == -1:
-                    push(heap, (0, i, j))
+                    single.append((i, j))
         inv = pow(u, p - 2, p) if p else u
         if pivots is not None:
             pivots.append((pj, inv, r))
@@ -510,13 +523,13 @@ def _eliminate_units(rows: dict, p: int = 0, pivots: Optional[list] = None,
                     (k,) = s
                     v = rows[k][j]
                     if p or v == 1 or v == -1:
-                        push(heap, (0, k, j))
+                        single.append((k, j))
             if not ri:
                 del rows[i]
             elif len(ri) == 1:
                 ((j, v),) = ri.items()
                 if p or v == 1 or v == -1:
-                    push(heap, (0, i, j))
+                    single.append((i, j))
     return count, peak
 
 
@@ -536,10 +549,10 @@ def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomp
     return SmithDecomposition(A, diagonal, None, None, peak_abs=max(A.max_abs(), peak))
 
 
-def _diagonal(rows: dict, p: int = 0) -> tuple:
+def _diagonal(rows: dict, p: int = 0, pivots: Optional[list] = None) -> tuple:
     """(invariant factors, largest |entry| made) of the matrix in ``rows``,
-    consumed: unit pivots, then over Z the gcd elimination of the rest."""
-    units, peak = _eliminate_units(rows, p)
+    consumed: unit pivots (into ``pivots``), then over Z the gcd elimination."""
+    units, peak = _eliminate_units(rows, p, pivots)
     if p or not rows:
         return (1,) * units, peak
     rest = _smith_work(IntMatrix(max(rows) + 1, max(max(r) for r in rows.values()) + 1,
@@ -548,18 +561,21 @@ def _diagonal(rows: dict, p: int = 0) -> tuple:
     return (1,) * units + rest.diagonal, max(peak, rest.peak_abs)
 
 
-def split_factors(rows: dict, limit: int, p: int = 0) -> tuple:
+def split_factors(rows: dict, limit: int, p: int = 0, pivots: Optional[list] = None) -> tuple:
     """(rank of the columns below ``limit``, invariant factors of x -> xM on
     the lattice L of row combinations x that vanish there) for the matrix M
     in ``rows``, consumed; over F_p the factors are rank-many 1s.
 
-    Phase 1 pivots on units below ``limit``: its row operations keep the
-    row lattice, so the rows left span L, except those that keep an entry
-    there (non-units, over Z only).  The left kernel of their block below
-    ``limit``, applied to the rest of them, replaces them.  Phase 2
-    eliminates the rows in every column, as the diagonal-only ``smith``.
+    Phase 1 pivots on units below ``limit`` (if a row has an entry there):
+    its row operations keep the row lattice, so the rows left span L, except
+    those that keep an entry there (non-units, over Z only).  The left
+    kernel of their block below ``limit``, applied to the rest of them,
+    replaces them.  Phase 2 eliminates the rows in every column, as the
+    diagonal-only ``smith``, its unit pivots into ``pivots``: each is xM for
+    an x in L, a unit at its column and 0 at the columns pivoted before it.
     """
-    pivots = _eliminate_units(rows, p, None, limit)[0]
+    banned = any(min(r) < limit for r in rows.values())
+    rank = _eliminate_units(rows, p, None, limit)[0] if banned else 0
     stalled = [i for i, r in rows.items() if min(r) < limit]
     if stalled:
         low = IntMatrix(len(stalled), limit, {(a, j): v for a, i in enumerate(stalled)
@@ -570,8 +586,8 @@ def split_factors(rows: dict, limit: int, p: int = 0) -> tuple:
                                            for j, v in rows.pop(i).items() if j >= limit})
         for (c, j), v in (K.transpose() * high).entries.items():
             rows.setdefault(top + c, {})[j] = v
-        pivots += len(stalled) - K.cols
-    return pivots, _diagonal(rows, p)[0]
+        rank += len(stalled) - K.cols
+    return rank, _diagonal(rows, p, pivots)[0]
 
 
 def _smith_work(A: IntMatrix, need_U: bool, need_V: bool) -> SmithDecomposition:

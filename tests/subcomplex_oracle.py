@@ -50,20 +50,26 @@ def _factors(m, ring) -> tuple:
     return smith(m, need_U=False, need_V=False).diagonal
 
 
+def ranks_and_factors(sub, ring) -> Dict[int, tuple]:
+    """Per degree k of the ambient complex: (rank of the lattice I_k,
+    invariant factors of d on it, read from the product d.B_k)."""
+    bases = allowable_bases(sub.ambient, sub.allowed, ring)
+    return {k: (B.cols, _factors(sub.ambient.diff(k) * B, ring))
+            for k, B in bases.items()}
+
+
 def homology(sub, ring, dual: bool = False) -> GradedModule:
     """Homology of the allowable subcomplex ``sub`` over ``ring`` or, with
     ``dual``, the cohomology of Hom(sub, ring): a transpose keeps invariant
     factors, so the dual swaps the maps leaving and entering each degree."""
-    amb = sub.ambient
-    bases = allowable_bases(amb, sub.allowed, ring)
-    leaving = {k: _factors(amb.diff(k) * B, ring) for k, B in bases.items()}
+    split = ranks_and_factors(sub, ring)
     groups = {}
-    for k, B in bases.items():
-        out, into = leaving[k], leaving.get(k - amb.step, ())
+    for k, (rank, out) in split.items():
+        into = split.get(k - sub.ambient.step, (0, ()))[1]
         if dual:
             out, into = into, out
         torsion = [d for d in into if d > 1] if ring.kind == "Z" else []
-        groups[k] = FGModule.from_factors(B.cols - len(out) - len(into), torsion)
+        groups[k] = FGModule.from_factors(rank - len(out) - len(into), torsion)
     return GradedModule(groups)
 
 

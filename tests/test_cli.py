@@ -124,9 +124,10 @@ class TestProfile:
         f = write(tmp_path, "ux.json", {"space": {"type": "disjoint_union", "parts": [
             {"type": "cone", "of": RAW_CIRCLE},
             {"type": "cone", "of": {"type": "atom", "name": "K3"}}]}})
-        code, out, err = run(capsys, "profile", f)
-        assert_one_line_error(code, err)
-        assert out == ""
+        for command in ("profile", "validate", "crosscheck"):
+            code, out, err = run(capsys, command, f)
+            assert_one_line_error(code, err)
+            assert "'K3'" in err and "'complex'" not in err and out == "", command
 
     def test_simplicial_text_report_does_not_claim_zero_peripheral(self, tmp_path, capsys):
         f = write(tmp_path, "sr.json", {

@@ -6,6 +6,7 @@ and U, V are unimodular.  ``homology_all`` runs one Smith form per
 non-zero differential.
 """
 import random
+import time
 
 import pytest
 
@@ -151,9 +152,9 @@ def counting_splits(monkeypatch):
     calls = []
     split_factors = complexes.split_factors
 
-    def counted(rows, limit, p=0):
+    def counted(rows, limit, p=0, pivots=None):
         calls.append(limit)
-        return split_factors(rows, limit, p)
+        return split_factors(rows, limit, p, pivots)
     monkeypatch.setattr(complexes, "split_factors", counted)
     return calls
 
@@ -247,6 +248,65 @@ def test_fill_makes_larger_entry():
     sd = smith(A, need_U=False, need_V=False)
     assert sd.diagonal == transform_diagonal(A) == (1, 4)
     assert sd.peak_abs == 4
+
+
+# The unit pivots wait in cost buckets; ties go to the candidate queued
+# last, so one input always takes one pivot path, and every path gives one
+# count and one diagonal.
+
+def unit_pivots(A: IntMatrix, p: int = 0) -> list:
+    pivots = []
+    matrices._eliminate_units(matrices._rows_of(A, p), p, pivots)
+    return [(j, inv, dict(r)) for j, inv, r in pivots]
+
+
+def test_ties_go_to_the_unit_queued_last():
+    assert [j for j, _, _ in unit_pivots(IntMatrix.identity(3))] == [2, 1, 0]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_one_input_one_pivot_path(p):
+    for label, A in matrices_of(SPACES["cone(RP3)"]()):
+        assert unit_pivots(A, p) == unit_pivots(A, p), label
+    A = random_matrix(200, 200, 0.015, (-1, 1), 0)
+    assert unit_pivots(A, p) == unit_pivots(A, p)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_permuted_input_gives_one_count_and_diagonal(p, seed):
+    """``split_factors`` of rows and columns permuted, the columns below the
+    split among themselves: the same (count, diagonal); with the split at 0
+    (no phase 1), the transpose's diagonal."""
+    A = random_matrix(60, 80, 0.06, (-1, 1, 2), seed)
+    rng, limit = random.Random(seed), 30
+    rp, low, high = list(range(60)), list(range(limit)), list(range(limit, 80))
+    for order in (rp, low, high):
+        rng.shuffle(order)
+    cp = low + high
+    B = IntMatrix(60, 80, {(rp[i], cp[j]): v for (i, j), v in A.entries.items()})
+    want = matrices.split_factors(matrices._rows_of(A, p), limit, p)
+    assert matrices.split_factors(matrices._rows_of(B, p), limit, p) == want
+    assert matrices.split_factors(matrices._rows_of(A.transpose(), p), 0, p)[1] == (
+        matrices.split_factors(matrices._rows_of(B.transpose(), p), 0, p)[1])
+
+
+def test_dense_pm1_within_budget():
+    """Every entry a unit: each pivot's cost is near the largest, and the
+    buckets hold a few costs, not one slot per cost.  Rows and columns of
+    J - 2I with random signs (150 x 150) have invariant factors 1, 2 (148
+    times) and 296, so ranks 1 mod 2, 149 mod 37 and 150 mod 3; a random
+    sign matrix is cross-checked against its transpose."""
+    n, rng = 150, random.Random(0)
+    rs, cs = [rng.choice((-1, 1)) for _ in range(n)], [rng.choice((-1, 1)) for _ in range(n)]
+    A = IntMatrix(n, n, {(i, j): rs[i] * cs[j] * (-1 if i == j else 1)
+                         for i in range(n) for j in range(n)})
+    R = IntMatrix(n, n, {(i, j): rng.choice((-1, 1)) for i in range(n) for j in range(n)})
+    t0 = time.process_time()
+    assert diagonal(A) == (1,) + (2,) * 148 + (296,)
+    assert [matrices.rank_mod_p(A, p) for p in (2, 37, 3)] == [1, 149, 150]
+    assert matrices.rank_mod_p(R, 3) == matrices.rank_mod_p(R.transpose(), 3)
+    assert time.process_time() - t0 < 5.0     # about 0.7 s on a 2-vCPU shared host
 
 
 class RecordingRow(dict):

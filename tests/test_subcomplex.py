@@ -9,7 +9,9 @@ sides, for the dual cohomology too, over every coefficient ring.  The entry
 points that compute groups run no kernel over F_p and multiply no ambient
 differential by anything but another one (the d o d = 0 check of the
 ambient complex); that no module of the package names a kernel or a solve
-outside the module-map layer is checked in ``test_dead_code``.
+outside the module-map layer is checked in ``test_dead_code``.  No degree
+feeds its elimination a source row that the previous degree's phase 2
+pivoted on (clearing).
 """
 import contextlib
 import io
@@ -24,9 +26,10 @@ from strathom.blowup import (GlobalBlowupComplex, blowup_cohomology,
 from strathom.chains import (intersection_cohomology, intersection_complex,
                              intersection_homology)
 from strathom.cli import main
-from strathom.exact_algebra import Coefficients, IntMatrix, homology_all
+from strathom.exact_algebra import (ChainComplex, Coefficients, IntMatrix,
+                                    homology_all)
 from strathom.stratified import Perversity
-from strathom.triangulations import projective_plane, torus
+from strathom.triangulations import projective_plane, projective_space_3, torus
 from subcomplex_oracle import Lattice
 
 RINGS = (Coefficients("Z"), Coefficients("Q"), Coefficients("Fp", 2),
@@ -134,3 +137,49 @@ def test_a_subcomplex_is_read_over_its_own_ring_only():
     ic = intersection_complex(X, apex_perversity(X, 1), Coefficients("Z"))
     with pytest.raises(ValueError):
         homology_all(ic, Coefficients("Fp", 2))
+
+
+def recording_splits(monkeypatch):
+    """Per call of ``split_factors``: (degree, the source rows fed, the
+    allowed targets its phase 2 pivoted on); the degree is that of the
+    ambient differential read last."""
+    calls, degrees = [], []
+    diff, split = ChainComplex.diff, complexes.split_factors
+
+    def recorded_diff(self, k):
+        degrees.append(k)
+        return diff(self, k)
+
+    def recorded_split(rows, limit, p=0, pivots=None):
+        fed = set(rows)
+        out = split(rows, limit, p, pivots)
+        calls.append((degrees[-1], fed, {j - limit for j, _, _ in pivots or ()}))
+        return out
+    monkeypatch.setattr(ChainComplex, "diff", recorded_diff)
+    monkeypatch.setattr(complexes, "split_factors", recorded_split)
+    return calls
+
+
+@pytest.mark.parametrize("side", ["chain", "blow-up"])
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_no_degree_feeds_a_source_pivoted_before(side, ring, monkeypatch):
+    """Clearing: the sources of degree k + step that the elimination of
+    degree k pivoted on in its phase 2 are not fed again, so on susp(RP3)
+    fewer rows are fed than the allowed coordinates that d moves."""
+    X = projective_space_3().suspension()
+    p = apex_perversity(X, 0)
+    sub = (intersection_complex(X, p, ring) if side == "chain"
+           else GlobalBlowupComplex(X).intersection_complex(p, ring))
+    calls = recording_splits(monkeypatch)
+    sub.rank(0)
+    monkeypatch.undo()
+    pivoted = {k + sub.step: targets for k, _, targets in calls}
+    assert any(pivoted.values())
+    for k, fed, _ in calls:
+        assert not fed & pivoted.get(k, set()), k
+    q, moved = ring.p if ring.kind == "Fp" else 0, 0
+    for k, _, _ in calls:
+        d = sub.ambient.diff(k)
+        moved += len(set(sub.allowed[k])
+                     & {j for (_, j), v in d.entries.items() if not q or v % q})
+    assert sum(len(fed) for _, fed, _ in calls) < moved

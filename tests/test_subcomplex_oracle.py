@@ -64,6 +64,26 @@ def test_spaces_match_the_product_route(name, seed):
     assert_matches_oracle(X, apex_perversities(X))
 
 
+SPLIT_SPACES = [f"{c}({a})" for c in ("cone", "susp")
+                for a in ("S1", "S2", "T2", "RP2", "RP3")] + ["susp2(RP2)"]
+
+
+@pytest.mark.parametrize("name", SPLIT_SPACES)
+def test_ranks_and_factors_match_the_product_route(name):
+    """Clearing drops pivoted sources from the elimination of each degree,
+    never a rank or a factor: both are the oracle's in every degree, on the
+    chain side and the blow-up side, at every apex value."""
+    X = SPACES[name]()
+    G = GlobalBlowupComplex(X)
+    for k, p in apex_perversities(X):
+        for ring in RINGS:
+            for side, sub in (("chain", intersection_complex(X, p, ring)),
+                              ("blow-up", G.intersection_complex(p, ring))):
+                got = {j: (sub.rank(j), sub.factors(j, ring))
+                       for j in sub.ambient.support()}
+                assert got == oracle.ranks_and_factors(sub, ring), (k, str(ring), side)
+
+
 @pytest.mark.parametrize("name", sorted(SUSP2))
 def test_double_suspensions_match_the_product_route(name):
     X = SUSP2[name]()
