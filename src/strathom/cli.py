@@ -18,7 +18,8 @@ import hashlib
 import json
 import sys
 import time
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from . import __version__
 from .exact_algebra import (Coefficients, GradedModule, IntMatrix,
@@ -33,11 +34,14 @@ from .blowup import blowup_cohomology
 from .spaces import (AtomSpace, DisjointUnion, IsolatedSing, MappingTorus,
                      OpenCone, SpaceExpr, Suspension, ThomCircle, atom,
                      atom_renamed, eval_expression, product_atom)
-from .peripheral import DualityReport, verdicts
+from .peripheral import CheckResult, DualityReport, verdicts
 
 
 class InputError(ValueError):
     pass
+
+
+ENGINES = ("symbolic", "simplicial", "both")
 
 
 # what a malformed input raises: exit 2 with one line, never a traceback
@@ -81,18 +85,95 @@ def _int(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, not {value!r}")
 
 
-def _parts(data: dict) -> list:
-    parts = _typed(data["parts"], list, "'parts'")
-    if not parts:
-        raise InputError("'parts' must not be empty")
-    return parts
+@dataclass
+class Space:
+    """A space expression, read once: ``expr`` is its closed form, or None
+    and ``no_expr`` says why; ``build`` makes its triangulation, or is None
+    and ``no_complex`` says why."""
+    expr: Optional[SpaceExpr]
+    no_expr: str
+    build: Optional[Callable[[], FilteredComplex]]
+    no_complex: str
+
+    @functools.cached_property
+    def complex(self) -> FilteredComplex:
+        """The triangulation, built on first read."""
+        return self.build()
+
+    def route(self, engine: str) -> Tuple[bool, bool]:
+        """Whether the closed form and the simplicial engine run when
+        ``engine`` is asked for: the closed form where there is one and it
+        was asked for; the simplicial engine where it was asked for or where
+        there is no closed form, and there is a triangulation."""
+        if self.expr is None and self.build is None:
+            raise InputError(f"{self.no_complex}, and {self.no_expr}")
+        return (self.expr is not None and engine in ("symbolic", "both"),
+                self.build is not None
+                and (engine in ("simplicial", "both") or self.expr is None))
 
 
-def parse_space(data: dict) -> SpaceExpr:
+def _closed(node: Space, manifold: str = "") -> SpaceExpr:
+    """The closed form of a node under a node that has only a closed form;
+    ``manifold`` is the error when it must be a manifold atom or product."""
+    if node.expr is None:
+        raise InputError(node.no_expr)
+    if manifold and not isinstance(node.expr, AtomSpace):
+        raise InputError(manifold)
+    return node.expr
+
+
+def read_space(data) -> Space:
+    """One pass over a space expression that checks every field of every
+    node: a malformed field is an input error at once, a space that one
+    engine cannot read is not."""
     data = _typed(data, dict, "a space expression")
     t = data.get("type")
+    if t == "complex":
+        # relabel to consecutive integers: keeps vertex ordering deterministic
+        # and lets the constructors allocate fresh vertices
+        vertices = [_typed(v, dict, "a vertex")
+                    for v in _typed(data["vertices"], list, "'vertices'")]
+        ids = sorted({_typed(v["id"], (int, str), "a vertex id") for v in vertices},
+                     key=str)
+        relabel = {vid: i for i, vid in enumerate(ids)}
+        levels = {relabel[v["id"]]: _int(v["level"], "a level") for v in vertices}
+        simplices = [[relabel[_typed(v, (int, str), "a vertex id")]
+                      for v in _typed(s, list, "a simplex")]
+                     for s in _typed(data["simplices"], list, "'simplices'")]
+        n = _int(data["dimension"], "'dimension'")
+        name = _typed(data.get("name", "complex"), str, "'name'")
+        return Space(None, "the raw complex has no closed form",
+                     lambda: FilteredComplex(n, levels, simplices, close=True, name=name),
+                     "")
     if t == "atom":
-        return AtomSpace(atom(_typed(data["name"], str, "an atom name")))
+        name = _typed(data["name"], str, "an atom name")
+        expr = AtomSpace(atom(name))
+        if has_triangulation(name):
+            return Space(expr, "", functools.partial(triangulation_of, name), "")
+        return Space(expr, "", None, f"atom {name!r} has no triangulation")
+    if t in ("cone", "suspension"):
+        inner = read_space(data["of"])
+        expr, no_expr = None, inner.no_expr
+        if isinstance(inner.expr, AtomSpace):
+            expr = (OpenCone if t == "cone" else Suspension)(inner.expr)
+        elif inner.expr is not None:
+            no_expr = f"{t} supports manifold links only"
+        over = FilteredComplex.cone if t == "cone" else FilteredComplex.suspension
+        return Space(expr, no_expr, inner.build and (lambda: over(inner.build())),
+                     inner.no_complex)
+    if t == "disjoint_union":
+        parts = [read_space(p) for p in _typed(data["parts"], list, "'parts'")]
+        if not parts:
+            raise InputError("'parts' must not be empty")
+        no_expr = next((p.no_expr for p in parts if p.expr is None), "")
+        no_complex = next((p.no_complex for p in parts if p.build is None), "")
+
+        def build():
+            return functools.reduce(FilteredComplex.disjoint_union,
+                                    [p.build() for p in parts])
+        return Space(None if no_expr else DisjointUnion(tuple(p.expr for p in parts)),
+                     no_expr, None if no_complex else build, no_complex)
+    # the types below have a closed form only
     if t == "product":
         factors = []
         seen = set()
@@ -103,64 +184,33 @@ def parse_space(data: dict) -> SpaceExpr:
                 a = atom_renamed(a, chr(ord("b") + i))
             seen.add(a.name)
             factors.append(a)
-        return AtomSpace(product_atom(*factors))
-    if t == "cone":
-        inner = parse_space(data["of"])
-        if not isinstance(inner, AtomSpace):
-            raise InputError("cone supports manifold links only")
-        return OpenCone(inner)
-    if t == "suspension":
-        inner = parse_space(data["of"])
-        if not isinstance(inner, AtomSpace):
-            raise InputError("suspension supports manifold links only")
-        return Suspension(inner)
-    if t == "isolated":
-        links = []
-        for l in _typed(data["links"], list, "'links'"):
-            a = parse_space(l)
-            if not isinstance(a, AtomSpace):
-                raise InputError("isolated-singularity links must be manifolds")
-            links.append(a.atom)
-        return IsolatedSing(_int(data["dimension"], "'dimension'"), tuple(links))
-    if t == "mapping_torus":
-        inner = parse_space(data["of"])
+        expr = AtomSpace(product_atom(*factors))
+    elif t == "isolated":
+        links = [_closed(read_space(l), "isolated-singularity links must be manifolds").atom
+                 for l in _typed(data["links"], list, "'links'")]
+        expr = IsolatedSing(_int(data["dimension"], "'dimension'"), tuple(links))
+    elif t == "mapping_torus":
+        inner = _closed(read_space(data["of"]))
         action = tuple(sorted(
             (_int(deg, "a degree"),
              tuple(tuple(_int(v, "a matrix entry")
                          for v in _typed(row, list, "a matrix row"))
                    for row in _typed(mat, list, "an action matrix")))
             for deg, mat in _typed(data["action"], dict, "'action'").items()))
-        return MappingTorus(inner, action)
-    if t == "thom_circle":
-        base = parse_space(data["base"])
-        if not isinstance(base, AtomSpace):
-            raise InputError("thom_circle base must be a manifold atom or product")
+        expr = MappingTorus(inner, action)
+    elif t == "thom_circle":
+        base = _closed(read_space(data["base"]),
+                       "thom_circle base must be a manifold atom or product")
         euler = tuple(sorted((k, _int(v, "an Euler coefficient"))
                              for k, v in _typed(data["euler"], dict, "'euler'").items()))
-        return ThomCircle(base.atom, euler)
-    if t == "disjoint_union":
-        return DisjointUnion(tuple(parse_space(p) for p in _parts(data)))
-    raise InputError(f"unknown space type {data.get('type')!r}")
+        expr = ThomCircle(base.atom, euler)
+    else:
+        raise InputError(f"unknown space type {data.get('type')!r}")
+    return Space(expr, "", None, f"a space node of type {t!r} has no triangulation")
 
 
-def parse_complex(data: dict) -> FilteredComplex:
-    # relabel to consecutive integers: keeps vertex ordering deterministic
-    # and lets the constructors allocate fresh vertices
-    data = _typed(data, dict, "a space expression")
-    vertices = [_typed(v, dict, "a vertex")
-                for v in _typed(data["vertices"], list, "'vertices'")]
-    ids = sorted({_typed(v["id"], (int, str), "a vertex id") for v in vertices}, key=str)
-    relabel = {vid: i for i, vid in enumerate(ids)}
-    levels = {relabel[v["id"]]: _int(v["level"], "a level") for v in vertices}
-    simplices = [[relabel[_typed(v, (int, str), "a vertex id")]
-                  for v in _typed(s, list, "a simplex")]
-                 for s in _typed(data["simplices"], list, "'simplices'")]
-    return FilteredComplex(_int(data["dimension"], "'dimension'"), levels, simplices,
-                           close=True,
-                           name=_typed(data.get("name", "complex"), str, "'name'"))
-
-
-def load_job(path: str) -> dict:
+def load_job(path: str) -> Tuple[dict, str]:
+    """The job object of a JSON file and the SHA-256 digest of its bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -171,54 +221,7 @@ def load_job(path: str) -> dict:
         raise InputError(f"{path}: top-level JSON value must be an object")
     if not isinstance(data.get("space", {}), dict):
         raise InputError(f"{path}: \"space\" must be an object")
-    data["_digest"] = hashlib.sha256(raw).hexdigest()
-    return data
-
-
-# -- realization for the simplicial engine --------------------------------
-
-def realize(data: dict, raw: Optional[bool] = None) -> Optional[FilteredComplex]:
-    """The triangulation of a space expression, None when a part has none;
-    beside a raw complex (``raw``), which no closed form reads, an input error."""
-    data = _typed(data, dict, "a space expression")
-    raw = _raw_complex_in(data) if raw is None else raw
-    t = data.get("type")
-    part = f"a space node of type {t!r}"
-    if t == "complex":
-        return parse_complex(data)
-    if t == "atom":
-        name = _typed(data["name"], str, "an atom name")
-        if has_triangulation(name):
-            return triangulation_of(name)
-        part = f"atom {name!r}"
-    elif t in ("cone", "suspension"):
-        inner = realize(data["of"], raw)
-        if inner is None:
-            return None
-        return inner.cone() if t == "cone" else inner.suspension()
-    elif t == "disjoint_union":
-        parts = [realize(p, raw) for p in _parts(data)]
-        if any(p is None for p in parts):
-            return None
-        return functools.reduce(FilteredComplex.disjoint_union, parts)
-    if raw:
-        raise InputError(f"{part} has no triangulation, and the raw complex "
-                         f"beside it has no closed form")
-    return None
-
-
-def _raw_complex_in(data) -> bool:
-    """Whether a raw complex lies in the expression, under cones,
-    suspensions and unions: it has no closed form, so only the simplicial
-    engine reads it."""
-    if not isinstance(data, dict):
-        return False
-    t = data.get("type")
-    if t in ("cone", "suspension"):
-        return _raw_complex_in(data.get("of"))
-    if t == "disjoint_union" and isinstance(data.get("parts"), list):
-        return any(_raw_complex_in(p) for p in data["parts"])
-    return t == "complex"
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 def apex_value(spec) -> int:
@@ -334,8 +337,7 @@ def print_report_text(rep: DualityReport, out):
 
 # -- engines ----------------------------------------------------------------
 
-def symbolic_report(data: dict, k: int, ring: Coefficients) -> DualityReport:
-    expr = parse_space(data)
+def symbolic_report(expr: SpaceExpr, k: int, ring: Coefficients) -> DualityReport:
     prof = eval_expression(expr, k, ring)
     dk = prof.n - 2 - k
     try:
@@ -356,7 +358,6 @@ def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
     ic_dual = ic if dp == p else intersection_complex(X, dp, ring)
     ghd = homology_all(ic_dual.dualize(), ring)
     hb = blowup_cohomology(X, p, ring)
-    from .peripheral import CheckResult
     rep = DualityReport(
         space=space_name, n=X.n, ring=str(ring),
         perversity=str(pspec),
@@ -378,16 +379,8 @@ def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
     return rep
 
 
-def cmd_profile(args) -> int:
-    try:
-        data = load_job(args.file)
-    except (InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    digest = data.pop("_digest")
-    engine = args.engine or data.get("engine", "symbolic")
+def cmd_profile(args, data: dict, digest: str) -> int:
     space_data = data.get("space", data)
-    raw = _raw_complex_in(space_data)
     reports: List[Tuple[str, DualityReport]] = []
     try:
         ring = Coefficients.parse(str(args.ring or data.get("ring", "Z")))
@@ -395,22 +388,25 @@ def cmd_profile(args) -> int:
         if args.perversity is not None:
             pspecs = [_int(v, "a perversity value")
                       for v in str(args.perversity).split(",")]
+        engine = args.engine or data.get("engine", "symbolic")
+        if engine not in ENGINES:
+            raise InputError(f"'engine' must be 'symbolic', 'simplicial' or 'both', "
+                             f"not {engine!r}")
+        space = read_space(space_data)
+        closed, simplicial = space.route(engine)
+        if engine == "simplicial" and not simplicial:
+            print("symbolic-only: no simplicial realization", file=sys.stderr)
+            return 2
         for pspec in pspecs:
             per_perversity: List[Tuple[str, DualityReport]] = []
-            if engine in ("symbolic", "both") and not raw:
+            if closed:
                 per_perversity.append(
-                    ("symbolic", symbolic_report(space_data, apex_value(pspec), ring)))
-            if engine in ("simplicial", "both") or raw:
-                X = realize(space_data)
-                if X is None:
-                    if engine == "simplicial":
-                        print("symbolic-only: no simplicial realization",
-                              file=sys.stderr)
-                        return 2
-                else:
-                    name = _typed(space_data.get("name", X.name), str, "'name'")
-                    per_perversity.append(
-                        ("simplicial", simplicial_report(X, pspec, ring, name)))
+                    ("symbolic", symbolic_report(space.expr, apex_value(pspec), ring)))
+            if simplicial:
+                X = space.complex
+                name = _typed(space_data.get("name", X.name), str, "'name'")
+                per_perversity.append(
+                    ("simplicial", simplicial_report(X, pspec, ring, name)))
             if len(per_perversity) == 2:
                 _engine_agreement_check(per_perversity[0][1], per_perversity[1][1])
             reports.extend(per_perversity)
@@ -433,7 +429,6 @@ def cmd_profile(args) -> int:
 
 
 def _engine_agreement_check(sym: DualityReport, simp: DualityReport):
-    from .peripheral import CheckResult
     problems = []
     for field, label in (("gh_lower", "GH_*"), ("gh_dual", "GH^*_(Dp)"),
                          ("h_blowup", "H~^*_p")):
@@ -444,21 +439,14 @@ def _engine_agreement_check(sym: DualityReport, simp: DualityReport):
     simp.checks.append(CheckResult("engine agreement", status, "; ".join(problems)))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, data: dict, digest: str) -> int:
     try:
-        data = load_job(args.file)
-    except (InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    data.pop("_digest")
-    space_data = data.get("space", data)
-    try:
-        X = realize(space_data)
-        if X is None:
-            expr = parse_space(space_data)
+        space = read_space(data.get("space", data))
+        if not space.route("simplicial")[1]:
             print("symbolic-only expression: nothing to validate simplicially")
-            print(f"parsed: {expr.name}")
+            print(f"parsed: {space.expr.name}")
             return 0
+        X = space.complex
         X.validate()
     except BAD_INPUT as e:
         print(f"invalid: {e}", file=sys.stderr)
@@ -470,12 +458,13 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _crosscheck_one(data: dict, X: FilteredComplex, k: int, out_rows: list) -> bool:
+def _crosscheck_one(expr: Optional[SpaceExpr], X: FilteredComplex, k: int,
+                    out_rows: list) -> bool:
     ok_all = True
     ring = Coefficients("Z")
-    gh = hb = None          # a raw complex has no closed form
-    if not _raw_complex_in(data):
-        prof = eval_expression(parse_space(data), k, ring)
+    gh = hb = None
+    if expr is not None:
+        prof = eval_expression(expr, k, ring)
         gh, hb = prof.gh_lower, prof.h_blowup
     p = perversity_for(X, k)
     ic = intersection_complex(X, p, ring)
@@ -494,7 +483,7 @@ def _crosscheck_one(data: dict, X: FilteredComplex, k: int, out_rows: list) -> b
         ok_all &= ok
         out_rows.append((k, name, "pass" if ok else "fail",
                          "" if ok else f"symbolic {sym} vs simplicial {simp}"))
-    dp = perversity_for(X, X.n - 2 - k)
+    dp = p.complementary()
     for F in (Coefficients("Q"), Coefficients("Fp", 2), Coefficients("Fp", 3)):
         hb = blowup_cohomology(X, p, F)
         gh = intersection_cohomology(X, dp, F)
@@ -507,26 +496,19 @@ def _crosscheck_one(data: dict, X: FilteredComplex, k: int, out_rows: list) -> b
     return ok_all
 
 
-def cmd_crosscheck(args) -> int:
-    try:
-        data = load_job(args.file)
-    except (InputError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    data.pop("_digest")
-    space_data = data.get("space", data)
+def cmd_crosscheck(args, data: dict, digest: str) -> int:
     rows: list = []
     ok = True
     try:
-        X = realize(space_data)
-        if X is None:
-            parse_space(space_data)         # names an unknown atom
+        space = read_space(data.get("space", data))
+        if not space.route("both")[1]:
             print("symbolic-only: expression has no simplicial realization")
             return 0
+        X = space.complex
         ks = ([_int(v, "a perversity value") for v in args.perversity.split(",")]
               if args.perversity else range(max(X.n - 1, 1)))
         for k in ks:
-            ok &= _crosscheck_one(space_data, X, k, rows)
+            ok &= _crosscheck_one(space.expr, X, k, rows)
     except BAD_INPUT as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -595,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apex perversity value(s), comma-separated "
                         "(overrides the input file)")
     p.add_argument("--ring", default=None, help="Z, Q, or Fp (e.g. F2)")
-    p.add_argument("--engine", choices=["symbolic", "simplicial", "both"],
+    p.add_argument("--engine", choices=ENGINES,
                    default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--strict", action="store_true",
@@ -624,4 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.func is cmd_bench_snf:
+        return cmd_bench_snf(args)
+    try:
+        job = load_job(args.file)
+    except (InputError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    return args.func(args, *job)

@@ -12,6 +12,7 @@ import strathom.cli as cli
 from strathom.chains import intersection_complex
 from strathom.cli import main
 from strathom.exact_algebra import Coefficients
+from strathom.stratified import FilteredComplex
 from strathom.triangulations import triangulation_of
 
 
@@ -63,6 +64,16 @@ README_COMPLEX = {
 RAW_CIRCLE = {"type": "complex", "dimension": 1,
               "vertices": [{"id": i, "level": 1} for i in range(3)],
               "simplices": [[0, 1], [1, 2], [0, 2]]}
+
+
+S1 = {"type": "atom", "name": "S1"}
+
+
+def raw_space(X):
+    """A filtered complex as the raw complex of a job file."""
+    return {"type": "complex", "dimension": X.n,
+            "vertices": [{"id": v, "level": lv} for v, lv in sorted(X.levels.items())],
+            "simplices": [sorted(m) for m in X.maximal_simplices()]}
 
 
 @pytest.fixture
@@ -139,6 +150,17 @@ class TestProfile:
         assert "  peripheral R^*:\n    [2] Z/2 + Z/2\n" in symbolic
         assert "  peripheral R^*: not computed (simplicial engine)\n" in simplicial
         assert "peripheral R^* = 0" not in out
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("engine", ["foo", 3, ["both"]], ids=["string", "int", "list"])
+    def test_bad_engine_field_is_input_error(self, tmp_path, capsys, engine, flags):
+        f = write(tmp_path, "en.json", {
+            "space": {"type": "cone", "of": {"type": "atom", "name": "RP2"}},
+            "engine": engine})
+        code, out, err = run(capsys, "profile", f, *flags)
+        assert_one_line_error(code, err)
+        assert err == (f"error: 'engine' must be 'symbolic', 'simplicial' or 'both', "
+                       f"not {engine!r}\n") and out == ""
 
     def test_unknown_atom_is_validation_error(self, tmp_path, capsys):
         f = write(tmp_path, "bad.json", {
@@ -436,6 +458,16 @@ class TestCrosscheck:
         assert sum(r.endswith("skipped  no symbolic prediction") for r in rows) == 3
         assert sum(r.split()[-1] == "pass" for r in rows[:-1]) == 3
 
+    def test_dual_is_the_complementary_perversity(self, tmp_path, capsys):
+        # the line of cone(cone(S1)) has codimension 2, not n = 3: its dual
+        # value is -k, where one apex value n - 2 - k would give 1 - k
+        X = triangulation_of("S1").cone().cone()
+        f = write(tmp_path, "cc.json", {"space": raw_space(X)})
+        code, out, err = run(capsys, "crosscheck", f)
+        rows = out.splitlines()
+        assert code == 0 and err == "" and rows[-1] == "crosscheck: pass"
+        assert [r.split()[0] for r in rows if r.endswith("  pass")] == ["k=0"] * 3 + ["k=1"] * 3
+
     def test_perversity_out_of_range_is_input_error(self, susp_rp2, capsys):
         code, out, err = run(capsys, "crosscheck", susp_rp2, "--perversity", "7")
         assert_one_line_error(code, err)
@@ -543,3 +575,83 @@ def test_python_dash_m_runs_the_command(cone_rp2):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("valid: cone(RP2")
+
+
+def test_profile_builds_the_triangulation_once(monkeypatch, susp_rp2, capsys):
+    built = []
+
+    def counted(name):
+        built.append(name)
+        return triangulation_of(name)
+    monkeypatch.setattr(cli, "triangulation_of", counted)
+    code, out, _ = run(capsys, "profile", susp_rp2, "--engine", "simplicial",
+                       "--perversity", "0,1,2")
+    assert code == 0 and out.count("== engine: simplicial ==") == 3
+    assert built == ["RP2"]
+
+
+def test_closed_form_profile_builds_no_complex(monkeypatch, susp_rp3, capsys):
+    built = []
+    init = FilteredComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(FilteredComplex, "__init__", counted)
+    code, out, _ = run(capsys, "profile", susp_rp3, "--json", "--strict")
+    assert code == 0 and json.loads(out)["space"] == "susp(RP3)"
+    assert built == []
+
+
+GOLDEN_JOBS = Path(__file__).resolve().parent / "golden" / "jobs"
+CONE_CONE_S1 = {"type": "cone", "of": {"type": "cone", "of": S1}}
+SUSP_S1_S1 = {"type": "suspension", "of": {"type": "disjoint_union", "parts": [S1, S1]}}
+
+
+@pytest.mark.parametrize("job", ["golden", "cone(cone(S1))", "susp(S1+S1)"])
+def test_simplicial_only_spaces_run_every_subcommand(tmp_path, capsys, job):
+    f = (str(GOLDEN_JOBS / "union-susp2-rp2-t2.json") if job == "golden" else
+         write(tmp_path, "so.json", {"space": CONE_CONE_S1 if job.startswith("cone")
+                                     else SUSP_S1_S1}))
+    for argv in (["profile"], ["profile", "--engine", "both"], ["crosscheck"]):
+        code, out, err = run(capsys, argv[0], f, *argv[1:])
+        assert code == 0 and err == "", argv
+        assert "engine: symbolic" not in out
+    assert out.endswith("crosscheck: pass\n")
+
+
+# each space with the one line all three subcommands exit 2 with, or None
+AGREEMENT = {
+    "cone(cone(S1))": (CONE_CONE_S1, None),
+    "susp(S1+S1)": (SUSP_S1_S1, None),
+    "cone(RP2)": ({"type": "cone", "of": {"type": "atom", "name": "RP2"}}, None),
+    "thom(S2)": ({"type": "thom_circle", "base": {"type": "atom", "name": "S2"},
+                  "euler": {"s2": 2}}, None),
+    "cone(cone(CP2))": (
+        {"type": "cone", "of": {"type": "cone", "of": {"type": "atom", "name": "CP2"}}},
+        "atom 'CP2' has no triangulation, and cone supports manifold links only"),
+    "cone(raw)+cone(CP2)": (
+        {"type": "disjoint_union", "parts": [
+            {"type": "cone", "of": RAW_CIRCLE},
+            {"type": "cone", "of": {"type": "atom", "name": "CP2"}}]},
+        "atom 'CP2' has no triangulation, and the raw complex has no closed form"),
+}
+
+
+@pytest.mark.parametrize("name", AGREEMENT)
+def test_subcommands_agree_on_what_they_read(tmp_path, capsys, name):
+    space, message = AGREEMENT[name]
+    f = write(tmp_path, "ag.json", {"space": space})
+    done = {command: run(capsys, command, f)
+            for command in ("profile", "validate", "crosscheck")}
+    for command, (code, out, err) in done.items():
+        if message is None:
+            assert code in (0, 3) and err == "", command
+        else:
+            assert (code, out) == (2, ""), command
+            assert err.split(": ", 1)[1] == message + "\n", command
+    crosscheck = done["crosscheck"][1].splitlines()
+    integer = [r for r in crosscheck if r.split()[1:2] in (["GH_*"], ["GH^*"], ["H~^*"])]
+    if message is None and cli.read_space(space).expr is None:
+        assert integer and all(r.endswith("  skipped  no symbolic prediction")
+                               for r in integer)

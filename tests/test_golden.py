@@ -1,5 +1,5 @@
-"""Golden outputs: ``strathom profile --json`` and ``strathom validate`` on
-a fixed job set must stay byte-identical.
+"""Golden outputs: ``strathom profile --json``, ``strathom validate`` and
+``strathom crosscheck`` on a fixed job set must stay byte-identical.
 
 Each case runs the CLI in process on an input under ``golden/jobs`` and
 compares standard output with the file ``golden/<case>.out``.  The
@@ -36,10 +36,17 @@ VALIDATE_CASES = {
     "validate-union-susp2-rp2-t2": "union-susp2-rp2-t2.json",
 }
 
+CROSSCHECK_CASES = {
+    "crosscheck-complex-susp-rp2": "complex-susp-rp2.json",
+    "crosscheck-union-susp-rp2-cone-t2": "union-susp-rp2-cone-t2.json",
+}
+
 
 def run_case(name: str) -> bytes:
     if name in VALIDATE_CASES:
         argv = ["validate", str(GOLDEN / "jobs" / VALIDATE_CASES[name])]
+    elif name in CROSSCHECK_CASES:
+        argv = ["crosscheck", str(GOLDEN / "jobs" / CROSSCHECK_CASES[name])]
     else:
         job, *opts = CASES[name]
         argv = ["profile", str(GOLDEN / "jobs" / job), "--json", *opts]
@@ -60,8 +67,13 @@ def test_validate_output_is_byte_identical(name):
     assert run_case(name) == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(CROSSCHECK_CASES))
+def test_crosscheck_output_is_byte_identical(name):
+    assert run_case(name) == (GOLDEN / f"{name}.out").read_bytes()
+
+
 if __name__ == "__main__":
-    for case in sorted(CASES) + sorted(VALIDATE_CASES):
+    for case in sorted(CASES) + sorted(VALIDATE_CASES) + sorted(CROSSCHECK_CASES):
         path = GOLDEN / f"{case}.out"
         if not path.exists():
             path.write_bytes(run_case(case))
