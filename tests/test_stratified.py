@@ -42,6 +42,37 @@ class TestValidation:
         with pytest.raises(StratifiedValidationError):
             FilteredComplex(1, {0: 5, 1: 1}, [(0, 1)])
 
+    LOW = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 9: 2, 10: 2}
+    CLOSED = [(0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,), (3, 4, 5), (3, 4),
+              (3, 5), (4, 5), (3,), (4,), (5,), (10, 9), (9,), (10,)]
+
+    @pytest.mark.parametrize("n,levels,simplices,close,message", [
+        (2, LOW, [(0, 1, 2), (3, 4, 5), (10, 9), (5, 9)], True,
+         "maximal simplex [0, 1, 2] has no level-2 vertex; "
+         "maximal simplex [5, 9] has dimension 1, expected 2; "
+         "maximal simplex [10, 9] has dimension 1, expected 2"),
+        (2, LOW, CLOSED, False,
+         "maximal simplex [0, 1, 2] has no level-2 vertex; "
+         "maximal simplex [10, 9] has dimension 1, expected 2"),
+        (2, LOW, [(0, 1, 2), (3, 4, 5), (10, 9)], False,
+         "missing face [1, 2] of [0, 1, 2]; missing face [0, 2] of [0, 1, 2]; "
+         "missing face [0, 1] of [0, 1, 2]; missing face [4, 5] of [3, 4, 5]; "
+         "missing face [3, 5] of [3, 4, 5]; missing face [3, 4] of [3, 4, 5]; "
+         "maximal simplex [0, 1, 2] has no level-2 vertex; "
+         "maximal simplex [10, 9] has dimension 1, expected 2"),
+        (3, {"a": 3, "b": 3, "c": 2, "d": 2, "e": 2, "f": 3},
+         [("c", "d", "e", "a"), ("c", "d", "e"), ("f",)], True,
+         "maximal simplex ['b'] has dimension 0, expected 3; "
+         "maximal simplex ['f'] has dimension 0, expected 3"),
+    ])
+    def test_maximal_simplex_messages_are_pinned(self, n, levels, simplices, close,
+                                                 message):
+        # a maximal simplex too small and one with no top-level vertex, in
+        # the order of maximal_simplices(), vertices sorted by str
+        with pytest.raises(StratifiedValidationError) as e:
+            FilteredComplex(n, levels, simplices, close=close)
+        assert str(e.value) == message
+
 
 class TestStrata:
     def test_suspension_of_rp2(self):
