@@ -59,7 +59,7 @@ class _Carrier(NamedTuple):
     sizes: Tuple          # sizes of the join blocks
     cone_slots: Tuple     # the nonempty cone slots
     links: List           # (slot, pos, tau * w) per link vertex w: see __init__
-    star: List            # the singular strata met by the star, by key
+    star: Tuple           # numbers of the singular strata met by the star
 
 
 class GlobalBlowupComplex:
@@ -78,7 +78,8 @@ class GlobalBlowupComplex:
         self.basis: Dict[int, List[GlobalLabel]] = {}
         self.index: Dict[GlobalLabel, Tuple[int, int]] = {}
         self._carriers: Dict[Tuple, _Carrier] = {}
-        stratum = {v: X.strata_met_by((v,))[0] for v in levels}
+        stratum = X.stratum_numbers()
+        singular = {i for i, st in enumerate(X.strata()) if not st.regular}
         visit_order = {v: i for i, v in enumerate(levels)}
         # each link extension tau * w of a regular simplex is a regular
         # simplex one dimension up, with w at index i: one pass over the
@@ -89,32 +90,35 @@ class GlobalBlowupComplex:
                 ext = found.get(big[:i] + big[i + 1:])
                 if ext is not None:
                     ext.append((visit_order[big[i]], i, big))
+        # (eps, number of flags set) per pattern of nonempty cone slots
+        flag_vectors: Dict[Tuple, List] = {}
         # popping frees each extension list once its links are built
         for tau in X.regular_simplices:
             ext = found.pop(tau)
             sizes = [0] * (n + 1)
             for v in tau:
                 sizes[levels[v]] += 1
+            start = list(itertools.accumulate(sizes, initial=0))
             # w lies in block ``slot`` of tau * w, at ``pos``, after the
             # vertices of tau below that level
             links = []
             star = {stratum[v] for v in tau}
             for _, i, big in sorted(ext):
                 slot = levels[big[i]]
-                links.append((slot, i - sum(sizes[:slot]), big))
+                links.append((slot, i - start[slot], big))
                 star.add(stratum[big[i]])
-            c = self._carriers[tau] = _Carrier(
-                tuple(sizes), tuple(i for i in range(n) if sizes[i]), links,
-                sorted((st for st in star if not st.regular), key=lambda st: st.key))
+            cone_slots = tuple(i for i in range(n) if sizes[i])
+            self._carriers[tau] = _Carrier(tuple(sizes), cone_slots, links,
+                                           tuple(sorted(star & singular)))
+            if cone_slots not in flag_vectors:
+                flag_vectors[cone_slots] = [
+                    (tuple(dict(zip(cone_slots, bits)).get(i, 0) for i in range(n)), sum(bits))
+                    for bits in itertools.product((0, 1), repeat=len(cone_slots))]
             # carriers come sorted and flags in product order, so each
             # degree's labels are already in (carrier, eps) order
             base_deg = sum(size - 1 for size in sizes if size)
-            for flags in itertools.product((0, 1), repeat=len(c.cone_slots)):
-                eps = [0] * n
-                for s_i, fl in zip(c.cone_slots, flags):
-                    eps[s_i] = fl
-                k = base_deg + sum(flags)
-                g = GlobalLabel(tau, tuple(eps))
+            for eps, up in flag_vectors[cone_slots]:
+                g, k = GlobalLabel(tau, eps), base_deg + up
                 labels = self.basis.setdefault(k, [])
                 self.index[g] = (k, len(labels))
                 labels.append(g)
@@ -166,18 +170,20 @@ class GlobalBlowupComplex:
         when that slot is collapsed, else the degree of the slots above it)
         is at most p(S)."""
         n = self.n
-        # per carrier: the least p(S) over its star strata, by slot
+        at = [(n - st.codim, p(st)) for st in self.X.strata()]
+        # per star: the least p(S) over its strata, by slot
         bound: Dict[Tuple, Dict[int, int]] = {}
-        for tau, c in self._carriers.items():
-            b = bound[tau] = {}
-            for st in c.star:
-                slot, v = n - st.codim, p(st)
+        for star in {c.star for c in self._carriers.values()}:
+            b = bound[star] = {}
+            for i in star:
+                slot, v = at[i]
                 b[slot] = min(b.get(slot, v), v)
         out = {}
         for k, labels in self.basis.items():
             ok = out[k] = []
             for i, (tau, eps) in enumerate(labels):
-                b, sizes = bound[tau], self._carriers[tau].sizes
+                c = self._carriers[tau]
+                b, sizes = bound[c.star], c.sizes
                 above = sizes[n] - 1        # degree of the slots above `slot`
                 for slot in range(n - 1, -1, -1):
                     if sizes[slot]:

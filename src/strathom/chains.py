@@ -12,6 +12,8 @@ the same invariant factors one degree along.
 """
 from __future__ import annotations
 
+from itertools import combinations
+from operator import le
 from typing import Dict, List, Tuple
 
 from .exact_algebra import (ChainComplex, Coefficients, GradedModule,
@@ -32,21 +34,25 @@ def perverse_degree(X: FilteredComplex, s) -> Tuple:
     return tuple(out)
 
 
+def _allowed(X: FilteredComplex, p: Perversity, basis: Dict) -> Dict[int, List[int]]:
+    """Positions of the allowable tuples in each degree k of ``basis``, the
+    tuples in (level, id) order, from one per-vertex table of codim(S) - p(S)
+    (S the stratum of the vertex).  Along S, met by the level block ending
+    at position e, ||s|| (``perverse_degree``) is e, so s passes when
+    codim S - p(S) <= k - e; within the block the bound only grows, so one
+    scan checks every position.  s must end on a top-level vertex."""
+    by_number = [st.codim - p(st) for st in X.strata()]
+    slack = {v: by_number[i] for v, i in X.stratum_numbers().items()}.__getitem__
+    levels, n = X.levels, X.n
+    return {k: [j for j, s in enumerate(simps)
+                if levels[s[-1]] == n and all(map(le, map(slack, s), range(k, -1, -1)))]
+            for k, simps in basis.items()}
+
+
 def allowable(X: FilteredComplex, s, p: Perversity) -> bool:
-    """The Goresky-MacPherson inequality against every stratum met by s.
-    Along the stratum of level i, ||s|| (``perverse_degree`` in codimension
-    n - i) is the number of vertices of s of level <= i, less one."""
-    count = [0] * (X.n + 1)
-    for v in s:
-        count[X.levels[v]] += 1
-    if not count[X.n]:
-        return False
-    dim, below = len(s) - 1, -1
-    for st in X.strata_met_by(s)[:-1]:      # the last one met is regular
-        below += count[st.level]
-        if below > dim - st.codim + p(st):
-            return False
-    return True
+    """The Goresky-MacPherson inequality against every stratum met by s."""
+    s = X.sorted_vertices(s)
+    return bool(s) and any(_allowed(X, p, {len(s) - 1: [s]}).values())
 
 
 def regular_complex(X: FilteredComplex) -> ChainComplex:
@@ -59,12 +65,16 @@ def regular_complex(X: FilteredComplex) -> ChainComplex:
     for k, simps in basis.items():
         if k:
             idx = {s: i for i, s in enumerate(basis.get(k - 1, ()))}
+            # combinations(s, k) leaves out s[k], ..., s[0] in turn; the
+            # entries go in by the position left out, as the sign does
+            signs = [(i, -1 if i & 1 else 1) for i in range(k + 1)]
             ent = {}
             for j, s in enumerate(simps):
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    if face in idx:
-                        ent[(idx[face], j)] = -1 if i & 1 else 1
+                faces = list(combinations(s, k))
+                for i, sign in signs:
+                    row = idx.get(faces[k - i])
+                    if row is not None:
+                        ent[(row, j)] = sign
             diffs[k] = IntMatrix(len(idx), len(simps), ent)
     return ChainComplex("hom", {k: len(v) for k, v in basis.items()}, diffs, basis=basis)
 
@@ -86,9 +96,7 @@ def intersection_complex(X: FilteredComplex, p: Perversity,
     """The p-intersection lattice: the allowable subcomplex of the regular
     chain complex of X."""
     amb = regular_complex(X)
-    allowed = {k: [j for j, s in enumerate(simps) if allowable(X, s, p)]
-               for k, simps in amb.basis.items()}
-    return Subcomplex(amb, allowed, ring)
+    return Subcomplex(amb, _allowed(X, p, amb.basis), ring)
 
 
 def intersection_homology(X: FilteredComplex, p: Perversity,

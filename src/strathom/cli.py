@@ -137,8 +137,12 @@ def read_space(data) -> Space:
                      key=str)
         relabel = {vid: i for i, vid in enumerate(ids)}
         levels = {relabel[v["id"]]: _int(v["level"], "a level") for v in vertices}
-        simplices = [[relabel[_typed(v, (int, str), "a vertex id")]
-                      for v in _typed(s, list, "a simplex")]
+
+        def number(v, s):
+            if _typed(v, (int, str), "a vertex id") not in relabel:
+                raise InputError(f"simplex {s} names vertex {v!r}, which is not in 'vertices'")
+            return relabel[v]
+        simplices = [[number(v, s) for v in _typed(s, list, "a simplex")]
                      for s in _typed(data["simplices"], list, "'simplices'")]
         n = _int(data["dimension"], "'dimension'")
         name = _typed(data.get("name", "complex"), str, "'name'")
@@ -400,8 +404,10 @@ def cmd_profile(args, data: dict, digest: str) -> int:
         for pspec in pspecs:
             per_perversity: List[Tuple[str, DualityReport]] = []
             if closed:
-                per_perversity.append(
-                    ("symbolic", symbolic_report(space.expr, apex_value(pspec), ring)))
+                rep = symbolic_report(space.expr, apex_value(pspec), ring)
+                if engine == "both" and not simplicial:
+                    rep.annotations.append(f"simplicial engine skipped: {space.no_complex}")
+                per_perversity.append(("symbolic", rep))
             if simplicial:
                 X = space.complex
                 name = _typed(space_data.get("name", X.name), str, "'name'")

@@ -14,9 +14,9 @@ set ``table`` of sorted tuples of vertex numbers.  The faces that
 ``itertools.combinations`` yields of a sorted tuple are sorted, so the
 closure under faces builds no frozenset and sorts nothing; the last entry
 of a tuple is a vertex of its top level.  Validation, the maximal
-simplices, ``strata()`` and ``regular_simplices`` read the table, and
-``simplices`` (frozensets of vertex ids, for tests and oracles) is built
-on first read only.
+simplices, ``strata()`` and ``regular_simplices`` read the table; the
+frozensets ``simplices`` (for tests and oracles) and ``maximal_simplices()``
+(for the constructors) are built on first read only.
 """
 from __future__ import annotations
 
@@ -72,8 +72,8 @@ class FilteredComplex:
         else:
             self.table = given
             maximal = _not_a_face(given)
-        self._maximal = sorted((frozenset(map(ids.__getitem__, t)) for t in maximal),
-                               key=lambda s: (-len(s), tuple(sorted(s, key=str))))
+        self._maximal_table = maximal
+        self._maximal = None            # the frozenset list, on first read
         self.validate(closed=not close)
         self._strata = None             # and _vertex_stratum, set by strata()
 
@@ -101,17 +101,15 @@ class FilteredComplex:
                         if face not in self.table:
                             violations.append(
                                 f"missing face {self._by_str(face)} of {self._by_str(t)}")
-        if not any(lv == self.n for lv in self.levels.values()):
-            violations.append(f"no vertex of level {self.n}: X_{self.n - 1} = X")
-        maximal = self.maximal_simplices()
-        for m in maximal:
-            if len(m) - 1 != self.n:
-                violations.append(
-                    f"maximal simplex {sorted(m, key=str)} has dimension {len(m) - 1}, "
-                    f"expected {self.n}")
-            elif not any(self.levels[v] == self.n for v in m):
-                violations.append(
-                    f"maximal simplex {sorted(m, key=str)} has no level-{self.n} vertex")
+        n, levels, ids = self.n, self.levels, self._ids
+        if not any(lv == n for lv in levels.values()):
+            violations.append(f"no vertex of level {n}: X_{n - 1} = X")
+        # the last vertex number of a tuple is one of its top level
+        for m in self._listed(t for t in self._maximal_table
+                              if len(t) - 1 != n or not t or levels[ids[t[-1]]] != n):
+            m, dim = sorted(m, key=str), len(m) - 1
+            violations.append(f"maximal simplex {m} has dimension {dim}, expected {n}"
+                              if dim != n else f"maximal simplex {m} has no level-{n} vertex")
         if violations:
             raise StratifiedValidationError(violations)
         return self
@@ -119,6 +117,12 @@ class FilteredComplex:
     def _by_str(self, t: Tuple) -> List:
         """The vertex ids of a table tuple, sorted by ``str``."""
         return sorted(map(self._ids.__getitem__, t), key=str)
+
+    def _listed(self, tuples) -> List[FrozenSet]:
+        """Table tuples as id frozensets, by size descending, then str-sorted ids."""
+        ids = self._ids
+        return sorted((frozenset(map(ids.__getitem__, t)) for t in tuples),
+                      key=lambda s: (-len(s), tuple(sorted(s, key=str))))
 
     # -- basic structure -------------------------------------------------
 
@@ -142,7 +146,9 @@ class FilteredComplex:
         return sorted(tuple(map(ids.__getitem__, t)) for t in self.table if t and t[-1] >= top)
 
     def maximal_simplices(self) -> List[FrozenSet]:
-        """Maximal simplices, found once at construction (do not mutate)."""
+        """Maximal simplices, found at construction, listed on first read (do not mutate)."""
+        if self._maximal is None:
+            self._maximal = self._listed(self._maximal_table)
         return self._maximal
 
     def max_level(self, s: Iterable) -> int:
@@ -190,20 +196,25 @@ class FilteredComplex:
         strata, of_root = [], {}
         for level in sorted(comps):
             for idx, r in enumerate(sorted(comps[level], key=least.get)):
-                of_root[r] = Stratum(level=level, index=idx, dim=dim[r],
-                                     codim=self.n - level, regular=(level == self.n))
-                strata.append(of_root[r])
+                of_root[r] = len(strata)
+                strata.append(Stratum(level=level, index=idx, dim=dim[r],
+                                      codim=self.n - level, regular=(level == self.n)))
         self._strata = strata
         self._vertex_stratum = {v: of_root[r] for v, r in zip(ids, root)}
         return strata
+
+    def stratum_numbers(self) -> Dict:
+        """Vertex id -> the position of its stratum in ``strata()``."""
+        self.strata()
+        return self._vertex_stratum
 
     def strata_met_by(self, s: Iterable) -> List["Stratum"]:
         """Strata whose point set the simplex meets, one per level present:
         the stratum of any vertex of s at that level (the edges of s join
         its vertices of one level into one stratum)."""
-        self.strata()
+        strata, number = self.strata(), self.stratum_numbers()
         at = {self.levels[v]: v for v in s}
-        return [self._vertex_stratum[at[i]] for i in sorted(at)]
+        return [strata[number[at[i]]] for i in sorted(at)]
 
     # -- constructors ------------------------------------------------------
 

@@ -4,17 +4,18 @@ label-walk oracle (``blowup_oracle``).
 The tables must give the same basis in the same order, the same
 differential matrices with the same entry order (it fixes the SNF pivot
 path and so every reported basis) and the same allowed lists for every
-perversity.  A count guard keeps the per-carrier data computed once, from
-``X.regular_simplices`` and one stratum lookup per vertex, and an identity
-check keeps each link extension the tuple of that list, not a copy.
+perversity.  Count guards keep the per-carrier data computed once, from
+``X.regular_simplices`` and the vertex-to-stratum map, with no ``Stratum``
+hashed, and an identity check keeps each link extension the tuple of that
+list, not a copy.
 """
 import pytest
 
 from blowup_oracle import (label_walk_basis, label_walk_differential,
                            scanned_allowed_indices)
 from strathom.blowup import GlobalBlowupComplex
-from strathom.stratified import FilteredComplex, GMPerversity, Perversity
-from strathom.triangulations import projective_plane, torus
+from strathom.stratified import FilteredComplex, GMPerversity, Perversity, Stratum
+from strathom.triangulations import projective_plane, projective_space_3, torus
 from test_maximal import SPACES
 
 IDS = [s[0] for s in SPACES]
@@ -87,7 +88,8 @@ def test_carrier_data_computed_once(monkeypatch):
     G.full_complex()
     for p in perversities:
         G.allowed_indices(p)
-    assert 0 < calls["strata_met_by"] <= len(X.levels)
+    # the carriers read their star strata from the vertex-to-stratum map
+    assert calls["strata_met_by"] == 0
     assert calls["sorted_vertices"] == 0
 
 
@@ -100,3 +102,21 @@ def test_link_extensions_are_the_listed_simplices(name, make):
     for c in G._carriers.values():
         for _, _, bigger in c.links:
             assert bigger is listed[bigger]
+
+
+def test_carriers_hash_no_stratum(monkeypatch):
+    # the stars are sets of stratum numbers; the counts repeat exactly
+    X = projective_space_3().cone()
+    hashes = []
+    orig = Stratum.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return orig(self)
+    monkeypatch.setattr(Stratum, "__hash__", counted)
+    assert hash(X.strata()[0]) and len(hashes) == 1
+    for _ in range(2):
+        hashes.clear()
+        G = GlobalBlowupComplex(X)
+        G.allowed_indices(Perversity(X, {st.key: 1 for st in X.strata() if not st.regular}))
+        assert hashes == []

@@ -9,8 +9,9 @@ from strathom.exact_algebra import (Coefficients, FGModule, GradedModule,
                                     homology_all, smith)
 from strathom.exact_algebra import \
     verdier_dual_cohomology as cohomology_via_uct
-from strathom.stratified import Perversity
-from strathom.triangulations import circle, projective_plane, sphere, torus
+from strathom.stratified import FilteredComplex, Perversity
+from strathom.triangulations import (circle, projective_plane, projective_space_3,
+                                     sphere, torus)
 from subcomplex_oracle import Lattice
 from test_maximal import SPACES
 
@@ -247,3 +248,24 @@ class TestCohomology:
         p = apex_perversity(X, 0)
         H = intersection_cohomology(X, p, ZZ)
         assert H == GradedModule({0: Z(1), 3: Z(1)})
+
+
+def test_chain_jobs_read_per_vertex_tables(monkeypatch):
+    # no strata_met_by call and no frozenset maximal list on a chain job,
+    # the same counts on every repetition
+    S = projective_space_3().suspension()
+    facets = [sorted(s) for s in S.simplices if len(s) == S.n + 1]
+    calls = {"strata_met_by": 0, "maximal_simplices": 0}
+    for attr in calls:
+        orig = getattr(FilteredComplex, attr)
+
+        def counted(self, *args, orig=orig, attr=attr):
+            calls[attr] += 1
+            return orig(self, *args)
+        monkeypatch.setattr(FilteredComplex, attr, counted)
+    for _ in range(2):
+        X = FilteredComplex(S.n, S.levels, facets, name="susp(RP3)")
+        p = apex_perversity(X, 1)
+        assert intersection_homology(X, p, ZZ)[1] == Zmod(2)
+        intersection_cohomology(X, p, ZZ)
+        assert calls == {"strata_met_by": 0, "maximal_simplices": 0}

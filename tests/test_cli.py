@@ -655,3 +655,36 @@ def test_subcommands_agree_on_what_they_read(tmp_path, capsys, name):
     if message is None and cli.read_space(space).expr is None:
         assert integer and all(r.endswith("  skipped  no symbolic prediction")
                                for r in integer)
+
+
+@pytest.mark.parametrize("command", ["profile", "validate", "crosscheck"])
+def test_simplex_with_an_unknown_vertex_names_it(tmp_path, capsys, command):
+    f = write(tmp_path, "mv.json", {"space": {
+        "type": "complex", "dimension": 1,
+        "vertices": [{"id": 0, "level": 1}, {"id": 1, "level": 1}],
+        "simplices": [[0, 1], [1, 7]]}})
+    code, out, err = run(capsys, command, f)
+    assert_one_line_error(code, err)
+    assert out == ""
+    assert err.split(": ", 1)[1] == \
+        "simplex [1, 7] names vertex 7, which is not in 'vertices'\n"
+
+
+@pytest.mark.parametrize("name", ["product S2xS1", "thom(S2)"])
+def test_engine_both_says_when_the_simplicial_engine_is_skipped(tmp_path, capsys, name):
+    space, reason = (
+        ({"type": "product", "factors": ["S2", "S1"]},
+         "a space node of type 'product' has no triangulation")
+        if name.startswith("product") else
+        (AGREEMENT["thom(S2)"][0], "a space node of type 'thom_circle' has no triangulation"))
+    f = write(tmp_path, "both.json", {"space": space})
+    note = f"simplicial engine skipped: {reason}"
+    code, out, err = run(capsys, "profile", f, "--engine", "both")
+    assert code == 0 and err == ""
+    assert "== engine: simplicial ==" not in out
+    assert f"note: {note}\n" in out
+    code, out, _ = run(capsys, "profile", f, "--engine", "both", "--json")
+    assert code == 0 and note in json.loads(out)["annotations"]
+    # asked for the closed form alone, nothing was skipped
+    code, out, _ = run(capsys, "profile", f, "--json")
+    assert code == 0 and note not in json.loads(out)["annotations"]

@@ -121,7 +121,7 @@ def test_star_strata_match_scan(name, make):
             tau = X.sorted_vertices(s)
             got = G._carriers[tau].star
             want = scanned_star_strata(X, maximal, tau)
-            assert [st.key for st in got] == sorted(st.key for st in want)
+            assert [X.strata()[i].key for i in got] == sorted(st.key for st in want)
 
 
 @pytest.mark.parametrize("name, make", SPACES, ids=[s[0] for s in SPACES])

@@ -4,17 +4,18 @@
 ``strata_oracle`` unions every simplex of top level l with its faces.  The
 two must give the same strata with the same (level, index) numbering, and
 ``strata_met_by`` and ``chains.allowable`` must agree with their
-definitions on every simplex, at every apex value and GM perversity.  The
-spaces are those of ``test_smith``, copies of them with vertex ids
-permuted (which moves the index order), susp^2(T2), and disjoint unions,
-which have several strata on every level.
+definitions on every simplex, at every apex value and GM perversity, and
+``intersection_complex`` must allow exactly the regular simplices that the
+definition allows.  The spaces are those of ``test_smith``, copies of them
+with vertex ids permuted (which moves the index order), susp^2(T2), and
+disjoint unions, which have several strata on every level.
 """
 import random
 
 import pytest
 
 import strata_oracle as oracle
-from strathom.chains import allowable
+from strathom.chains import allowable, intersection_complex, regular_complex
 from strathom.stratified import FilteredComplex, GMPerversity, Perversity
 from strathom.triangulations import torus
 from test_smith import SPACES
@@ -49,8 +50,11 @@ def perversities(X: FilteredComplex):
         yield Perversity.from_gm(X, gm)
 
 
-@pytest.mark.parametrize("name,seed", [(name, 0) for name in sorted(CASES)] +
-                         [(name, seed) for name in sorted(SPACES) for seed in (1, 2, 3)])
+SEEDED = [(name, 0) for name in sorted(CASES)] + \
+    [(name, seed) for name in sorted(SPACES) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,seed", SEEDED)
 def test_strata_and_allowability_match_the_union_find(name, seed):
     X = CASES[name]()
     if seed:
@@ -67,3 +71,17 @@ def test_strata_and_allowability_match_the_union_find(name, seed):
     for p in perversities(X):
         for s in X.simplices:
             assert allowable(X, s, p) == oracle.allowable(X, of, s, p), (sorted(s), p)
+
+
+@pytest.mark.parametrize("name,seed", SEEDED)
+def test_intersection_complex_allows_what_the_oracle_allows(name, seed):
+    # the batch scan of intersection_complex, not the public allowable
+    X = CASES[name]()
+    if seed:
+        X = vertex_permuted(X, seed)
+    of = oracle.stratum_of(oracle.strata(X))
+    basis = regular_complex(X).basis
+    for p in perversities(X):
+        want = {k: [j for j, s in enumerate(simps) if oracle.allowable(X, of, s, p)]
+                for k, simps in basis.items()}
+        assert intersection_complex(X, p).allowed == want, p
