@@ -34,6 +34,11 @@ the eps flips alone, and every other term adds one vertex of the link.
 tau * w is a regular simplex of the list) and the singular strata met by
 its star (those of the vertices of tau and of its link), all kept for the
 differential and the allowability test.
+
+The global complex depends on X alone: ``global_blowup`` builds it once per
+X (``stratified.per_space``), with one d o d = 0 check, and every
+perversity and ring carves its allowable subcomplex out of it.  It keeps
+the strata of X, not X, so X is freed as soon as nothing else holds it.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact_algebra import (ChainComplex, ChainMap, Coefficients, GradedModule,
                             IntMatrix, Subcomplex, homology_all, mapping_cone)
-from .stratified import FilteredComplex, Perversity
+from .stratified import FilteredComplex, Perversity, per_space
 
 
 # -- the global complex --------------------------------------------------
@@ -68,11 +73,11 @@ class GlobalBlowupComplex:
 
     ``full_complex`` is N~*(X), the same for every perversity and ring;
     ``intersection_complex(p, ring)`` carves out the p-allowable part with
-    allowable coboundary.
+    allowable coboundary.  ``global_blowup`` shares one per X.
     """
 
     def __init__(self, X: FilteredComplex):
-        self.X = X
+        self.strata = X.strata()
         self.n = n = X.n
         levels = X.levels
         self.basis: Dict[int, List[GlobalLabel]] = {}
@@ -170,7 +175,7 @@ class GlobalBlowupComplex:
         when that slot is collapsed, else the degree of the slots above it)
         is at most p(S)."""
         n = self.n
-        at = [(n - st.codim, p(st)) for st in self.X.strata()]
+        at = [(n - st.codim, p(st)) for st in self.strata]
         # per star: the least p(S) over its strata, by slot
         bound: Dict[Tuple, Dict[int, int]] = {}
         for star in {c.star for c in self._carriers.values()}:
@@ -212,9 +217,15 @@ class BlowupIntersection(Subcomplex):
         return homology_all(self, self.ring)
 
 
+@per_space
+def global_blowup(X: FilteredComplex) -> GlobalBlowupComplex:
+    """The one blown-up complex of X, shared by every perversity and ring."""
+    return GlobalBlowupComplex(X)
+
+
 def blowup_complex(X: FilteredComplex, p: Perversity,
                    ring: Coefficients = Coefficients("Z")) -> BlowupIntersection:
-    return GlobalBlowupComplex(X).intersection_complex(p, ring)
+    return global_blowup(X).intersection_complex(p, ring)
 
 
 def blowup_cohomology(X: FilteredComplex, p: Perversity,
@@ -232,7 +243,7 @@ def relative_complex(X: FilteredComplex, p: Perversity, q: Perversity,
     I_p.  The subcomplex is thus the mapping cone of I_p -> I_q."""
     if not (p <= q):
         raise ValueError("relative complex needs p <= q stratum-wise")
-    G = GlobalBlowupComplex(X)
+    G = global_blowup(X)
     A = G.full_complex()
     cone = mapping_cone(ChainMap.identity(A))
     on_p, on_q = G.allowed_indices(p), G.allowed_indices(q)

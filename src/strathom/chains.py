@@ -4,11 +4,14 @@ Chains are combinations of regular simplices with the regular-part
 boundary (``regular_complex``, on the basis that the blown-up complex
 shares, ``FilteredComplex.regular_simplices``); a chain is of
 p-intersection when it and its boundary are spanned by allowable
-simplices.  This module decides which simplices are allowable;
-``exact_algebra.Subcomplex`` reads the homology of the intersection
-chains, exactly over Z and mod p for field coefficients, from one fused
-elimination of each regular boundary matrix, and the dual cohomology from
-the same invariant factors one degree along.
+simplices.  The regular complex depends on X alone: it is built, and its
+d o d = 0 checked, once per X (``stratified.per_space``), and every
+perversity and ring carves its intersection chains out of it.  This
+module decides which simplices are allowable; ``exact_algebra.Subcomplex``
+reads the homology of the intersection chains, exactly over Z and mod p
+for field coefficients, from one fused elimination of each regular
+boundary matrix, and the dual cohomology from the same invariant factors
+one degree along.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from .exact_algebra import (ChainComplex, Coefficients, GradedModule,
                             IntMatrix, Subcomplex, homology_all)
-from .stratified import FilteredComplex, Perversity
+from .stratified import FilteredComplex, Perversity, per_space
 
 NEG_INF = float("-inf")
 
@@ -55,9 +58,10 @@ def allowable(X: FilteredComplex, s, p: Perversity) -> bool:
     return bool(s) and any(_allowed(X, p, {len(s) - 1: [s]}).values())
 
 
+@per_space
 def regular_complex(X: FilteredComplex) -> ChainComplex:
-    """Ambient complex of regular simplices with the regular part of the
-    simplicial boundary, degree k -> k-1."""
+    """The ambient complex of X: regular simplices with the regular part of
+    the simplicial boundary, degree k -> k-1; one per X, shared."""
     basis: Dict[int, List[Tuple]] = {}
     for s in X.regular_simplices:
         basis.setdefault(len(s) - 1, []).append(s)

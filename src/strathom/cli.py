@@ -411,8 +411,10 @@ def cmd_profile(args, data: dict, digest: str) -> int:
             if simplicial:
                 X = space.complex
                 name = _typed(space_data.get("name", X.name), str, "'name'")
-                per_perversity.append(
-                    ("simplicial", simplicial_report(X, pspec, ring, name)))
+                rep = simplicial_report(X, pspec, ring, name)
+                if engine == "both" and not closed:
+                    rep.annotations.append(f"closed form skipped: {space.no_expr}")
+                per_perversity.append(("simplicial", rep))
             if len(per_perversity) == 2:
                 _engine_agreement_check(per_perversity[0][1], per_perversity[1][1])
             reports.extend(per_perversity)

@@ -101,10 +101,6 @@ class ChainComplex:
         return ChainComplex(new_orient, dict(self.ranks), diffs, check=False,
                             modulus=self.modulus)
 
-    @classmethod
-    def zero(cls, orientation: str = "hom") -> "ChainComplex":
-        return cls(orientation, {}, {})
-
 
 def homology_all(C, ring: Coefficients = Coefficients("Z")) -> GradedModule:
     """Every H_k = R^(n_k - r_out - r_in) + sum of Z/d_i, where r_out and
@@ -229,12 +225,13 @@ class ChainMap:
         return IntMatrix(self.cod.rank(k), self.dom.rank(k))
 
     @classmethod
-    def zero(cls, dom: ChainComplex, cod: ChainComplex) -> "ChainMap":
-        return cls(dom, cod, {})
-
-    @classmethod
     def identity(cls, C: ChainComplex) -> "ChainMap":
-        return cls(C, C, {k: IntMatrix.identity(C.rank(k)) for k in C.support()})
+        """The identity of C, which commutes by construction: built without
+        the check, which would multiply each differential of C by I."""
+        f = cls.__new__(cls)
+        f.dom = f.cod = C
+        f.mats = {k: IntMatrix.identity(C.rank(k)) for k in C.support()}
+        return f
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:

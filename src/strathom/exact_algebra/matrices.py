@@ -185,14 +185,6 @@ class IntMatrix:
             ent[(i, j + self.cols)] = v
         return IntMatrix(self.rows, self.cols + other.cols, ent)
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ValueError("col mismatch in vstack")
-        ent = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            ent[(i + self.rows, j)] = v
-        return IntMatrix(self.rows + other.rows, self.cols, ent)
-
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         rmap = {r: i for i, r in enumerate(row_idx)}
         cmap = {c: j for j, c in enumerate(col_idx)}
@@ -204,31 +196,6 @@ class IntMatrix:
 
     def max_abs(self) -> int:
         return max((abs(v) for v in self.entries.values()), default=0)
-
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination (square only)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [row[:] for row in self.to_dense()]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def serialize_triplets(self) -> str:
         """Text triplet format: one ``row col value`` per line."""

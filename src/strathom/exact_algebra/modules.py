@@ -144,11 +144,6 @@ class FGModule:
             out *= d
         return out
 
-    def exponent(self) -> Optional[int]:
-        if self.rank:
-            return None
-        return self.torsion[-1] if self.torsion else 1
-
     def free_part(self) -> "FGModule":
         return FGModule(self.rank, ())
 

@@ -17,12 +17,18 @@ of a tuple is a vertex of its top level.  Validation, the maximal
 simplices, ``strata()`` and ``regular_simplices`` read the table; the
 frozensets ``simplices`` (for tests and oracles) and ``maximal_simplices()``
 (for the constructors) are built on first read only.
+
+An ambient complex of X (``chains.regular_complex``,
+``blowup.global_blowup``) depends on X alone, so ``per_space`` builds it
+once per X and keeps it exactly as long as X lives: the memo is keyed
+weakly on X, and no ambient refers to X.
 """
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
@@ -208,14 +214,6 @@ class FilteredComplex:
         self.strata()
         return self._vertex_stratum
 
-    def strata_met_by(self, s: Iterable) -> List["Stratum"]:
-        """Strata whose point set the simplex meets, one per level present:
-        the stratum of any vertex of s at that level (the edges of s join
-        its vertices of one level into one stratum)."""
-        strata, number = self.strata(), self.stratum_numbers()
-        at = {self.levels[v]: v for v in s}
-        return [strata[number[at[i]]] for i in sorted(at)]
-
     # -- constructors ------------------------------------------------------
 
     def cone(self, name: str = "") -> "FilteredComplex":
@@ -260,6 +258,22 @@ class FilteredComplex:
     def __repr__(self):
         return (f"FilteredComplex({self.name or 'X'}, n={self.n}, "
                 f"{len(self.levels)} vertices, {len(self.table)} simplices)")
+
+
+# X -> {builder: what it built from X}; an entry goes when X is freed, so
+# nothing built may refer to X, or the memo would keep X alive through it
+AMBIENTS: "weakref.WeakKeyDictionary[FilteredComplex, Dict]" = weakref.WeakKeyDictionary()
+
+
+def per_space(build):
+    """``build(X)`` once per X, shared by every later call on that X."""
+    @wraps(build)
+    def read(X: FilteredComplex):
+        built = AMBIENTS.setdefault(X, {})
+        if build not in built:
+            built[build] = build(X)
+        return built[build]
+    return read
 
 
 def _not_a_face(table: Set[Tuple]) -> Set[Tuple]:

@@ -16,7 +16,8 @@ carrier's star.  Slow, but it follows the definitions directly.
 import itertools
 from typing import Dict, List, Tuple
 
-from strata_oracle import maximal_by_vertex, maximal_cofaces
+from strata_oracle import (maximal_by_vertex, maximal_cofaces, strata,
+                           strata_met_by, stratum_of)
 from strathom.blowup import GlobalLabel
 from strathom.exact_algebra import ChainComplex, IntMatrix
 from strathom.stratified import FilteredComplex
@@ -216,24 +217,24 @@ def label_walk_basis(X):
     return basis
 
 
-def carrier_of_local(G, lab) -> GlobalLabel:
+def carrier_of_local(X, lab) -> GlobalLabel:
     """The global basis element of a full-support local label."""
     verts = []
-    eps = [0] * G.n
-    for i in range(G.n):
+    eps = [0] * X.n
+    for i in range(X.n):
         f, e = lab[i]
         verts.extend(f)
         if f:
             eps[i] = e
-    verts.extend(lab[G.n])
-    return GlobalLabel(G.X.sorted_vertices(frozenset(verts)), tuple(eps))
+    verts.extend(lab[X.n])
+    return GlobalLabel(X.sorted_vertices(frozenset(verts)), tuple(eps))
 
 
-def label_walk_differential(G, k) -> IntMatrix:
-    """d in degree k: the label's own coboundary (eps flips only, since the
-    label has full support), then one term per vertex of the carrier's
-    link in ``X.levels`` order."""
-    X, n = G.X, G.n
+def label_walk_differential(X, G, k) -> IntMatrix:
+    """d in degree k of G, the blown-up complex of X: the label's own
+    coboundary (eps flips only, since the label has full support), then one
+    term per vertex of the carrier's link in ``X.levels`` order."""
+    n = X.n
     ent = {}
     visit_order = {v: i for i, v in enumerate(X.levels)}
     by_vertex = maximal_by_vertex(X)
@@ -259,28 +260,31 @@ def label_walk_differential(G, k) -> IntMatrix:
                 big_lab[slot] = (nf, e)
             terms.append(((-1) ** (pos + acc), tuple(big_lab)))
         for coeff, lab2 in terms:
-            i = G.index[carrier_of_local(G, lab2)][1]
+            i = G.index[carrier_of_local(X, lab2)][1]
             ent[(i, j)] = ent.get((i, j), 0) + coeff
     return IntMatrix(G.rank(k + 1), G.rank(k), {ij: v for ij, v in ent.items() if v})
 
 
-def star_strata(X, tau, by_vertex):
-    """Singular strata met by a maximal coface of tau."""
+def star_strata(X, tau, by_vertex, of):
+    """Singular strata met by a maximal coface of tau (``of``: the
+    union-find strata of X by simplex, ``strata_oracle.stratum_of``)."""
     seen = {}
     for m in maximal_cofaces(X, tau, by_vertex):
-        for st in X.strata_met_by(m):
+        for st in strata_met_by(X, of, m):
             if not st.regular:
                 seen[st.key] = st
     return list(seen.values())
 
 
-def is_allowed(G, g, p, by_vertex) -> bool:
-    lab = as_local(g, G.X)
-    return all(local_perverse_degree(lab, st.codim, G.n) <= p(st)
-               for st in star_strata(G.X, g.carrier, by_vertex))
+def is_allowed(X, g, p, by_vertex, of) -> bool:
+    lab = as_local(g, X)
+    return all(local_perverse_degree(lab, st.codim, X.n) <= p(st)
+               for st in star_strata(X, g.carrier, by_vertex, of))
 
 
-def scanned_allowed_indices(G, p):
-    by_vertex = maximal_by_vertex(G.X)
-    return {k: [i for i, g in enumerate(labels) if is_allowed(G, g, p, by_vertex)]
+def scanned_allowed_indices(X, G, p):
+    """The p-allowable positions of each degree of G, the blown-up complex
+    of X, label by label."""
+    by_vertex, of = maximal_by_vertex(X), stratum_of(strata(X))
+    return {k: [i for i, g in enumerate(labels) if is_allowed(X, g, p, by_vertex, of)]
             for k, labels in G.basis.items()}

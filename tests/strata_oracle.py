@@ -1,6 +1,6 @@
 """Simplices, maximal simplices, strata and allowability computed from
 the definitions, kept as the oracle for ``FilteredComplex.simplices``,
-``maximal_simplices``, ``strata``, ``strata_met_by`` and
+``maximal_simplices``, ``strata``, ``stratum_numbers`` and
 ``chains.allowable``, with the maximal cofaces of a simplex for the
 blow-up oracles.
 

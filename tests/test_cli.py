@@ -688,3 +688,23 @@ def test_engine_both_says_when_the_simplicial_engine_is_skipped(tmp_path, capsys
     # asked for the closed form alone, nothing was skipped
     code, out, _ = run(capsys, "profile", f, "--json")
     assert code == 0 and note not in json.loads(out)["annotations"]
+
+
+@pytest.mark.parametrize("name", ["raw complex", "cone(cone(S1))"])
+def test_engine_both_says_when_the_closed_form_is_skipped(tmp_path, capsys, name):
+    space, reason = (
+        (README_COMPLEX, "the raw complex has no closed form")
+        if name == "raw complex" else
+        ({"type": "cone", "of": {"type": "cone", "of": {"type": "atom", "name": "S1"}}},
+         "cone supports manifold links only"))
+    f = write(tmp_path, "both.json", {"space": space})
+    note = f"closed form skipped: {reason}"
+    code, out, err = run(capsys, "profile", f, "--engine", "both")
+    assert code == 0 and err == ""
+    assert "== engine: symbolic ==" not in out
+    assert f"note: {note}\n" in out
+    code, out, _ = run(capsys, "profile", f, "--engine", "both", "--json")
+    assert code == 0 and note in json.loads(out)["annotations"]
+    # asked for the simplicial engine alone, nothing was skipped
+    code, out, _ = run(capsys, "profile", f, "--engine", "simplicial", "--json")
+    assert code == 0 and note not in json.loads(out)["annotations"]

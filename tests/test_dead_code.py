@@ -14,12 +14,16 @@ else reads an attribute or a variable called ``row``.
 No module of ``src/strathom`` reads an underscore attribute of another
 object either: only of ``self``, ``cls`` or the ``other`` argument of a
 method (an object of the same class, as in ``__eq__``).  So the blow-up
-reads strata through ``strata_met_by``, not ``X._vertex_stratum``.
+reads strata through ``stratum_numbers``, not ``X._vertex_stratum``.
 
 Nor does any module of ``src/strathom`` outside ``exact_algebra``'s
 ``matrices``, ``maps`` and ``modules`` name ``kernel_basis``, ``solve`` or
 their mod-p forms: the homology of a complex is read from invariant
 factors, and lattice bases live in ``tests/subcomplex_oracle.py``.
+
+And no module of ``src/strathom`` but ``blowup.py`` names
+``GlobalBlowupComplex``: every caller reads the one blown-up complex of a
+space through ``blowup.global_blowup``, built once per space.
 """
 import ast
 from collections import Counter
@@ -112,3 +116,26 @@ def test_no_lattice_basis_outside_the_module_map_layer():
             named = LATTICE_NAMES & set(references(ast.parse(path.read_text())))
             found += [f"{path.relative_to(ROOT)}: {name}" for name in sorted(named)]
     assert not found, "kernel or solve named:\n" + "\n".join(found)
+
+
+def names_the_global_complex(tree) -> bool:
+    return "GlobalBlowupComplex" in references(tree)
+
+
+def test_only_blowup_builds_the_global_complex():
+    """A module that named the class could build a second blown-up
+    complex of a space, with its own d o d = 0 check, beside the one that
+    ``global_blowup`` shares."""
+    package = ROOT / "src" / "strathom"
+    found = [path.relative_to(ROOT).as_posix() for path in sorted(package.rglob("*.py"))
+             if path.relative_to(package).as_posix() != "blowup.py"
+             and names_the_global_complex(ast.parse(path.read_text()))]
+    assert not found, "GlobalBlowupComplex named outside blowup.py:\n" + "\n".join(found)
+
+
+def test_global_complex_check_flags_a_planted_name():
+    assert names_the_global_complex(ast.parse(
+        "from .blowup import GlobalBlowupComplex\nG = GlobalBlowupComplex(X)\n"))
+    assert names_the_global_complex(ast.parse("import strathom.blowup as b\nb.GlobalBlowupComplex(X)\n"))
+    assert not names_the_global_complex(ast.parse(
+        "from .blowup import global_blowup\nG = global_blowup(X)\n"))

@@ -14,7 +14,8 @@ import pytest
 
 from blowup_oracle import (_sort_key, as_local, carrier_of_local, join_decomposition,
                            label_coboundary, slot_degree)
-from strata_oracle import maximal_by_vertex, maximal_cofaces
+from strata_oracle import (maximal_by_vertex, maximal_cofaces, strata, strata_met_by,
+                           stratum_of)
 from strathom.blowup import GlobalBlowupComplex
 from strathom.exact_algebra import IntMatrix
 from strathom.stratified import FilteredComplex, StratifiedValidationError
@@ -31,19 +32,19 @@ def all_pairs_maximal(simplices):
     return maximal
 
 
-def scanned_star_strata(X, maximal, tau):
+def scanned_star_strata(X, of, maximal, tau):
     tset = frozenset(tau)
     seen = {}
     for m in maximal:
         if tset <= m:
-            for st in X.strata_met_by(m):
+            for st in strata_met_by(X, of, m):
                 if not st.regular:
                     seen[st.key] = st
     return list(seen.values())
 
 
-def vertex_scan_differential(G, k):
-    X, n = G.X, G.n
+def vertex_scan_differential(X, G, k):
+    n = X.n
     ent = {}
     for j, g in enumerate(G.basis.get(k, ())):
         lab = as_local(g, X)
@@ -70,7 +71,7 @@ def vertex_scan_differential(G, k):
                 big_lab[slot] = (nf, e)
             terms.append(((-1) ** (pos + acc), tuple(big_lab)))
         for coeff, lab2 in terms:
-            i = G.index[carrier_of_local(G, lab2)][1]
+            i = G.index[carrier_of_local(X, lab2)][1]
             ent[(i, j)] = ent.get((i, j), 0) + coeff
     return IntMatrix(G.rank(k + 1), G.rank(k), {ij: v for ij, v in ent.items() if v})
 
@@ -116,19 +117,21 @@ def test_star_strata_match_scan(name, make):
     X = make()
     G = GlobalBlowupComplex(X)
     maximal = all_pairs_maximal(X.simplices)
+    of = stratum_of(strata(X))
     for s in X.simplices:
         if X.is_regular(s):
             tau = X.sorted_vertices(s)
             got = G._carriers[tau].star
-            want = scanned_star_strata(X, maximal, tau)
+            want = scanned_star_strata(X, of, maximal, tau)
             assert [X.strata()[i].key for i in got] == sorted(st.key for st in want)
 
 
 @pytest.mark.parametrize("name, make", SPACES, ids=[s[0] for s in SPACES])
 def test_link_walk_differential_matches_vertex_scan(name, make):
-    G = GlobalBlowupComplex(make())
+    X = make()
+    G = GlobalBlowupComplex(X)
     for k in sorted(G.basis):
-        got, want = G.differential(k), vertex_scan_differential(G, k)
+        got, want = G.differential(k), vertex_scan_differential(X, G, k)
         assert got == want, (name, k)
         assert list(got.entries) == list(want.entries), (name, k)
 

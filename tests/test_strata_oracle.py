@@ -3,8 +3,8 @@
 ``FilteredComplex.strata`` unions level-l vertices along level-l edges;
 ``strata_oracle`` unions every simplex of top level l with its faces.  The
 two must give the same strata with the same (level, index) numbering, and
-``strata_met_by`` and ``chains.allowable`` must agree with their
-definitions on every simplex, at every apex value and GM perversity, and
+the vertex-to-stratum map (``stratum_numbers``) and ``chains.allowable``
+must agree with their definitions on every simplex, at every apex value and GM perversity, and
 ``intersection_complex`` must allow exactly the regular simplices that the
 definition allows.  The spaces are those of ``test_smith``, copies of them
 with vertex ids permuted (which moves the index order), susp^2(T2), and
@@ -65,8 +65,10 @@ def test_strata_and_allowability_match_the_union_find(name, seed):
     assert [[getattr(st, f) for f in fields] for st in got] == \
         [[getattr(st, f) for f in fields] for st in want]
     of = oracle.stratum_of(want)
+    number = X.stratum_numbers()
     for s in X.simplices:
-        assert [st.key for st in X.strata_met_by(s)] == \
+        at = {X.levels[v]: v for v in s}       # one vertex per level of s
+        assert [got[number[at[i]]].key for i in sorted(at)] == \
             [st.key for st in oracle.strata_met_by(X, of, s)], sorted(s)
     for p in perversities(X):
         for s in X.simplices:

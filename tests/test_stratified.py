@@ -104,10 +104,9 @@ class TestStrata:
         X = circle(3).cone()
         apex = [v for v, l in X.levels.items() if l == 0][0]
         other = [v for v in X.levels if v != apex][0]
-        met = X.strata_met_by((apex, other))
+        met = [X.strata()[X.stratum_numbers()[v]] for v in (apex, other)]
         assert {s.level for s in met} == {0, 2}
-        met = X.strata_met_by((other,))
-        assert all(s.regular for s in met)
+        assert X.strata()[X.stratum_numbers()[other]].regular
 
 
 class TestGMPerversity:
