@@ -30,15 +30,17 @@ A full-support label has no coface within its own blocks, because each of
 its slots already holds the whole block: the local coboundary on tau is
 the eps flips alone, and every other term adds one vertex of the link.
 ``GlobalBlowupComplex`` builds every carrier at construction from
-``X.regular_simplices`` alone: its block sizes, its link extensions (each
-tau * w is a regular simplex of the list) and the singular strata met by
-its star (those of the vertices of tau and of its link), all kept for the
-differential and the allowability test.
+``X.regular_simplices`` alone, numbered by its place there: its block
+sizes, its link extensions (each tau * w a simplex of the list, kept by
+number) and the singular strata met by its star (those of the vertices of
+tau and of its link).  The differential is built once, as one sparse
+column per label, each term found by its integer key.
 
 The global complex depends on X alone: ``global_blowup`` builds it once per
-X (``stratified.per_space``), with one d o d = 0 check, and every
-perversity and ring carves its allowable subcomplex out of it.  It keeps
-the strata of X, not X, so X is freed as soon as nothing else holds it.
+X (``stratified.per_space``), with one d o d = 0 check on its columns, and
+every perversity and ring carves its allowable subcomplex out of it, the
+allowed lists scanned once per perversity.  It keeps the strata of X, not
+X, so X is freed as soon as nothing else holds it.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ import itertools
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact_algebra import (ChainComplex, ChainMap, Coefficients, GradedModule,
-                            IntMatrix, Subcomplex, homology_all, mapping_cone)
+                            Subcomplex, homology_all, mapping_cone)
 from .stratified import FilteredComplex, Perversity, per_space
 
 
@@ -62,43 +64,70 @@ class GlobalLabel(NamedTuple):
 class _Carrier(NamedTuple):
     """What a regular carrier simplex contributes, computed once."""
     sizes: Tuple          # sizes of the join blocks
-    cone_slots: Tuple     # the nonempty cone slots
-    links: List           # (slot, pos, tau * w) per link vertex w: see __init__
+    links: List           # (slot, pos, number of tau * w) per link vertex w
     star: Tuple           # numbers of the singular strata met by the star
+    terms: List           # per eps mask, its coboundary terms: ``_shape``
+
+
+def _shape(sizes: Tuple, n: int) -> Tuple[List, List]:
+    """What the carriers with these block sizes share: per eps mask (bit i
+    the flag of slot i) the terms of d, the eps flips as (bit, sign) and per
+    slot of a link vertex (mask of the term, sign exponent less pos); and
+    the labels (eps, mask, degree), in product order of the flags."""
+    cone_slots = [i for i in range(n) if sizes[i]]
+    base_deg = sum(size - 1 for size in sizes if size)
+    table: List = [None] * (1 << n)
+    labels = []
+    for bits in itertools.product((0, 1), repeat=len(cone_slots)):
+        mask = sum(b << i for b, i in zip(bits, cone_slots))
+        labels.append((tuple(mask >> i & 1 for i in range(n)), mask, base_deg + sum(bits)))
+        # acc[i]: degree of the slots before slot i (an empty cone slot,
+        # the apex alone, has degree 0)
+        acc = [0] * (n + 1)
+        for i in range(n):
+            acc[i + 1] = acc[i] + (sizes[i] - 1 + (mask >> i & 1) if sizes[i] else 0)
+        flips = [(1 << i, -1 if acc[i] & 1 else 1) for i in cone_slots if not mask >> i & 1]
+        slots = [(mask, (mask >> i & 1) + acc[i]) if sizes[i] else (mask | 1 << i, 1 + acc[i])
+                 for i in range(n)] + [(mask, acc[n])]
+        table[mask] = (flips, slots)
+    return table, labels
 
 
 class GlobalBlowupComplex:
     """Blown-up cochain complex of the whole complex, with its perverse
     filtration data.
 
-    ``full_complex`` is N~*(X), the same for every perversity and ring;
-    ``intersection_complex(p, ring)`` carves out the p-allowable part with
-    allowable coboundary.  ``global_blowup`` shares one per X.
+    The label (carrier c, eps) has the key c << n | mask, bit i of the mask
+    the flag of slot i; ``basis`` lists each degree's labels as
+    ``GlobalLabel``s.  ``full_complex`` is N~*(X), the same for every
+    perversity and ring; ``intersection_complex(p, ring)`` carves out the
+    p-allowable part with allowable coboundary.
     """
 
     def __init__(self, X: FilteredComplex):
         self.strata = X.strata()
         self.n = n = X.n
         levels = X.levels
-        self.basis: Dict[int, List[GlobalLabel]] = {}
-        self.index: Dict[GlobalLabel, Tuple[int, int]] = {}
-        self._carriers: Dict[Tuple, _Carrier] = {}
+        self._position: Dict[int, int] = {}        # label key -> place in its degree
+        self._carriers: List[_Carrier] = []
+        self._allowed: Dict[Tuple, Dict[int, List[int]]] = {}
         stratum = X.stratum_numbers()
         singular = {i for i, st in enumerate(X.strata()) if not st.regular}
         visit_order = {v: i for i, v in enumerate(levels)}
+        regular = X.regular_simplices
         # each link extension tau * w of a regular simplex is a regular
         # simplex one dimension up, with w at index i: one pass over the
         # list finds every link
-        found = {tau: [] for tau in X.regular_simplices}
-        for big in X.regular_simplices:
+        found = {tau: [] for tau in regular}
+        for b, big in enumerate(regular):
             for i in range(len(big)):
                 ext = found.get(big[:i] + big[i + 1:])
                 if ext is not None:
-                    ext.append((visit_order[big[i]], i, big))
-        # (eps, number of flags set) per pattern of nonempty cone slots
-        flag_vectors: Dict[Tuple, List] = {}
+                    ext.append((visit_order[big[i]], i, b))
+        shapes: Dict[Tuple, Tuple] = {}        # block sizes -> ``_shape``
+        degrees: Dict[int, Tuple[List, List]] = {}      # k -> (labels, keys)
         # popping frees each extension list once its links are built
-        for tau in X.regular_simplices:
+        for c, tau in enumerate(regular):
             ext = found.pop(tau)
             sizes = [0] * (n + 1)
             for v in tau:
@@ -108,57 +137,46 @@ class GlobalBlowupComplex:
             # vertices of tau below that level
             links = []
             star = {stratum[v] for v in tau}
-            for _, i, big in sorted(ext):
-                slot = levels[big[i]]
-                links.append((slot, i - start[slot], big))
-                star.add(stratum[big[i]])
-            cone_slots = tuple(i for i in range(n) if sizes[i])
-            self._carriers[tau] = _Carrier(tuple(sizes), cone_slots, links,
-                                           tuple(sorted(star & singular)))
-            if cone_slots not in flag_vectors:
-                flag_vectors[cone_slots] = [
-                    (tuple(dict(zip(cone_slots, bits)).get(i, 0) for i in range(n)), sum(bits))
-                    for bits in itertools.product((0, 1), repeat=len(cone_slots))]
+            for _, i, b in sorted(ext):
+                w = regular[b][i]
+                links.append((levels[w], i - start[levels[w]], b))
+                star.add(stratum[w])
+            sizes = tuple(sizes)
+            if sizes not in shapes:
+                shapes[sizes] = _shape(sizes, n)
+            terms, flags = shapes[sizes]
+            self._carriers.append(_Carrier(sizes, links, tuple(sorted(star & singular)), terms))
             # carriers come sorted and flags in product order, so each
             # degree's labels are already in (carrier, eps) order
-            base_deg = sum(size - 1 for size in sizes if size)
-            for eps, up in flag_vectors[cone_slots]:
-                g, k = GlobalLabel(tau, eps), base_deg + up
-                labels = self.basis.setdefault(k, [])
-                self.index[g] = (k, len(labels))
-                labels.append(g)
+            for eps, mask, k in flags:
+                labels, keys = degrees.get(k) or degrees.setdefault(k, ([], []))
+                key = c << n | mask
+                self._position[key] = len(labels)
+                labels.append(GlobalLabel(tau, eps))
+                keys.append(key)
+        self.basis: Dict[int, List[GlobalLabel]] = {k: ls for k, (ls, _) in degrees.items()}
+        self._keys = {k: keys for k, (_, keys) in degrees.items()}   # per degree
         self._complex: Optional[ChainComplex] = None
 
     def rank(self, k: int) -> int:
         return len(self.basis.get(k, ()))
 
-    def differential(self, k: int) -> IntMatrix:
-        """d of (tau, eps): flip eps 0 -> 1 on a nonempty cone slot, then add
-        each link vertex w of tau in ``X.levels`` order (module docstring)."""
-        n = self.n
-        index = self.index
-        ent = {}
-        for j, g in enumerate(self.basis.get(k, ())):
-            tau, eps = g
-            c = self._carriers[tau]
-            # acc[i]: degree of the slots before slot i (an empty cone slot,
-            # the apex alone, has degree 0)
-            acc = [0] * (n + 1)
-            for i in range(n):
-                acc[i + 1] = acc[i] + (c.sizes[i] - 1 + eps[i] if c.sizes[i] else 0)
-            for i in c.cone_slots:
-                if not eps[i]:
-                    flipped = eps[:i] + (1,) + eps[i + 1:]
-                    ent[(index[(tau, flipped)][1], j)] = -1 if acc[i] & 1 else 1
-            for slot, pos, bigger in c.links:
-                if slot == n:
-                    e2, sign_exp = eps, pos + acc[n]
-                elif c.sizes[slot]:
-                    e2, sign_exp = eps, pos + eps[slot] + acc[slot]
-                else:
-                    e2, sign_exp = eps[:slot] + (1,) + eps[slot + 1:], 1 + acc[slot]
-                ent[(index[(bigger, e2)][1], j)] = -1 if sign_exp & 1 else 1
-        return IntMatrix(self.rank(k + 1), self.rank(k), ent)
+    def differential(self, k: int) -> List[Dict[int, int]]:
+        """The columns {row: sign} of d on degree k, one per label: d of
+        (tau, eps) flips eps 0 -> 1 on a nonempty cone slot, then adds each
+        link vertex w of tau in ``X.levels`` order (module docstring)."""
+        n, full = self.n, (1 << self.n) - 1
+        at, carriers = self._position, self._carriers
+        columns = []
+        for key in self._keys.get(k, ()):
+            c = carriers[key >> n]
+            flips, slots = c.terms[key & full]
+            col = {at[key | bit]: sign for bit, sign in flips}
+            for slot, pos, b in c.links:
+                mask, sign_exp = slots[slot]
+                col[at[b << n | mask]] = -1 if (pos + sign_exp) & 1 else 1
+            columns.append(col)
+        return columns
 
     def full_complex(self) -> ChainComplex:
         if self._complex is None:
@@ -170,34 +188,42 @@ class GlobalBlowupComplex:
     # -- perversity ------------------------------------------------------
 
     def allowed_indices(self, p: Perversity) -> Dict[int, List[int]]:
-        """Indices of the p-allowable basis elements: along each singular
-        stratum S of the star, the perverse degree of slot n - codim S (-inf
-        when that slot is collapsed, else the degree of the slots above it)
-        is at most p(S)."""
-        n = self.n
-        at = [(n - st.codim, p(st)) for st in self.strata]
-        # per star: the least p(S) over its strata, by slot
-        bound: Dict[Tuple, Dict[int, int]] = {}
-        for star in {c.star for c in self._carriers.values()}:
-            b = bound[star] = {}
-            for i in star:
-                slot, v = at[i]
-                b[slot] = min(b.get(slot, v), v)
-        out = {}
-        for k, labels in self.basis.items():
-            ok = out[k] = []
-            for i, (tau, eps) in enumerate(labels):
-                c = self._carriers[tau]
-                b, sizes = bound[c.star], c.sizes
-                above = sizes[n] - 1        # degree of the slots above `slot`
-                for slot in range(n - 1, -1, -1):
-                    if sizes[slot]:
-                        if not eps[slot] and above > b.get(slot, above):
-                            break
-                        above += sizes[slot] - 1 + eps[slot]
-                else:
-                    ok.append(i)
-        return out
+        """Indices of the p-allowable basis elements, scanned once per tuple
+        of values of p on the strata."""
+        values = tuple(map(p, self.strata))
+        if values not in self._allowed:
+            self._allowed[values] = self._scan_allowed(values)
+        return self._allowed[values]
+
+    def _scan_allowed(self, values: Tuple) -> Dict[int, List[int]]:
+        """Along each singular stratum S of the star, the perverse degree of
+        slot n - codim S (-inf when that slot is collapsed, else the degree
+        of the slots above it) is at most p(S)."""
+        n, full = self.n, (1 << self.n) - 1
+        at = [(n - st.codim, v) for st, v in zip(self.strata, values)]
+        verdicts: Dict[Tuple, set] = {}     # (block sizes, star) -> allowed masks
+        ok = []
+        for c in self._carriers:
+            sizes = c.sizes
+            if (sizes, c.star) not in verdicts:
+                b: Dict[int, int] = {}     # the least p(S) over the star, by slot
+                for i in c.star:
+                    slot, v = at[i]
+                    b[slot] = min(b.get(slot, v), v)
+                allowed = verdicts[sizes, c.star] = set()
+                for mask in range(full + 1):
+                    above = sizes[n] - 1    # degree of the slots above `slot`
+                    for slot in range(n - 1, -1, -1):
+                        if sizes[slot]:
+                            e = mask >> slot & 1
+                            if not e and above > b.get(slot, above):
+                                break
+                            above += sizes[slot] - 1 + e
+                    else:
+                        allowed.add(mask)
+            ok.append(verdicts[sizes, c.star])
+        return {k: [i for i, key in enumerate(keys) if key & full in ok[key >> n]]
+                for k, keys in self._keys.items()}
 
     def intersection_complex(self, p: Perversity,
                              ring: Coefficients = Coefficients("Z")) -> BlowupIntersection:

@@ -2,16 +2,17 @@
 
 Chains are combinations of regular simplices with the regular-part
 boundary (``regular_complex``, on the basis that the blown-up complex
-shares, ``FilteredComplex.regular_simplices``); a chain is of
-p-intersection when it and its boundary are spanned by allowable
-simplices.  The regular complex depends on X alone: it is built, and its
-d o d = 0 checked, once per X (``stratified.per_space``), and every
-perversity and ring carves its intersection chains out of it.  This
-module decides which simplices are allowable; ``exact_algebra.Subcomplex``
-reads the homology of the intersection chains, exactly over Z and mod p
-for field coefficients, from one fused elimination of each regular
-boundary matrix, and the dual cohomology from the same invariant factors
-one degree along.
+shares, ``FilteredComplex.regular_simplices``, one sparse column per
+simplex); a chain is of p-intersection when it and its boundary are
+spanned by allowable simplices.  The regular complex depends on X alone:
+it is built, and its d o d = 0 checked, once per X
+(``stratified.per_space``), and every perversity and ring carves its
+intersection chains out of it.  This module decides which simplices are
+allowable, once per X and perversity; ``exact_algebra.Subcomplex`` reads
+the homology of the intersection chains, exactly over Z and mod p for
+field coefficients, from one fused elimination of the allowed columns of
+each regular boundary, and the dual cohomology from the same invariant
+factors one degree along.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from operator import le
 from typing import Dict, List, Tuple
 
 from .exact_algebra import (ChainComplex, Coefficients, GradedModule,
-                            IntMatrix, Subcomplex, homology_all)
+                            Subcomplex, homology_all)
 from .stratified import FilteredComplex, Perversity, per_space
 
 NEG_INF = float("-inf")
@@ -37,14 +38,15 @@ def perverse_degree(X: FilteredComplex, s) -> Tuple:
     return tuple(out)
 
 
-def _allowed(X: FilteredComplex, p: Perversity, basis: Dict) -> Dict[int, List[int]]:
+def _allowed(X: FilteredComplex, values: Tuple, basis: Dict) -> Dict[int, List[int]]:
     """Positions of the allowable tuples in each degree k of ``basis``, the
     tuples in (level, id) order, from one per-vertex table of codim(S) - p(S)
-    (S the stratum of the vertex).  Along S, met by the level block ending
-    at position e, ||s|| (``perverse_degree``) is e, so s passes when
-    codim S - p(S) <= k - e; within the block the bound only grows, so one
-    scan checks every position.  s must end on a top-level vertex."""
-    by_number = [st.codim - p(st) for st in X.strata()]
+    (S the stratum of the vertex, p(S) from ``values``, in ``X.strata()``
+    order).  Along S, met by the level block ending at position e, ||s||
+    (``perverse_degree``) is e, so s passes when codim S - p(S) <= k - e;
+    within the block the bound only grows, so one scan checks every
+    position.  s must end on a top-level vertex."""
+    by_number = [st.codim - v for st, v in zip(X.strata(), values)]
     slack = {v: by_number[i] for v, i in X.stratum_numbers().items()}.__getitem__
     levels, n = X.levels, X.n
     return {k: [j for j, s in enumerate(simps)
@@ -55,7 +57,7 @@ def _allowed(X: FilteredComplex, p: Perversity, basis: Dict) -> Dict[int, List[i
 def allowable(X: FilteredComplex, s, p: Perversity) -> bool:
     """The Goresky-MacPherson inequality against every stratum met by s."""
     s = X.sorted_vertices(s)
-    return bool(s) and any(_allowed(X, p, {len(s) - 1: [s]}).values())
+    return bool(s) and any(_allowed(X, tuple(map(p, X.strata())), {len(s) - 1: [s]}).values())
 
 
 @per_space
@@ -68,18 +70,18 @@ def regular_complex(X: FilteredComplex) -> ChainComplex:
     diffs = {}
     for k, simps in basis.items():
         if k:
-            idx = {s: i for i, s in enumerate(basis.get(k - 1, ()))}
+            idx = {s: i for i, s in enumerate(basis.get(k - 1, ()))}.get
             # combinations(s, k) leaves out s[k], ..., s[0] in turn; the
-            # entries go in by the position left out, as the sign does
-            signs = [(i, -1 if i & 1 else 1) for i in range(k + 1)]
-            ent = {}
-            for j, s in enumerate(simps):
-                faces = list(combinations(s, k))
-                for i, sign in signs:
-                    row = idx.get(faces[k - i])
+            # column lists the faces by the position left out, as the sign
+            signs = [-1 if i & 1 else 1 for i in range(k + 1)]
+            diffs[k] = columns = []
+            for s in simps:
+                col = {}
+                for face, sign in zip([*combinations(s, k)][::-1], signs):
+                    row = idx(face)
                     if row is not None:
-                        ent[(row, j)] = sign
-            diffs[k] = IntMatrix(len(idx), len(simps), ent)
+                        col[row] = sign
+                columns.append(col)
     return ChainComplex("hom", {k: len(v) for k, v in basis.items()}, diffs, basis=basis)
 
 
@@ -95,12 +97,18 @@ def regular_boundary(X: FilteredComplex, chain: Dict[Tuple, int]) -> Dict[Tuple,
     return {f: c for f, c in out.items() if c}
 
 
+@per_space
+def _allowed_lists(X: FilteredComplex, values: Tuple) -> Dict[int, List[int]]:
+    """The allowed lists of the regular complex of X for the perversity
+    with these values on the strata of X; one per X and values."""
+    return _allowed(X, values, regular_complex(X).basis)
+
+
 def intersection_complex(X: FilteredComplex, p: Perversity,
                          ring: Coefficients = Coefficients("Z")) -> Subcomplex:
     """The p-intersection lattice: the allowable subcomplex of the regular
     chain complex of X."""
-    amb = regular_complex(X)
-    return Subcomplex(amb, _allowed(X, p, amb.basis), ring)
+    return Subcomplex(regular_complex(X), _allowed_lists(X, tuple(map(p, X.strata()))), ring)
 
 
 def intersection_homology(X: FilteredComplex, p: Perversity,

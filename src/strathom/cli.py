@@ -530,17 +530,33 @@ def cmd_crosscheck(args, data: dict, digest: str) -> int:
     return 0 if ok else 3
 
 
+def _random_shape(rows: str, cols: str, density: str) -> Tuple[int, int, float]:
+    """The ROWS, COLS and DENSITY of ``bench-snf --random``."""
+    for value, what in ((rows, "ROWS"), (cols, "COLS")):
+        if _int(value, what) < 0:
+            raise InputError(f"{what} must be a nonnegative integer, not {value!r}")
+    with contextlib.suppress(ValueError):
+        if 0 <= float(density) <= 1:
+            return int(rows), int(cols), float(density)
+    raise InputError(f"DENSITY must be a number from 0 to 1, not {density!r}")
+
+
 def cmd_bench_snf(args) -> int:
     jobs: List[Tuple[str, IntMatrix]] = []
     if args.random:
-        r, c, dens = int(args.random[0]), int(args.random[1]), float(args.random[2])
+        try:
+            r, c, dens = _random_shape(*args.random)
+        except InputError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         jobs.append((f"random {r}x{c} d={dens}",
                      random_sparse(r, c, dens, seed=args.seed)))
     if args.builtin:
         if args.builtin == "susp-rp3":
             X = triangulation_of("RP3").suspension()
-            for k, m in sorted(regular_complex(X).diffs.items()):
-                jobs.append((f"susp(RP3) boundary d_{k}", m))
+            C = regular_complex(X)
+            for k in sorted(C.columns):
+                jobs.append((f"susp(RP3) boundary d_{k}", C.diff(k)))
         else:
             print(f"unknown builtin {args.builtin!r}", file=sys.stderr)
             return 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from .matrices import IntMatrix, rank_mod_p, smith, split_factors
 from .modules import Coefficients, FGModule, GradedModule
@@ -26,41 +26,56 @@ class ComplexValidationError(ValueError):
 class ChainComplex:
     """Finitely supported complex of free modules with named bases.
 
-    ``diffs[k]`` is the differential leaving degree k (to k-1 for ``hom``
-    orientation, to k+1 for ``coh``).  d(d(x)) = 0 is asserted on
-    construction.
-    """
+    ``columns[k]``, the differential leaving degree k (to k-1 for ``hom``
+    orientation, to k+1 for ``coh``), is one sparse column {row: entry} per
+    basis element of degree k, and the only stored form: the ambients are
+    made as columns, other callers pass an ``IntMatrix``, converted once;
+    ``diff(k)`` makes an ``IntMatrix`` on each read.  The shape, the rows of
+    every column and d(d(x)) = 0 on every column (mod ``modulus`` if set)
+    are checked on construction."""
 
     def __init__(self, orientation: str, ranks: Dict[int, int],
-                 diffs: Dict[int, IntMatrix], basis: Optional[Dict[int, list]] = None,
+                 diffs: Dict[int, Union[IntMatrix, List[Dict[int, int]]]],
+                 basis: Optional[Dict[int, list]] = None,
                  check: bool = True, modulus: Optional[int] = None):
         if orientation not in ("hom", "coh"):
             raise ValueError("orientation must be 'hom' or 'coh'")
         self.orientation = orientation
         self.modulus = modulus
         self.ranks = {k: r for k, r in ranks.items() if r}
-        self.diffs = {}
+        self.columns: Dict[int, List[Dict[int, int]]] = {}
         self.basis = basis or {}
         step = -1 if orientation == "hom" else 1
         for k, m in diffs.items():
-            if m.is_zero():
+            rows, cols = ranks.get(k + step, 0), ranks.get(k, 0)
+            if isinstance(m, IntMatrix):
+                shape, columns = (m.rows, m.cols), [{} for _ in range(m.cols)]
+                for (i, j), v in m.entries.items():
+                    columns[j][i] = v
+            else:
+                shape, columns = (rows, len(m)), m
+            if not any(columns):
                 continue
-            if m.cols != ranks.get(k, 0) or m.rows != ranks.get(k + step, 0):
+            if shape != (rows, cols):
                 raise ComplexValidationError(
-                    f"differential at degree {k} has shape {m.rows}x{m.cols}, "
-                    f"expected {ranks.get(k + step, 0)}x{ranks.get(k, 0)}")
-            self.diffs[k] = m
-        if check:
-            for k, m in self.diffs.items():
-                nxt = self.diffs.get(k + step)
-                if nxt is not None and not self._is_zero(nxt * m):
+                    f"differential at degree {k} has shape {shape[0]}x{shape[1]}, "
+                    f"expected {rows}x{cols}")
+            for col in columns:
+                if col and not (0 <= min(col) and max(col) < rows):
+                    raise ComplexValidationError(
+                        f"differential at degree {k} has a row outside 0..{rows - 1}")
+            self.columns[k] = columns
+        # d o d = 0, each column of d_k carried through d_(k+step)
+        for k, columns in self.columns.items() if check else ():
+            nxt = self.columns.get(k + step)
+            for col in columns if nxt else ():
+                acc: Dict[int, int] = {}
+                for i, v in col.items():
+                    for r, w in nxt[i].items():
+                        acc[r] = acc.get(r, 0) + v * w
+                if any(w % modulus for w in acc.values()) if modulus else any(acc.values()):
                     raise ComplexValidationError(
                         f"d o d != 0 between degrees {k} and {k + 2 * step}")
-
-    def _is_zero(self, m: IntMatrix) -> bool:
-        if self.modulus:
-            return all(v % self.modulus == 0 for v in m.entries.values())
-        return m.is_zero()
 
     @property
     def step(self) -> int:
@@ -73,9 +88,10 @@ class ChainComplex:
         return self.ranks.get(k, 0)
 
     def diff(self, k: int) -> IntMatrix:
-        if k in self.diffs:
-            return self.diffs[k]
-        return IntMatrix(self.rank(k + self.step), self.rank(k))
+        """d_k as an ``IntMatrix``, made from its columns on each read."""
+        return IntMatrix(self.rank(k + self.step), self.rank(k),
+                         {(i, j): v for j, col in enumerate(self.columns.get(k, ()))
+                          for i, v in col.items()})
 
     def factors(self, k: int, ring: Coefficients) -> tuple:
         """Invariant factors of the map leaving degree k (over F_p, 1s)."""
@@ -85,21 +101,6 @@ class ChainComplex:
         if ring.kind == "Fp":
             return (1,) * rank_mod_p(m, ring.p)
         return smith(m, need_U=False, need_V=False).diagonal
-
-    def dualize(self) -> "ChainComplex":
-        """Linear dual: transposed differentials, opposite orientation.
-
-        The sign convention d(c) = -(-1)^|c| c(d .) scales differentials
-        by units only, which leaves every (co)homology group unchanged, so
-        plain transposes suffice for group-level results.
-        """
-        new_orient = "coh" if self.orientation == "hom" else "hom"
-        diffs = {}
-        for k, m in self.diffs.items():
-            # d^*: degree (k + step) -> degree k dual; leaving degree k+step
-            diffs[k + self.step] = m.transpose()
-        return ChainComplex(new_orient, dict(self.ranks), diffs, check=False,
-                            modulus=self.modulus)
 
 
 def homology_all(C, ring: Coefficients = Coefficients("Z")) -> GradedModule:
@@ -159,15 +160,21 @@ class Subcomplex:
         p = self.ring.p if self.ring.kind == "Fp" else 0
         out, cleared = {}, {}
         for k in sorted(self.allowed, reverse=self.step < 0):
-            # banned target i is column i, allowed target i is column rows + i
-            d, kept = self.ambient.diff(k), set(self.allowed.get(k + self.step, ()))
-            cols, rows = set(self.allowed[k]).difference(cleared.get(k, ())), {}
-            for (i, j), v in d.entries.items():
-                if j in cols and (not p or v % p):
-                    rows.setdefault(j, {})[i + d.rows * (i in kept)] = v % p if p else v
+            # banned target i is column i, allowed target i is column limit + i
+            columns, limit = self.ambient.columns.get(k), self.ambient.rank(k + self.step)
+            target = list(range(limit))
+            for i in self.allowed.get(k + self.step, ()):
+                target[i] = limit + i
+            rows = {}
+            for j in sorted(set(self.allowed[k]).difference(cleared.get(k, ()))
+                            if columns else ()):
+                row = {target[i]: v % p if p else v for i, v in columns[j].items()
+                       if not p or v % p}
+                if row:
+                    rows[j] = row
             pivots = []
-            out[k] = split_factors(rows, d.rows, p, pivots) if rows else (0, ())
-            cleared[k + self.step] = {j - d.rows for j, _, _ in pivots}
+            out[k] = split_factors(rows, limit, p, pivots) if rows else (0, ())
+            cleared[k + self.step] = {j - limit for j, _, _ in pivots}
         return out
 
     def support(self) -> List[int]:
@@ -188,7 +195,8 @@ class Subcomplex:
 class DualComplex:
     """Hom(C, R) read for homology, in the opposite orientation.  A
     transpose keeps invariant factors, so the dual reads those of C one
-    degree along; the dual sign convention is units (ChainComplex.dualize)."""
+    degree along; the dual differential d(c) = -(-1)^|c| c(d .) is the
+    transpose up to units, which move no group."""
 
     def __init__(self, C):
         self.C, self.step = C, -C.step
@@ -250,22 +258,13 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         ranks[j] = B.rank(j) + A.rank(j + da)
     diffs = {}
     for j in sorted(degrees):
-        rows = ranks.get(j + step, 0)
-        cols = ranks.get(j, 0)
-        if rows == 0 or cols == 0:
-            continue
-        bR, aR = B.rank(j), A.rank(j + da)
-        bR2 = B.rank(j + step)
-        ent = {}
-        for (r, c), v in B.diff(j).entries.items():
-            ent[(r, c)] = v
-        fm = f.mat(j + da)
-        for (r, c), v in fm.entries.items():
-            ent[(r, bR + c)] = v
-        for (r, c), v in A.diff(j + da).entries.items():
-            ent[(bR2 + r, bR + c)] = -v
-        m = IntMatrix(rows, cols, ent)
-        if not m.is_zero():
-            diffs[j] = m
+        # the columns of B_j, then per column of A_(j+step): f a over -da
+        bR, aR, bR2 = B.rank(j), A.rank(j + da), B.rank(j + step)
+        fa = [{} for _ in range(aR)]
+        for (r, c), v in f.mat(j + da).entries.items():
+            fa[c][r] = v
+        for c, col in enumerate(A.columns.get(j + da, ())):
+            fa[c].update((bR2 + r, -v) for r, v in col.items())
+        diffs[j] = B.columns.get(j, [{}] * bR) + fa
     return ChainComplex(A.orientation, ranks, diffs,
                         modulus=A.modulus or B.modulus)

@@ -70,18 +70,6 @@ class IntMatrix:
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def diagonal(cls, diag: Iterable[int], rows: int = None, cols: int = None) -> "IntMatrix":
-        diag = list(diag)
-        n = len(diag)
-        rows = n if rows is None else rows
-        cols = n if cols is None else cols
-        return cls(rows, cols, {(i, i): d for i, d in enumerate(diag) if d})
-
-    @classmethod
     def from_columns(cls, cols_data: Iterable[dict], rows: int) -> "IntMatrix":
         """Build from an iterable of sparse columns (dicts row -> value)."""
         cols_data = list(cols_data)
@@ -196,13 +184,6 @@ class IntMatrix:
 
     def max_abs(self) -> int:
         return max((abs(v) for v in self.entries.values()), default=0)
-
-    def serialize_triplets(self) -> str:
-        """Text triplet format: one ``row col value`` per line."""
-        lines = [f"{self.rows} {self.cols}"]
-        for (i, j) in sorted(self.entries):
-            lines.append(f"{i} {j} {self.entries[(i, j)]}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def parse_triplets(cls, text: str) -> "IntMatrix":

@@ -120,10 +120,6 @@ class FGModule:
         return cls(r, ())
 
     @classmethod
-    def cyclic(cls, d: int) -> "FGModule":
-        return cls(0, ()) if d == 1 else cls(0, (d,))
-
-    @classmethod
     def from_factors(cls, rank: int, factors: Iterable[int]) -> "FGModule":
         return cls(rank, _chain_from_factors(factors))
 

@@ -260,19 +260,19 @@ class FilteredComplex:
                 f"{len(self.levels)} vertices, {len(self.table)} simplices)")
 
 
-# X -> {builder: what it built from X}; an entry goes when X is freed, so
+# X -> {(build, key): build(X, *key)}; an entry goes when X is freed, so
 # nothing built may refer to X, or the memo would keep X alive through it
 AMBIENTS: "weakref.WeakKeyDictionary[FilteredComplex, Dict]" = weakref.WeakKeyDictionary()
 
 
 def per_space(build):
-    """``build(X)`` once per X, shared by every later call on that X."""
+    """``build(X, *key)`` once per X and key, shared by every later call."""
     @wraps(build)
-    def read(X: FilteredComplex):
+    def read(X: FilteredComplex, *key):
         built = AMBIENTS.setdefault(X, {})
-        if build not in built:
-            built[build] = build(X)
-        return built[build]
+        if (build, key) not in built:
+            built[build, key] = build(X, *key)
+        return built[build, key]
     return read
 
 
@@ -362,38 +362,11 @@ class GMPerversity:
     def top(cls, n: int) -> "GMPerversity":
         return cls([0 if i < 2 else i - 2 for i in range(n + 1)])
 
-    @classmethod
-    def k_bar(cls, n: int, k: int) -> "GMPerversity":
-        """The perversity with value k in codimension n, minimal below."""
-        if not (0 <= k <= max(n - 2, 0)):
-            raise ValueError(f"value {k} outside the GM range 0..{n - 2}")
-        return cls([max(0, k - (n - i)) if i >= 2 else 0 for i in range(n + 1)])
-
     def complementary(self) -> "GMPerversity":
         """D(p) = t - p; the GM constraints survive complementation."""
         n = self.top_codim
         return GMPerversity([(0 if i < 2 else (i - 2) - self.values[i])
                              for i in range(n + 1)])
-
-    @classmethod
-    def all_for(cls, n: int):
-        """Every GM-perversity for formal dimension n."""
-        if n < 3:
-            return [cls.zero(n)]
-        out = []
-
-        def rec(vals):
-            if len(vals) == n + 1:
-                out.append(cls(vals))
-                return
-            i = len(vals) - 1
-            if i < 2:
-                rec(vals + [0])
-            else:
-                rec(vals + [vals[-1]])
-                rec(vals + [vals[-1] + 1])
-        rec([0, 0, 0])
-        return out
 
 
 class Perversity:

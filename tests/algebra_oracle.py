@@ -1,10 +1,12 @@
 """Exact-algebra helpers that only the tests read: a determinant (to see
 that the Smith transforms are unimodular), row stacking (to build
-inconsistent right-hand sides) and the exponent of a torsion module.
+inconsistent right-hand sides), the triplet text of a matrix (the inverse
+of ``IntMatrix.parse_triplets``), a diagonal matrix, the cyclic group Z/d,
+the exponent of a torsion module and the linear dual of a chain complex.
 """
 from typing import Optional
 
-from strathom.exact_algebra import FGModule, IntMatrix
+from strathom.exact_algebra import ChainComplex, FGModule, IntMatrix
 
 
 def det(m: IntMatrix) -> int:
@@ -48,3 +50,33 @@ def exponent(m: FGModule) -> Optional[int]:
     if m.rank:
         return None
     return m.torsion[-1] if m.torsion else 1
+
+
+def serialize_triplets(m: IntMatrix) -> str:
+    """Text triplet format: one ``row col value`` per line."""
+    lines = [f"{m.rows} {m.cols}"]
+    for (i, j) in sorted(m.entries):
+        lines.append(f"{i} {j} {m.entries[(i, j)]}")
+    return "\n".join(lines) + "\n"
+
+
+def diagonal_matrix(diag, rows: int, cols: int) -> IntMatrix:
+    """The rows x cols matrix with ``diag`` on its diagonal."""
+    return IntMatrix(rows, cols, {(i, i): d for i, d in enumerate(diag) if d})
+
+
+def cyclic(d: int) -> FGModule:
+    """Z/d, the zero module when d = 1."""
+    return FGModule(0, ()) if d == 1 else FGModule(0, (d,))
+
+
+def dualize(C: ChainComplex) -> ChainComplex:
+    """Linear dual: transposed differentials, opposite orientation.
+
+    The sign convention d(c) = -(-1)^|c| c(d .) scales differentials by
+    units only, which leaves every (co)homology group unchanged, so plain
+    transposes suffice for group-level results.
+    """
+    return ChainComplex("coh" if C.orientation == "hom" else "hom", dict(C.ranks),
+                        {k + C.step: C.diff(k).transpose() for k in C.columns},
+                        check=False, modulus=C.modulus)

@@ -230,6 +230,17 @@ def carrier_of_local(X, lab) -> GlobalLabel:
     return GlobalLabel(X.sorted_vertices(frozenset(verts)), tuple(eps))
 
 
+def positions(G) -> Dict[GlobalLabel, int]:
+    """The place of each label of G in the list of its degree."""
+    return {g: i for labels in G.basis.values() for i, g in enumerate(labels)}
+
+
+def differential_matrix(G, k) -> IntMatrix:
+    """The columns of G's differential on degree k as a matrix, entries in
+    column order."""
+    return IntMatrix.from_columns(G.differential(k), G.rank(k + 1))
+
+
 def label_walk_differential(X, G, k) -> IntMatrix:
     """d in degree k of G, the blown-up complex of X: the label's own
     coboundary (eps flips only, since the label has full support), then one
@@ -237,7 +248,7 @@ def label_walk_differential(X, G, k) -> IntMatrix:
     n = X.n
     ent = {}
     visit_order = {v: i for i, v in enumerate(X.levels)}
-    by_vertex = maximal_by_vertex(X)
+    by_vertex, at = maximal_by_vertex(X), positions(G)
     for j, g in enumerate(G.basis.get(k, ())):
         lab = as_local(g, X)
         terms = list(label_coboundary(lab, join_decomposition(X, g.carrier), n))
@@ -260,7 +271,7 @@ def label_walk_differential(X, G, k) -> IntMatrix:
                 big_lab[slot] = (nf, e)
             terms.append(((-1) ** (pos + acc), tuple(big_lab)))
         for coeff, lab2 in terms:
-            i = G.index[carrier_of_local(X, lab2)][1]
+            i = at[carrier_of_local(X, lab2)]
             ent[(i, j)] = ent.get((i, j), 0) + coeff
     return IntMatrix(G.rank(k + 1), G.rank(k), {ij: v for ij, v in ent.items() if v})
 

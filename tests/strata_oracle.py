@@ -19,13 +19,14 @@ i is the one holding its front face (its vertices of level <= i), and a
 regular simplex is allowable when the Goresky-MacPherson inequality holds
 along every singular stratum it meets, with the perverse degree of
 ``chains.perverse_degree``.  Slow, but it follows the definitions directly.
+``k_bar`` and ``all_gm_perversities`` list GM perversities for the tests.
 """
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List
 
 from strathom.chains import perverse_degree
-from strathom.stratified import FilteredComplex, Perversity
+from strathom.stratified import FilteredComplex, GMPerversity, Perversity
 
 
 def close_under_faces(simplices):
@@ -160,3 +161,26 @@ def allowable(X: FilteredComplex, of: Dict, s, p: Perversity) -> bool:
     pd = perverse_degree(X, s)
     return all(pd[st.codim] <= dim - st.codim + p.values[st.key]
                for st in strata_met_by(X, of, s) if not st.regular)
+
+
+def k_bar(n: int, k: int) -> GMPerversity:
+    """The GM perversity with value k in codimension n, minimal below."""
+    if not (0 <= k <= max(n - 2, 0)):
+        raise ValueError(f"value {k} outside the GM range 0..{n - 2}")
+    return GMPerversity([max(0, k - (n - i)) if i >= 2 else 0 for i in range(n + 1)])
+
+
+def all_gm_perversities(n: int) -> List[GMPerversity]:
+    """Every GM perversity for formal dimension n."""
+    if n < 3:
+        return [GMPerversity.zero(n)]
+    out = []
+
+    def rec(vals):
+        if len(vals) == n + 1:
+            out.append(GMPerversity(vals))
+            return
+        rec(vals + [vals[-1]])
+        rec(vals + [vals[-1] + 1])
+    rec([0, 0, 0])
+    return out

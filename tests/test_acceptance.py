@@ -6,6 +6,7 @@ and asserts both the values and its runtime budget.
 import random
 import time
 
+from algebra_oracle import cyclic
 from strathom.blowup import GlobalBlowupComplex, blowup_cohomology
 from strathom.chains import (intersection_cohomology, intersection_complex,
                              intersection_homology)
@@ -24,7 +25,7 @@ from strathom.triangulations import (projective_plane, projective_space_3,
 from subcomplex_oracle import Lattice
 
 Z = FGModule.free
-Zmod = FGModule.cyclic
+Zmod = cyclic
 ZZ = Coefficients("Z")
 
 

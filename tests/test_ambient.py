@@ -4,22 +4,32 @@ The regular chain complex and the global blown-up complex of X depend on
 X alone: each is built, and its d o d = 0 checked, once per X, and every
 perversity and ring carves its subcomplex out of it.  The memo is keyed
 weakly on X and no ambient refers to X, so the ambients go with X, freed
-by reference counting alone.  Each test builds its own X: the module
-fixtures of other files share theirs across tests.
+by reference counting alone.  The allowed lists of a perversity are
+computed once per X, for every ring.  Each ambient is stored as sparse
+columns, built, checked and read with no ``IntMatrix`` made or multiplied
+on the way.  Each test builds its own X: the module fixtures of other
+files share theirs across tests.
 """
 import contextlib
 import gc
 import io
 import json
+import sys
 import weakref
+from pathlib import Path
 
 import strathom.blowup as blowup
-from strathom.blowup import blowup_complex, global_blowup
-from strathom.chains import intersection_complex, regular_complex
+import strathom.chains as chains
+from strathom.blowup import blowup_cohomology, blowup_complex, global_blowup
+from strathom.chains import (intersection_cohomology, intersection_complex,
+                             intersection_homology, regular_complex)
 from strathom.cli import main
-from strathom.exact_algebra import ChainComplex, Coefficients
-from strathom.stratified import AMBIENTS, Perversity
-from strathom.triangulations import projective_plane
+from strathom.exact_algebra import ChainComplex, Coefficients, IntMatrix, Subcomplex
+from strathom.exact_algebra.matrices import split_factors
+from strathom.stratified import AMBIENTS, FilteredComplex, Perversity
+from strathom.triangulations import projective_plane, projective_space_3
+
+JOBS = Path(__file__).resolve().parent / "golden" / "jobs"
 
 
 def apex_perversity(X, k):
@@ -87,3 +97,70 @@ def test_an_ambient_lives_exactly_as_long_as_its_space():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_one_crosscheck_scans_each_perversity_once(monkeypatch):
+    # 3 perversities over 4 rings: 3 scans on each side (12 before the
+    # allowed lists were kept with the ambient)
+    scans = {"chain": 0, "blow-up": 0}
+    scan_chain, scan_blowup = chains._allowed, blowup.GlobalBlowupComplex._scan_allowed
+
+    def chain(*args):
+        scans["chain"] += 1
+        return scan_chain(*args)
+
+    def blown_up(*args):
+        scans["blow-up"] += 1
+        return scan_blowup(*args)
+    monkeypatch.setattr(chains, "_allowed", chain)
+    monkeypatch.setattr(blowup.GlobalBlowupComplex, "_scan_allowed", blown_up)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["crosscheck", str(JOBS / "susp-rp3.json")]) == 0
+    assert out.getvalue().endswith("crosscheck: pass\n")
+    assert scans == {"chain": 3, "blow-up": 3}
+
+
+def _codes(*functions):
+    return {f.__code__ for f in functions}
+
+
+def test_ambients_are_built_checked_and_read_as_columns(monkeypatch):
+    # no IntMatrix is made while building or checking an ambient or feeding
+    # its columns to the elimination (the stalled-row kernel inside
+    # split_factors aside), and the d o d = 0 check multiplies no matrices
+    guarded = _codes(regular_complex.__wrapped__, ChainComplex.__init__,
+                     Subcomplex._splits.func,
+                     *[f for f in vars(blowup.GlobalBlowupComplex).values()
+                       if callable(f)])
+    exempt = _codes(split_factors)
+    made, products = [], []
+    init, mul = IntMatrix.__init__, IntMatrix.__mul__
+
+    def stack():
+        frame, codes = sys._getframe(2), []
+        while frame is not None:
+            codes.append(frame.f_code)
+            frame = frame.f_back
+        return codes
+
+    def recorded_init(self, *args, **kwargs):
+        codes = stack()
+        if not exempt.intersection(codes):
+            made.extend(c.co_name for c in guarded.intersection(codes))
+        init(self, *args, **kwargs)
+
+    def recorded_mul(self, other):
+        if ChainComplex.__init__.__code__ in stack():
+            products.append(other)
+        return mul(self, other)
+    monkeypatch.setattr(IntMatrix, "__init__", recorded_init)
+    monkeypatch.setattr(IntMatrix, "__mul__", recorded_mul)
+    S = projective_space_3().suspension()
+    X = FilteredComplex(S.n, S.levels, [sorted(s) for s in S.simplices if len(s) == S.n + 1])
+    p = Perversity(X, {st.key: 1 for st in X.strata() if not st.regular})
+    intersection_homology(X, p)
+    intersection_cohomology(X, p)
+    Y = projective_space_3().cone()
+    blowup_cohomology(Y, Perversity(Y, {st.key: 1 for st in Y.strata() if not st.regular}))
+    monkeypatch.undo()
+    assert made == [] and products == []

@@ -6,6 +6,7 @@ import pytest
 
 import strathom
 import subcomplex_oracle as oracle
+from algebra_oracle import cyclic
 from blowup_oracle import (LocalBlowupComplex, as_local, label_coboundary,
                            local_complex, local_perverse_degree)
 from strathom.blowup import (GlobalBlowupComplex, blowup_cohomology,
@@ -19,7 +20,7 @@ from strathom.triangulations import circle, projective_plane, torus
 from test_smith import SPACES
 
 Z = FGModule.free
-Zmod = FGModule.cyclic
+Zmod = cyclic
 ZZ = Coefficients("Z")
 NEG_INF = float("-inf")
 

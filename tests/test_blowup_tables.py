@@ -6,13 +6,13 @@ differential matrices with the same entry order (it fixes the SNF pivot
 path and so every reported basis) and the same allowed lists for every
 perversity.  Count guards keep the per-carrier data computed once, from
 ``X.regular_simplices`` and the vertex-to-stratum map, with no ``Stratum``
-hashed, and an identity check keeps each link extension the tuple of that
-list, not a copy.
+hashed, and each link extension is the number, in that list, of the
+simplex one vertex up.
 """
 import pytest
 
-from blowup_oracle import (label_walk_basis, label_walk_differential,
-                           scanned_allowed_indices)
+from blowup_oracle import (differential_matrix, label_walk_basis,
+                           label_walk_differential, scanned_allowed_indices)
 from strathom.blowup import GlobalBlowupComplex
 from strathom.stratified import FilteredComplex, GMPerversity, Perversity, Stratum
 from strathom.triangulations import projective_plane, projective_space_3, torus
@@ -38,21 +38,24 @@ def test_basis_matches_label_walk(name, make):
     X = make()
     G = GlobalBlowupComplex(X)
     assert G.basis == label_walk_basis(X)
-    assert all(G.index[g] == (k, i) for k, labels in G.basis.items()
-               for i, g in enumerate(labels))
+    # label (carrier c, eps) has the key c << n | eps mask, which finds its place
+    number = {tau: c for c, tau in enumerate(X.regular_simplices)}
+    for k, labels in G.basis.items():
+        for i, g in enumerate(labels):
+            key = number[g.carrier] << X.n | sum(e << s for s, e in enumerate(g.eps))
+            assert G._keys[k][i] == key and G._position[key] == i
 
 
 @pytest.mark.parametrize("name, make", SPACES, ids=IDS)
 def test_differentials_match_label_walk(name, make):
     X = make()
     G = GlobalBlowupComplex(X)
-    G.full_complex()
     alone = GlobalBlowupComplex(X)      # each degree alone, without full_complex
     for k in sorted(G.basis):
-        got, want = G.differential(k), label_walk_differential(X, G, k)
+        got, want = G.full_complex().diff(k), label_walk_differential(X, G, k)
         assert got == want, (name, k)
         assert list(got.entries) == list(want.entries), (name, k)
-        assert list(alone.differential(k).entries.items()) == list(got.entries.items())
+        assert list(differential_matrix(alone, k).entries.items()) == list(got.entries.items())
 
 
 @pytest.mark.parametrize("name, make", SPACES, ids=IDS)
@@ -98,11 +101,14 @@ def test_carrier_data_computed_once(monkeypatch):
 def test_link_extensions_are_the_listed_simplices(name, make):
     X = make()
     G = GlobalBlowupComplex(X)
-    listed = {t: t for t in X.regular_simplices}
-    assert list(G._carriers) == X.regular_simplices
-    for c in G._carriers.values():
-        for _, _, bigger in c.links:
-            assert bigger is listed[bigger]
+    regular = X.regular_simplices
+    assert len(G._carriers) == len(regular)
+    for tau, c in zip(regular, G._carriers):
+        for slot, pos, b in c.links:
+            bigger = regular[b]
+            (w,) = set(bigger) - set(tau)
+            assert len(bigger) == len(tau) + 1
+            assert [v for v in bigger if X.levels[v] == slot].index(w) == pos
 
 
 def test_carriers_hash_no_stratum(monkeypatch):

@@ -496,6 +496,15 @@ class TestBenchSnf:
         code, _, err = run(capsys, "bench-snf", "/nonexistent/file.mtx")
         assert code == 2
 
+    @pytest.mark.parametrize("shape, named", [
+        ("a 3 0.1", "ROWS"), ("-3 3 0.1", "ROWS"), ("3 2.5 0.1", "COLS"),
+        ("3 -1 0.1", "COLS"), ("3 3 x", "DENSITY"), ("3 3 1.5", "DENSITY"),
+        ("3 3 nan", "DENSITY")])
+    def test_random_input_errors_exit_2(self, capsys, shape, named):
+        code, out, err = run(capsys, "bench-snf", "--random", *shape.split())
+        assert_one_line_error(code, err)
+        assert err.startswith(f"error: {named} must be ") and out == ""
+
     def test_builtin_suspension_boundaries(self, capsys):
         import time
         t0 = time.perf_counter()

@@ -1,13 +1,14 @@
 """Chain complexes, homology over Z/Q/F_p, mapping cones."""
 import pytest
 
+from algebra_oracle import cyclic, dualize
 from strathom.exact_algebra import (ChainComplex, ChainMap, Coefficients,
                                     ComplexValidationError, FGModule,
                                     GradedModule, IntMatrix, homology,
                                     homology_all, mapping_cone)
 
 Z = FGModule.free
-Zmod = FGModule.cyclic
+Zmod = cyclic
 ZZ = Coefficients("Z")
 
 
@@ -164,7 +165,7 @@ class TestMappingCone:
         assert H == GradedModule({0: Zmod(2), 1: Zmod(2)})
 
     def test_cohomological_cone(self):
-        C = circle_complex().dualize()
+        C = dualize(circle_complex())
         cone = mapping_cone(ChainMap.identity(C))
         assert homology_all(cone).is_zero()
 
@@ -183,8 +184,89 @@ class TestMappingCone:
             ChainMap(C, C, bad)
 
 
+def flipped(C, k, j):
+    """The columns of C with the sign of the first entry of column j of
+    d_k flipped."""
+    columns = dict(C.columns)
+    col = dict(columns[k][j])
+    i = next(iter(col))
+    col[i] = -col[i]
+    columns[k] = columns[k][:j] + [col] + columns[k][j + 1:]
+    return columns
+
+
+def product_check_fails(C, columns, k):
+    """The old check, by ``IntMatrix`` products of the two diff views that
+    meet d_k: d_(k+step) d_k and d_k d_(k-step)."""
+    D = ChainComplex(C.orientation, C.ranks, columns, check=False, modulus=C.modulus)
+    step = C.step
+    products = [D.diff(k + step) * D.diff(k), D.diff(k) * D.diff(k - step)]
+    if C.modulus:
+        return any(v % C.modulus for m in products for v in m.entries.values())
+    return any(not m.is_zero() for m in products)
+
+
+def ambients():
+    from strathom.blowup import GlobalBlowupComplex
+    from strathom.chains import regular_complex
+    from strathom.triangulations import projective_plane
+    for name, make in (("cone(RP2)", lambda: projective_plane().cone()),
+                       ("susp(RP2)", lambda: projective_plane().suspension())):
+        yield f"regular {name}", lambda make=make: regular_complex(make())
+        yield f"blown-up {name}", lambda make=make: GlobalBlowupComplex(make()).full_complex()
+
+
+class TestColumnCheck:
+    """d o d = 0 is checked column by column; it must reject exactly what
+    the product of the two matrices rejects."""
+
+    @pytest.mark.parametrize("name, make", list(ambients()), ids=[a[0] for a in ambients()])
+    def test_every_sign_flip_is_caught_as_by_the_product(self, name, make):
+        C = make()
+        flips = caught = 0
+        for k, cols in C.columns.items():
+            if k + C.step not in C.columns:
+                continue
+            for j, col in enumerate(cols):
+                if not col:
+                    continue
+                columns = flipped(C, k, j)
+                fails = product_check_fails(C, columns, k)
+                try:
+                    ChainComplex(C.orientation, C.ranks, columns)
+                    raised = False
+                except ComplexValidationError:
+                    raised = True
+                assert raised == fails, (name, k, j)
+                flips, caught = flips + 1, caught + raised
+        assert flips and caught
+
+    def test_row_out_of_range(self):
+        for row in (2, -1):
+            with pytest.raises(ComplexValidationError):
+                ChainComplex("hom", {0: 2, 1: 1}, {1: [{0: 1, row: -1}]})
+        with pytest.raises(ComplexValidationError):
+            ChainComplex("hom", {0: 2, 1: 1}, {1: [{0: 1}, {1: 1}]})
+
+    def test_non_unit_column_that_cancels_in_part(self):
+        d1 = [{0: 1, 1: -1}, {0: -2, 1: 1}]
+        with pytest.raises(ComplexValidationError):
+            ChainComplex("hom", {0: 2, 1: 2, 2: 1}, {1: d1, 2: [{0: 2, 1: 1}]})
+        C = ChainComplex("hom", {0: 2, 1: 2, 2: 1}, {1: d1, 2: [{0: 2, 1: 1}]}, check=False)
+        assert not (C.diff(1) * C.diff(2)).is_zero()
+        ChainComplex("hom", {0: 2, 1: 2, 2: 1}, {1: [{0: 1, 1: -1}, {0: -2, 1: 2}],
+                                                 2: [{0: 2, 1: 1}]})
+
+    def test_vanishing_mod_p_only(self):
+        ranks, diffs = {0: 1, 1: 2, 2: 1}, {1: [{0: 1}, {0: 1}], 2: [{0: 1, 1: 1}]}
+        ChainComplex("hom", ranks, diffs, modulus=2)
+        for modulus in (None, 3):
+            with pytest.raises(ComplexValidationError):
+                ChainComplex("hom", ranks, diffs, modulus=modulus)
+
+
 def test_dualize_circle():
-    D = circle_complex().dualize()
+    D = dualize(circle_complex())
     assert D.orientation == "coh"
     assert homology(D, 0) == Z(1)
     assert homology(D, 1) == Z(1)

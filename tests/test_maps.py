@@ -6,6 +6,7 @@ import json
 import pytest
 
 import strathom.exact_algebra.maps as maps
+from algebra_oracle import cyclic
 from strathom.cli import main
 from strathom.exact_algebra import (FGModule, IntMatrix, ModuleMap,
                                     Presentation, ker_coker, smith,
@@ -15,7 +16,7 @@ from strathom.exact_algebra.maps import (MapValidationError, canonicalize,
 from strathom.exact_algebra.matrices import solve
 
 Z = FGModule.free
-Zmod = FGModule.cyclic
+Zmod = cyclic
 
 
 def FG(rank, *factors):

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebra_oracle import exponent
+from algebra_oracle import cyclic, exponent
 from strathom.exact_algebra import (Coefficients, ExtensionOutcome, FGModule,
                                     GradedModule, ext_dual, hom_dual, kunneth,
                                     module_from_relations, tensor_fg, tor_fg,
@@ -10,7 +10,7 @@ from strathom.exact_algebra import (Coefficients, ExtensionOutcome, FGModule,
                                     verdier_dual_homology)
 
 Z = FGModule.free
-Zmod = FGModule.cyclic
+Zmod = cyclic
 
 
 def FG(rank, *factors):

@@ -4,6 +4,7 @@ strata in codimension 3 and two points in codimension 4, so every
 codimension of a full GM perversity matters."""
 import pytest
 
+from algebra_oracle import cyclic
 from strathom.blowup import blowup_cohomology
 from strathom.chains import intersection_cohomology, intersection_homology
 from strathom.exact_algebra import Coefficients, FGModule, GradedModule
@@ -11,7 +12,7 @@ from strathom.stratified import GMPerversity, Perversity
 from strathom.triangulations import circle, projective_plane, torus
 
 Z = FGModule.free
-Zmod = FGModule.cyclic
+Zmod = cyclic
 ZZ = Coefficients("Z")
 
 

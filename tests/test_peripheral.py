@@ -1,6 +1,7 @@
 """Pairing components, peripheral assembly, verdicts, duality checks."""
 import pytest
 
+from algebra_oracle import cyclic
 from strathom.exact_algebra import (FGModule, GradedModule, GradedModuleMap,
                                     ModuleMap)
 from strathom.peripheral import components, peripheral, verdicts
@@ -10,7 +11,7 @@ from strathom.spaces import (AtomSpace, DisjointUnion, MappingTorus,
                              eval_thom_circle, product_atom)
 
 Z = FGModule.free
-Zmod = FGModule.cyclic
+Zmod = cyclic
 
 
 def FG(rank, *factors):

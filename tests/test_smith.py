@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from algebra_oracle import det
+from algebra_oracle import det, diagonal_matrix, dualize
 import strathom.exact_algebra.complexes as complexes
 import strathom.exact_algebra.matrices as matrices
 from strathom.blowup import GlobalBlowupComplex
@@ -51,7 +51,7 @@ def assert_decomposition(A: IntMatrix, check_det: bool = True):
     assert sd.U.rows == sd.U.cols == A.rows
     assert sd.V.rows == sd.V.cols == A.cols
     D = sd.U * A * sd.V
-    assert D == IntMatrix.diagonal(sd.diagonal, A.rows, A.cols)
+    assert D == diagonal_matrix(sd.diagonal, A.rows, A.cols)
     assert all(d > 0 for d in sd.diagonal)
     assert all(b % a == 0 for a, b in zip(sd.diagonal, sd.diagonal[1:]))
     if check_det:
@@ -62,7 +62,7 @@ def assert_decomposition(A: IntMatrix, check_det: bool = True):
 def matrices_of(X):
     """Every boundary matrix of X and every allowable product d.B_k."""
     amb = regular_complex(X)
-    out = [(f"d_{k}", m) for k, m in sorted(amb.diffs.items())]
+    out = [(f"d_{k}", amb.diff(k)) for k in sorted(amb.columns)]
     singular = [st for st in X.strata() if not st.regular]
     for p in range(max(X.n - 1, 1)) if singular else (0,):
         ic = intersection_complex(X, Perversity(X, {st.key: p for st in singular}), ZZ)
@@ -86,7 +86,9 @@ def test_diagonal_invariant_under_transpose_and_permutation(name):
 @pytest.mark.parametrize("name", ["RP2", "susp(RP2)", "cone(T2)"])
 def test_kernel_of_boundaries(name):
     X = SPACES[name]()
-    for k, A in regular_complex(X).diffs.items():
+    amb = regular_complex(X)
+    for k in amb.columns:
+        A = amb.diff(k)
         K = kernel_basis(A)
         assert K.rows == A.cols and K.cols == A.cols - len(diagonal(A)), k
         assert (A * K).is_zero(), k
@@ -128,7 +130,7 @@ def test_lone_minus_one():
 def test_zero_rows_and_columns():
     A = IntMatrix(4, 5, {(0, 1): 3, (2, 1): 6, (2, 3): -2})
     assert assert_decomposition(A).diagonal == (1, 6)
-    assert assert_decomposition(IntMatrix.zero(3, 2)).diagonal == ()
+    assert assert_decomposition(IntMatrix(3, 2)).diagonal == ()
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0)])
@@ -164,14 +166,14 @@ def counting_splits(monkeypatch):
 def test_homology_all_one_smith_per_differential(name, monkeypatch):
     X = SPACES[name]()
     amb = regular_complex(X)
-    for C in (amb, amb.dualize()):
+    for C in (amb, dualize(amb)):
         nonzero = {k for k in C.support() if not C.diff(k).is_zero()}
         single = {k: homology(C, k, ZZ) for k in C.support()}
         calls = counting_smith(monkeypatch)
         H = homology_all(C, ZZ)
         assert len(calls) == len(nonzero)
         if isinstance(C, ChainComplex):
-            assert len(calls) == len(C.diffs)
+            assert len(calls) == len(C.columns)
         assert H == type(H)(single)
         monkeypatch.undo()
     # A Subcomplex runs one fused elimination per ambient differential that
@@ -182,8 +184,8 @@ def test_homology_all_one_smith_per_differential(name, monkeypatch):
     single = {k: homology(ref, k, ZZ) for k in ref.support()}
     single_dual = {k: homology(ref.dualize(), k, ZZ) for k in ref.support()}
     ic = intersection_complex(X, p, ZZ)
-    nonzero = {k for k, d in ic.ambient.diffs.items()
-               if {j for _, j in d.entries} & set(ic.allowed.get(k, ()))}
+    nonzero = {k for k, cols in ic.ambient.columns.items()
+               if {j for j, col in enumerate(cols) if col} & set(ic.allowed.get(k, ()))}
     smiths, splits = counting_smith(monkeypatch), counting_splits(monkeypatch)
     H = homology_all(ic, ZZ)
     assert len(splits) == len(nonzero)

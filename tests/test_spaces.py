@@ -2,6 +2,7 @@
 mapping tori, Thom spaces of circle bundles."""
 import pytest
 
+from algebra_oracle import cyclic
 from strathom.blowup import blowup_cohomology
 from strathom.chains import intersection_cohomology, intersection_homology
 from strathom.exact_algebra import Coefficients, FGModule, GradedModule, smith
@@ -16,7 +17,7 @@ from strathom.stratified import Perversity
 from strathom.triangulations import triangulation_of
 
 Z = FGModule.free
-Zmod = FGModule.cyclic
+Zmod = cyclic
 
 
 def FG(rank, *factors):

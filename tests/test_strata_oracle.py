@@ -16,7 +16,7 @@ import pytest
 
 import strata_oracle as oracle
 from strathom.chains import allowable, intersection_complex, regular_complex
-from strathom.stratified import FilteredComplex, GMPerversity, Perversity
+from strathom.stratified import FilteredComplex, Perversity
 from strathom.triangulations import torus
 from test_smith import SPACES
 
@@ -46,7 +46,7 @@ def perversities(X: FilteredComplex):
     singular = [st for st in X.strata() if not st.regular]
     for k in range(max(X.n - 1, 1)):
         yield Perversity(X, {st.key: k for st in singular})
-    for gm in GMPerversity.all_for(X.n):
+    for gm in oracle.all_gm_perversities(X.n):
         yield Perversity.from_gm(X, gm)
 
 

