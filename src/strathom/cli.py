@@ -18,8 +18,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .exact_algebra import (Coefficients, GradedModule, IntMatrix,
@@ -31,9 +31,9 @@ from .triangulations import has_triangulation, triangulation_of
 from .chains import (intersection_cohomology, intersection_complex,
                      regular_complex)
 from .blowup import blowup_cohomology
-from .spaces import (AtomSpace, DisjointUnion, IsolatedSing, MappingTorus,
-                     OpenCone, SpaceExpr, Suspension, ThomCircle, atom,
-                     atom_renamed, eval_expression, product_atom)
+from .spaces import (AtomSpace, DisjointUnion, IntersectionProfile, IsolatedSing,
+                     MappingTorus, OpenCone, SpaceExpr, Suspension, ThomCircle,
+                     atom, atom_renamed, eval_expression, product_atom)
 from .peripheral import CheckResult, DualityReport, verdicts
 
 
@@ -89,16 +89,28 @@ def _int(value, what: str) -> int:
 class Space:
     """A space expression, read once: ``expr`` is its closed form, or None
     and ``no_expr`` says why; ``build`` makes its triangulation, or is None
-    and ``no_complex`` says why."""
+    and ``no_complex`` says why.  Its triangulation and each closed-form
+    profile are built at most once and live as long as this instance:
+    they are kept here, not in a memo keyed on ``expr``, so that no two
+    inputs share a result."""
     expr: Optional[SpaceExpr]
     no_expr: str
     build: Optional[Callable[[], FilteredComplex]]
     no_complex: str
+    _profiles: Dict[Tuple[int, Coefficients], IntersectionProfile] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def complex(self) -> FilteredComplex:
         """The triangulation, built on first read."""
         return self.build()
+
+    def profile(self, k: int, ring: Coefficients) -> IntersectionProfile:
+        """The closed-form profile at apex value k over ``ring``, evaluated
+        on first read; an evaluation that raises is not kept."""
+        if (k, ring) not in self._profiles:
+            self._profiles[k, ring] = eval_expression(self.expr, k, ring)
+        return self._profiles[k, ring]
 
     def route(self, engine: str) -> Tuple[bool, bool]:
         """Whether the closed form and the simplicial engine run when
@@ -341,11 +353,15 @@ def print_report_text(rep: DualityReport, out):
 
 # -- engines ----------------------------------------------------------------
 
-def symbolic_report(expr: SpaceExpr, k: int, ring: Coefficients) -> DualityReport:
-    prof = eval_expression(expr, k, ring)
+def symbolic_report(space: Space, k: int, ring: Coefficients) -> DualityReport:
+    """The closed-form report at apex value k, checked against the profile
+    at Dk = n - 2 - k.  Both are read from ``space``, so at Dk = k (the
+    middle perversity of an even-dimensional space) one profile serves as
+    both, and each value of a perversity list is evaluated once."""
+    prof = space.profile(k, ring)
     dk = prof.n - 2 - k
     try:
-        dual_prof = eval_expression(expr, dk, ring) if 0 <= dk <= prof.n - 2 else None
+        dual_prof = space.profile(dk, ring) if 0 <= dk <= prof.n - 2 else None
     except ValueError as e:
         return verdicts(prof, no_dual=f"no complementary profile: {e}")
     return verdicts(prof, dual_prof)
@@ -404,7 +420,7 @@ def cmd_profile(args, data: dict, digest: str) -> int:
         for pspec in pspecs:
             per_perversity: List[Tuple[str, DualityReport]] = []
             if closed:
-                rep = symbolic_report(space.expr, apex_value(pspec), ring)
+                rep = symbolic_report(space, apex_value(pspec), ring)
                 if engine == "both" and not simplicial:
                     rep.annotations.append(f"simplicial engine skipped: {space.no_complex}")
                 per_perversity.append(("symbolic", rep))
@@ -466,14 +482,14 @@ def cmd_validate(args, data: dict, digest: str) -> int:
     return 0
 
 
-def _crosscheck_one(expr: Optional[SpaceExpr], X: FilteredComplex, k: int,
-                    out_rows: list) -> bool:
+def _crosscheck_one(space: Space, k: int, out_rows: list) -> bool:
     ok_all = True
     ring = Coefficients("Z")
     gh = hb = None
-    if expr is not None:
-        prof = eval_expression(expr, k, ring)
+    if space.expr is not None:
+        prof = space.profile(k, ring)
         gh, hb = prof.gh_lower, prof.h_blowup
+    X = space.complex
     p = perversity_for(X, k)
     ic = intersection_complex(X, p, ring)
     pairs = [
@@ -516,7 +532,7 @@ def cmd_crosscheck(args, data: dict, digest: str) -> int:
         ks = ([_int(v, "a perversity value") for v in args.perversity.split(",")]
               if args.perversity else range(max(X.n - 1, 1)))
         for k in ks:
-            ok &= _crosscheck_one(space.expr, X, k, rows)
+            ok &= _crosscheck_one(space, k, rows)
     except BAD_INPUT as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -588,6 +604,7 @@ def cmd_bench_snf(args) -> int:
     return 0
 
 
+@functools.cache     # the parser depends on no input; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="strathom",

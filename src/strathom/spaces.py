@@ -10,6 +10,7 @@ and the locally-torsion-free report.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -125,7 +126,7 @@ class ManifoldAtom:
                 continue
             table = self.cup2.get(cname)
             if table is None:
-                raise KeyError(f"atom {self.name} has no degree-2 class {cname!r}")
+                raise ValueError(f"atom {self.name} has no degree-2 class {cname!r}")
             for col, b in enumerate(src):
                 row_targets = table.get(b.name, {})
                 for tname, c in row_targets.items():
@@ -189,7 +190,7 @@ _ATOMS = {
 
 def atom(name: str) -> ManifoldAtom:
     if name not in _ATOMS:
-        raise KeyError(f"unknown atom {name!r}; known: {sorted(_ATOMS)}")
+        raise ValueError(f"unknown atom {name!r}; known: {sorted(_ATOMS)}")
     return _ATOMS[name]()
 
 
@@ -630,7 +631,9 @@ def eval_thom_circle(expr: ThomCircle, k: int, ring: Coefficients = ZRING
         im(e: H^{k-1}B -> H^{k+1}B)  c  q^{-1}(T coker e)   (q the quotient)
 
     whose torsion/free split yields the pairing components, and the kernel
-    one degree up is the torsion of ker(e: H^k B -> H^{k+2} B).
+    one degree up is the torsion of ker(e: H^k B -> H^{k+2} B).  Each map
+    cup-with-e and each kernel read is built once per evaluation: at
+    k = Dk the local-torsion ends read the same two maps.
     """
     B = expr.base
     n = B.dim + 2
@@ -646,9 +649,7 @@ def eval_thom_circle(expr: ThomCircle, k: int, ring: Coefficients = ZRING
                                      FGModule.zero(), 1, True)]
         return prof
 
-    def cup(j: int) -> ModuleMap:
-        return B.cup_map(euler, j)
-
+    cup, ker, coker = _gysin(B, euler)
     # chi in degree k+1: inclusion of subgroups of H^{k+1}(B)
     amb = B.presentation_in_degree(k + 1)
     E = cup(k - 1) if k >= 1 else ModuleMap.zero(FGModule.zero(), amb.module())
@@ -679,7 +680,7 @@ def eval_thom_circle(expr: ThomCircle, k: int, ring: Coefficients = ZRING
     # Gysin cokernel in degree k+1 is finite
     TK = FGModule.zero()
     if A_coker.rank == 0:
-        TK = cup(k).kernel().torsion_part()
+        TK = ker(k).torsion_part()
     else:
         prof.annotations.append(
             "Gysin cokernel in the critical degree has free rank; the kernel "
@@ -712,9 +713,9 @@ def eval_thom_circle(expr: ThomCircle, k: int, ring: Coefficients = ZRING
         "degrees carry Gysin extension data not needed for the verdicts")
     # locally torsion free: T H_{Dk}(S) = T H^{Dk+1}(S) via the Gysin ends
     Dk = n - 2 - k
-    coker_low = _gysin_coker(B, euler, Dk + 1)
+    coker_low = coker(Dk + 1)
     sub_t = coker_low.torsion_part()
-    quot_t = _gysin_ker(B, euler, Dk).torsion_part()
+    quot_t = ker(Dk).torsion_part()
     if coker_low.rank and sub_t.is_zero and not quot_t.is_zero:
         # torsion of the quotient end may fail to lift when the subobject
         # has free rank; the witness order is then only an upper bound
@@ -728,28 +729,24 @@ def eval_thom_circle(expr: ThomCircle, k: int, ring: Coefficients = ZRING
     return prof
 
 
-def _gysin_coker(B: ManifoldAtom, euler: Dict[str, int], j: int) -> FGModule:
-    """coker(e: H^{j-2} -> H^j)."""
-    if j < 2:
-        return B.cohomology()[j]
-    return B.cup_map(euler, j - 2).cokernel()
-
-
-def _gysin_ker(B: ManifoldAtom, euler: Dict[str, int], j: int) -> FGModule:
-    """ker(e: H^j -> H^{j+2})."""
-    if j < 0:
-        return FGModule.zero()
-    return B.cup_map(euler, j).kernel()
+def _gysin(B: ManifoldAtom, euler: Dict[str, int]):
+    """The ends of the Gysin sequence of B with Euler class e, for one
+    evaluation: ``cup(j)``, the map e: H^j -> H^{j+2}, its kernel ``ker(j)``
+    (0 for j < 0) and ``coker(j)`` = coker(e: H^{j-2} -> H^j).  Each map and
+    each kernel is built on first read: an evaluation may read one twice."""
+    cup = functools.cache(functools.partial(B.cup_map, euler))
+    ker = functools.cache(lambda j: cup(j).kernel() if j >= 0 else FGModule.zero())
+    return cup, ker, lambda j: cup(j - 2).cokernel() if j >= 2 else B.cohomology()[j]
 
 
 def circle_bundle_cohomology(B: ManifoldAtom, euler: Dict[str, int]
                              ) -> Dict[int, ExtensionOutcome]:
     """H^*(S) of the circle bundle from the Gysin sequence, degreewise as
     extension data 0 -> coker(e) -> H^j(S) -> ker(e) -> 0."""
+    _, ker, coker = _gysin(B, euler)
     out = {}
     for j in range(0, B.dim + 2):
-        e = ExtensionOutcome.of(_gysin_coker(B, euler, j),
-                                _gysin_ker(B, euler, j - 1))
+        e = ExtensionOutcome.of(coker(j), ker(j - 1))
         if not e.is_zero():
             out[j] = e
     return out

@@ -111,7 +111,7 @@ _REGISTRY = {
 
 def triangulation_of(name: str) -> FilteredComplex:
     if name not in _REGISTRY:
-        raise KeyError(f"no registered triangulation for atom {name!r}")
+        raise ValueError(f"no registered triangulation for atom {name!r}")
     return _REGISTRY[name]()
 
 

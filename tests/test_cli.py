@@ -168,6 +168,20 @@ class TestProfile:
         code, _, err = run(capsys, "profile", f)
         assert code == 2 and "K3" in err
 
+    # the message of a KeyError would print as its repr, in quotes
+    @pytest.mark.parametrize("command,space,message", [
+        (command, {"type": "atom", "name": "FOO"}, "error: unknown atom 'FOO'; known: [")
+        for command in ("profile", "crosscheck")] + [
+        ("profile", {"type": "thom_circle", "base": {"type": "atom", "name": "S2"},
+                     "euler": {"zz": 1}}, "error: atom S2 has no degree-2 class 'zz'\n")],
+        ids=["unknown-atom-profile", "unknown-atom-crosscheck", "unknown-class"])
+    def test_unknown_name_is_printed_unquoted(self, tmp_path, capsys, command,
+                                              space, message):
+        code, out, err = run(capsys, command, write(tmp_path, "bad.json", {"space": space}))
+        assert_one_line_error(code, err)
+        assert err.startswith(message) and not err.startswith('error: "')
+        assert not err.endswith('"\n') and "symbolic-only" not in out
+
     @pytest.mark.parametrize("command", ["profile", "validate", "crosscheck"])
     def test_top_level_array_is_input_error(self, tmp_path, capsys, command):
         f = write(tmp_path, "arr.json", [{"type": "atom", "name": "S2"}])
