@@ -259,13 +259,6 @@ def blowup_cohomology(X: FilteredComplex, p: Perversity,
     return blowup_complex(X, p, ring).cohomology()
 
 
-@per_space
-def _identity_cone(X: FilteredComplex) -> ChainComplex:
-    """The cone of the identity of N~*(X), built and checked once per X;
-    it holds the columns of N~*(X), not X."""
-    return mapping_cone(ChainMap.identity(global_blowup(X).full_complex()))
-
-
 def relative_complex(X: FilteredComplex, p: Perversity, q: Perversity,
                      ring: Coefficients = Coefficients("Z")) -> Subcomplex:
     """Homotopy cofiber of the inclusion N~_p c N~_q, as an allowable
@@ -278,7 +271,7 @@ def relative_complex(X: FilteredComplex, p: Perversity, q: Perversity,
         raise ValueError("relative complex needs p <= q stratum-wise")
     G = global_blowup(X)
     A = G.full_complex()
-    cone = _identity_cone(X)
+    cone = mapping_cone(ChainMap.identity(A))
     on_p, on_q = G.allowed_indices(p), G.allowed_indices(q)
     allowed = {j: on_q.get(j, []) + [A.rank(j) + i for i in on_p.get(j + 1, ())]
                for j in cone.support()}

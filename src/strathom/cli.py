@@ -45,7 +45,7 @@ ENGINES = ("symbolic", "simplicial", "both")
 
 
 # what a malformed input raises: exit 2 with one line, never a traceback
-BAD_INPUT = (KeyError, ValueError)   # InputError and StratifiedValidationError too
+BAD_INPUT = ValueError   # InputError and StratifiedValidationError are ValueErrors
 
 
 # -- input parsing --------------------------------------------------------

@@ -20,8 +20,7 @@ from pathlib import Path
 
 import strathom.blowup as blowup
 import strathom.chains as chains
-from strathom.blowup import (blowup_cohomology, blowup_complex, global_blowup,
-                             relative_cohomology)
+from strathom.blowup import blowup_cohomology, blowup_complex, global_blowup
 from strathom.chains import (intersection_cohomology, intersection_complex,
                              intersection_homology, regular_complex)
 from strathom.cli import main
@@ -95,34 +94,6 @@ def test_an_ambient_lives_exactly_as_long_as_its_space():
         assert space() is None
         assert all(a() is None for a in ambients)
         assert len(AMBIENTS) == len(others)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def test_relative_cohomology_builds_one_identity_cone_per_space(monkeypatch):
-    X = projective_plane().cone()
-    global_blowup(X).full_complex()
-    checked, complex_init = [], ChainComplex.__init__
-
-    def recorded_complex(self, orientation, *args, **kwargs):
-        if kwargs.get("check", True):
-            checked.append(orientation)
-        complex_init(self, orientation, *args, **kwargs)
-    monkeypatch.setattr(ChainComplex, "__init__", recorded_complex)
-    p, q = apex_perversity(X, 0), apex_perversity(X, 1)
-    first = relative_cohomology(X, p, q, Coefficients("Z"))
-    assert relative_cohomology(X, p, q, Coefficients("Z")) == first
-    relative_cohomology(X, p, p, Coefficients("Fp", 2))
-    # one cone, checked once, for every pair and ring (one per call before)
-    assert checked == ["coh"]
-    # and like every ambient it goes with X: the cone holds no reference to X
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        cone = weakref.ref(blowup._identity_cone(X))
-        del X, p, q                 # a perversity refers to its space
-        assert cone() is None
     finally:
         if enabled:
             gc.enable()
