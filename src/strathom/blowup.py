@@ -29,22 +29,24 @@ empty) and a_i = deg_0 + ... + deg_{i-1}.  Then d(tau, eps) is the sum of
 A full-support label has no coface within its own blocks, because each of
 its slots already holds the whole block: the local coboundary on tau is
 the eps flips alone, and every other term adds one vertex of the link.
-``GlobalBlowupComplex`` builds every carrier at construction from
-``X.regular_simplices`` alone, numbered by its place there: its block
-sizes, its link extensions (each tau * w a simplex of the list, kept by
-number) and the singular strata met by its star (those of the vertices of
-tau and of its link).  The differential is built once, as one sparse
-column per label, each term found by its integer key.
+``GlobalBlowupComplex`` reads every carrier from ``X.regular_simplices``
+alone, numbered by its place there (each link extension tau * w is a
+simplex of the list), in two passes: the first numbers the labels of each
+degree and gives each carrier its block sizes and the singular strata met
+by its star (those of the vertices of tau and of its link), the second
+emits one sparse column per label, each term found by its integer key.
+Beside the columns, no per-label or per-link object outlives the build.
 
 The global complex depends on X alone: ``global_blowup`` builds it once per
 X (``stratified.per_space``), with one d o d = 0 check on its columns, and
 every perversity and ring carves its allowable subcomplex out of it, the
-allowed lists scanned once per perversity.  It keeps the strata of X, not
-X, so X is freed as soon as nothing else holds it.
+allowed lists scanned once per perversity.  It keeps the strata and the
+regular simplices of X, not X, so X is freed once nothing else holds it.
 """
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact_algebra import (ChainComplex, ChainMap, Coefficients, GradedModule,
@@ -61,34 +63,28 @@ class GlobalLabel(NamedTuple):
     eps: Tuple            # one flag per slot 0..n-1; 0 on slots with an empty block
 
 
-class _Carrier(NamedTuple):
-    """What a regular carrier simplex contributes, computed once."""
-    sizes: Tuple          # sizes of the join blocks
-    links: List           # (slot, pos, number of tau * w) per link vertex w
-    star: Tuple           # numbers of the singular strata met by the star
-    terms: List           # per eps mask, its coboundary terms: ``_shape``
-
-
 def _shape(sizes: Tuple, n: int) -> Tuple[List, List]:
     """What the carriers with these block sizes share: per eps mask (bit i
-    the flag of slot i) the terms of d, the eps flips as (bit, sign) and per
-    slot of a link vertex (mask of the term, sign exponent less pos); and
-    the labels (eps, mask, degree), in product order of the flags."""
+    the flag of slot i) the terms of d, the eps flips as (bit, sign) and, per
+    slot of a link vertex w, (mask of the term, sign exponent less the index
+    of w in tau * w); and the labels (mask, degree), in product order."""
     cone_slots = [i for i in range(n) if sizes[i]]
     base_deg = sum(size - 1 for size in sizes if size)
+    # w lands in tau * w at index start[slot] + pos, pos its place in its block
+    start = list(itertools.accumulate(sizes, initial=0))
     table: List = [None] * (1 << n)
     labels = []
     for bits in itertools.product((0, 1), repeat=len(cone_slots)):
         mask = sum(b << i for b, i in zip(bits, cone_slots))
-        labels.append((tuple(mask >> i & 1 for i in range(n)), mask, base_deg + sum(bits)))
+        labels.append((mask, base_deg + sum(bits)))
         # acc[i]: degree of the slots before slot i (an empty cone slot,
-        # the apex alone, has degree 0)
+        # the apex alone, has degree 0; slot n is never empty)
         acc = [0] * (n + 1)
         for i in range(n):
             acc[i + 1] = acc[i] + (sizes[i] - 1 + (mask >> i & 1) if sizes[i] else 0)
         flips = [(1 << i, -1 if acc[i] & 1 else 1) for i in cone_slots if not mask >> i & 1]
-        slots = [(mask, (mask >> i & 1) + acc[i]) if sizes[i] else (mask | 1 << i, 1 + acc[i])
-                 for i in range(n)] + [(mask, acc[n])]
+        slots = [(mask, (mask >> i & 1) + acc[i] - start[i]) if sizes[i]
+                 else (mask | 1 << i, 1 + acc[i] - start[i]) for i in range(n + 1)]
         table[mask] = (flips, slots)
     return table, labels
 
@@ -98,23 +94,24 @@ class GlobalBlowupComplex:
     filtration data.
 
     The label (carrier c, eps) has the key c << n | mask, bit i of the mask
-    the flag of slot i; ``basis`` lists each degree's labels as
-    ``GlobalLabel``s.  ``full_complex`` is N~*(X), the same for every
-    perversity and ring; ``intersection_complex(p, ring)`` carves out the
-    p-allowable part with allowable coboundary.
+    the flag of slot i; the complex keeps each degree's keys, one (block
+    sizes, star) pair per carrier and the columns of d, and builds
+    ``basis``, the labels as ``GlobalLabel``s, on first read.
+    ``full_complex`` is N~*(X), the same for every perversity and ring;
+    ``intersection_complex(p, ring)`` carves out the p-allowable part with
+    allowable coboundary.
     """
 
     def __init__(self, X: FilteredComplex):
         self.strata = X.strata()
         self.n = n = X.n
         levels = X.levels
-        self._position: Dict[int, int] = {}        # label key -> place in its degree
-        self._carriers: List[_Carrier] = []
         self._allowed: Dict[Tuple, Dict[int, List[int]]] = {}
+        self._complex: Optional[ChainComplex] = None
         stratum = X.stratum_numbers()
-        singular = {i for i, st in enumerate(X.strata()) if not st.regular}
+        singular = {i for i, st in enumerate(self.strata) if not st.regular}
         visit_order = {v: i for i, v in enumerate(levels)}
-        regular = X.regular_simplices
+        self._regular = regular = X.regular_simplices
         # each link extension tau * w of a regular simplex is a regular
         # simplex one dimension up, with w at index i: one pass over the
         # list finds every link
@@ -124,65 +121,61 @@ class GlobalBlowupComplex:
                 ext = found.get(big[:i] + big[i + 1:])
                 if ext is not None:
                     ext.append((visit_order[big[i]], i, b))
+        # numbering: each label's place in its degree, one int that the
+        # columns share as a row key, and each carrier's interned pair
         shapes: Dict[Tuple, Tuple] = {}        # block sizes -> ``_shape``
-        degrees: Dict[int, Tuple[List, List]] = {}      # k -> (labels, keys)
-        # popping frees each extension list once its links are built
+        pairs: Dict[Tuple, Tuple] = {}
+        at: Dict[int, int] = {}                # label key -> place in its degree
+        self._keys: Dict[int, List[int]] = {}  # per degree, in basis order
+        self._carriers: List[Tuple] = []       # per carrier, (sizes, star)
         for c, tau in enumerate(regular):
-            ext = found.pop(tau)
-            sizes = [0] * (n + 1)
-            for v in tau:
-                sizes[levels[v]] += 1
-            start = list(itertools.accumulate(sizes, initial=0))
-            # w lies in block ``slot`` of tau * w, at ``pos``, after the
-            # vertices of tau below that level
-            links = []
+            sizes = tuple(map([levels[v] for v in tau].count, range(n + 1)))
             star = {stratum[v] for v in tau}
-            for _, i, b in sorted(ext):
-                w = regular[b][i]
-                links.append((levels[w], i - start[levels[w]], b))
-                star.add(stratum[w])
-            sizes = tuple(sizes)
+            star.update(stratum[regular[b][i]] for _, i, b in found[tau])
+            pair = (sizes, tuple(sorted(star & singular)))
+            self._carriers.append(pairs.setdefault(pair, pair))
             if sizes not in shapes:
                 shapes[sizes] = _shape(sizes, n)
-            terms, flags = shapes[sizes]
-            self._carriers.append(_Carrier(sizes, links, tuple(sorted(star & singular)), terms))
             # carriers come sorted and flags in product order, so each
             # degree's labels are already in (carrier, eps) order
-            for eps, mask, k in flags:
-                labels, keys = degrees.get(k) or degrees.setdefault(k, ([], []))
-                key = c << n | mask
-                self._position[key] = len(labels)
-                labels.append(GlobalLabel(tau, eps))
+            for mask, k in shapes[sizes][1]:
+                keys, key = self._keys.setdefault(k, []), c << n | mask
+                at[key] = len(keys)
                 keys.append(key)
-        self.basis: Dict[int, List[GlobalLabel]] = {k: ls for k, (ls, _) in degrees.items()}
-        self._keys = {k: keys for k, (_, keys) in degrees.items()}   # per degree
-        self._complex: Optional[ChainComplex] = None
+        # emission: the columns, in the same order, each link vertex w as
+        # (its slot, its index i in tau * w, key of tau * w less the mask);
+        # popping frees each extension list once it is read
+        self._columns: Dict[int, List[Dict[int, int]]] = {k: [] for k in self._keys}
+        for c, (tau, (sizes, _)) in enumerate(zip(regular, self._carriers)):
+            links = [(levels[regular[b][i]], i, b << n) for _, i, b in sorted(found.pop(tau))]
+            terms, flags = shapes[sizes]
+            for mask, k in flags:
+                flips, slots = terms[mask]
+                col = {at[c << n | mask | bit]: sign for bit, sign in flips}
+                for slot, i, big in links:
+                    term, sign_exp = slots[slot]
+                    col[at[big | term]] = -1 if (i + sign_exp) & 1 else 1
+                self._columns[k].append(col)
+
+    @cached_property
+    def basis(self) -> Dict[int, List[GlobalLabel]]:
+        """Each degree's labels as ``GlobalLabel``s, built on first read."""
+        n, regular = self.n, self._regular
+        return {k: [GlobalLabel(regular[key >> n], tuple(key >> i & 1 for i in range(n)))
+                    for key in keys] for k, keys in self._keys.items()}
 
     def rank(self, k: int) -> int:
-        return len(self.basis.get(k, ()))
+        return len(self._keys.get(k, ()))
 
     def differential(self, k: int) -> List[Dict[int, int]]:
-        """The columns {row: sign} of d on degree k, one per label: d of
-        (tau, eps) flips eps 0 -> 1 on a nonempty cone slot, then adds each
-        link vertex w of tau in ``X.levels`` order (module docstring)."""
-        n, full = self.n, (1 << self.n) - 1
-        at, carriers = self._position, self._carriers
-        columns = []
-        for key in self._keys.get(k, ()):
-            c = carriers[key >> n]
-            flips, slots = c.terms[key & full]
-            col = {at[key | bit]: sign for bit, sign in flips}
-            for slot, pos, b in c.links:
-                mask, sign_exp = slots[slot]
-                col[at[b << n | mask]] = -1 if (pos + sign_exp) & 1 else 1
-            columns.append(col)
-        return columns
+        """The columns {row: sign} of d on degree k, one per label, emitted
+        at construction (module docstring)."""
+        return self._columns.get(k, [])
 
     def full_complex(self) -> ChainComplex:
         if self._complex is None:
-            diffs = {k: self.differential(k) for k in self.basis}
-            ranks = {k: self.rank(k) for k in self.basis}
-            self._complex = ChainComplex("coh", ranks, diffs, basis=dict(self.basis))
+            self._complex = ChainComplex("coh", {k: self.rank(k) for k in self._keys},
+                                         {k: self.differential(k) for k in self._keys})
         return self._complex
 
     # -- perversity ------------------------------------------------------
@@ -202,26 +195,23 @@ class GlobalBlowupComplex:
         n, full = self.n, (1 << self.n) - 1
         at = [(n - st.codim, v) for st, v in zip(self.strata, values)]
         verdicts: Dict[Tuple, set] = {}     # (block sizes, star) -> allowed masks
-        ok = []
-        for c in self._carriers:
-            sizes = c.sizes
-            if (sizes, c.star) not in verdicts:
-                b: Dict[int, int] = {}     # the least p(S) over the star, by slot
-                for i in c.star:
-                    slot, v = at[i]
-                    b[slot] = min(b.get(slot, v), v)
-                allowed = verdicts[sizes, c.star] = set()
-                for mask in range(full + 1):
-                    above = sizes[n] - 1    # degree of the slots above `slot`
-                    for slot in range(n - 1, -1, -1):
-                        if sizes[slot]:
-                            e = mask >> slot & 1
-                            if not e and above > b.get(slot, above):
-                                break
-                            above += sizes[slot] - 1 + e
-                    else:
-                        allowed.add(mask)
-            ok.append(verdicts[sizes, c.star])
+        for sizes, star in dict.fromkeys(self._carriers):
+            b: Dict[int, int] = {}     # the least p(S) over the star, by slot
+            for i in star:
+                slot, v = at[i]
+                b[slot] = min(b.get(slot, v), v)
+            allowed = verdicts[sizes, star] = set()
+            for mask in range(full + 1):
+                above = sizes[n] - 1    # degree of the slots above `slot`
+                for slot in range(n - 1, -1, -1):
+                    if sizes[slot]:
+                        e = mask >> slot & 1
+                        if not e and above > b.get(slot, above):
+                            break
+                        above += sizes[slot] - 1 + e
+                else:
+                    allowed.add(mask)
+        ok = [verdicts[pair] for pair in self._carriers]
         return {k: [i for i, key in enumerate(keys) if key & full in ok[key >> n]]
                 for k, keys in self._keys.items()}
 

@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -145,8 +146,11 @@ def read_space(data) -> Space:
         # and lets the constructors allocate fresh vertices
         vertices = [_typed(v, dict, "a vertex")
                     for v in _typed(data["vertices"], list, "'vertices'")]
-        ids = sorted({_typed(v["id"], (int, str), "a vertex id") for v in vertices},
-                     key=str)
+        listed = [_typed(v["id"], (int, str), "a vertex id") for v in vertices]
+        twice = [vid for vid, times in Counter(listed).items() if times > 1]
+        if twice:
+            raise InputError(f"vertex {twice[0]!r} is listed twice in 'vertices'")
+        ids = sorted(listed, key=str)
         relabel = {vid: i for i, vid in enumerate(ids)}
         levels = {relabel[v["id"]]: _int(v["level"], "a level") for v in vertices}
 

@@ -20,6 +20,7 @@ of columns and then in all, for the homology of an allowable subcomplex.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -808,12 +809,16 @@ def solve_mod_p(A: IntMatrix, B: IntMatrix, p: int) -> Optional[IntMatrix]:
 
 def random_sparse(rows: int, cols: int, density: float, seed: int = 0,
                   lo: int = -1, hi: int = 1) -> IntMatrix:
+    """Each cell drawn with probability ``density``, valued in lo..hi (0 left
+    empty); geometric gaps between drawn cells make the cost follow them."""
     rng = random.Random(seed)
-    ent = {}
-    for i in range(rows):
-        for j in range(cols):
-            if rng.random() < density:
-                v = rng.randint(lo, hi)
-                if v:
-                    ent[(i, j)] = v
+    ent, cell, cells = {}, -1, rows * cols
+    miss = math.log1p(-density) if density < 1 else -math.inf
+    while density > 0:
+        gap = math.log(1.0 - rng.random()) / miss      # cells skipped
+        if gap >= cells - cell - 1:
+            break
+        cell += 1 + int(gap)
+        if v := rng.randint(lo, hi):
+            ent[divmod(cell, cols)] = v
     return IntMatrix(rows, cols, ent)

@@ -7,14 +7,16 @@ weakly on X and no ambient refers to X, so the ambients go with X, freed
 by reference counting alone.  The allowed lists of a perversity are
 computed once per X, for every ring.  Each ambient is stored as sparse
 columns, built, checked and read with no ``IntMatrix`` made or multiplied
-on the way.  Each test builds its own X: the module fixtures of other
-files share theirs across tests.
+on the way, and the blown-up one keeps no per-label or per-link object
+beside its columns.  Each test builds its own X: the module fixtures of
+other files share theirs across tests.
 """
 import contextlib
 import gc
 import io
 import json
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -164,3 +166,25 @@ def test_ambients_are_built_checked_and_read_as_columns(monkeypatch):
     blowup_cohomology(Y, Perversity(Y, {st.key: 1 for st in Y.strata() if not st.regular}))
     monkeypatch.undo()
     assert made == [] and products == []
+
+
+def test_blown_up_ambient_keeps_few_bytes_per_label():
+    # susp2(RP3), 21 200 labels: the columns of d with their row ints, the
+    # label keys and one shared pair per carrier hold about 340 B a label
+    # (about 400 at the peak of building); with a GlobalLabel and a position
+    # entry per label and the link lists per carrier beside them, 660 B
+    X = projective_space_3().suspension().suspension()
+    X.regular_simplices, X.stratum_numbers()      # X's own, read before
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G = blowup.GlobalBlowupComplex(X)
+        G.full_complex()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    labels = sum(map(G.rank, G.full_complex().support()))
+    assert labels == 21200
+    assert (held - before) / labels < 500 and (peak - before) / labels < 500

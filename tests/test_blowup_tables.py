@@ -6,8 +6,8 @@ differential matrices with the same entry order (it fixes the SNF pivot
 path and so every reported basis) and the same allowed lists for every
 perversity.  Count guards keep the per-carrier data computed once, from
 ``X.regular_simplices`` and the vertex-to-stratum map, with no ``Stratum``
-hashed, and each link extension is the number, in that list, of the
-simplex one vertex up.
+hashed, and every row of a column is an eps flip or a listed simplex
+one vertex up.
 """
 import pytest
 
@@ -38,12 +38,12 @@ def test_basis_matches_label_walk(name, make):
     X = make()
     G = GlobalBlowupComplex(X)
     assert G.basis == label_walk_basis(X)
-    # label (carrier c, eps) has the key c << n | eps mask, which finds its place
+    # label (carrier c, eps) has the key c << n | eps mask, listed at its place
     number = {tau: c for c, tau in enumerate(X.regular_simplices)}
     for k, labels in G.basis.items():
         for i, g in enumerate(labels):
             key = number[g.carrier] << X.n | sum(e << s for s, e in enumerate(g.eps))
-            assert G._keys[k][i] == key and G._position[key] == i
+            assert G._keys[k][i] == key
 
 
 @pytest.mark.parametrize("name, make", SPACES, ids=IDS)
@@ -99,16 +99,18 @@ def test_carrier_data_computed_once(monkeypatch):
 
 @pytest.mark.parametrize("name, make", SPACES, ids=IDS)
 def test_link_extensions_are_the_listed_simplices(name, make):
+    # every row of the column of (tau, eps) is a label on tau itself (an
+    # eps flip) or on a listed simplex one vertex up, its carrier tau * w
     X = make()
     G = GlobalBlowupComplex(X)
-    regular = X.regular_simplices
-    assert len(G._carriers) == len(regular)
-    for tau, c in zip(regular, G._carriers):
-        for slot, pos, b in c.links:
-            bigger = regular[b]
-            (w,) = set(bigger) - set(tau)
-            assert len(bigger) == len(tau) + 1
-            assert [v for v in bigger if X.levels[v] == slot].index(w) == pos
+    regular = set(X.regular_simplices)
+    for k, labels in G.basis.items():
+        for g, col in zip(labels, G.differential(k)):
+            for row in col:
+                bigger = G.basis[k + 1][row].carrier
+                assert bigger in regular
+                assert bigger == g.carrier or (len(bigger) == len(g.carrier) + 1
+                                               and set(g.carrier) < set(bigger))
 
 
 def test_carriers_hash_no_stratum(monkeypatch):

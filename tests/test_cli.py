@@ -693,6 +693,20 @@ def test_simplex_with_an_unknown_vertex_names_it(tmp_path, capsys, command):
         "simplex [1, 7] names vertex 7, which is not in 'vertices'\n"
 
 
+@pytest.mark.parametrize("command", ["profile", "validate", "crosscheck"])
+@pytest.mark.parametrize("first, second", [(2, 0), (0, 2)])
+def test_a_vertex_listed_twice_names_it(tmp_path, capsys, command, first, second):
+    # vertex 0 once at level 2 and once at level 0 (apex of a cone on a
+    # triangle's boundary): in neither order is one of the two kept
+    f = write(tmp_path, "twice.json", {"space": dict(README_COMPLEX, vertices=[
+        {"id": 0, "level": first}, {"id": 1, "level": 2}, {"id": 2, "level": 2},
+        {"id": 3, "level": 2}, {"id": 0, "level": second}])})
+    code, out, err = run(capsys, command, f)
+    assert_one_line_error(code, err)
+    assert out == ""
+    assert err.split(": ", 1)[1] == "vertex 0 is listed twice in 'vertices'\n"
+
+
 @pytest.mark.parametrize("name", ["product S2xS1", "thom(S2)"])
 def test_engine_both_says_when_the_simplicial_engine_is_skipped(tmp_path, capsys, name):
     space, reason = (

@@ -1,5 +1,6 @@
 """Smith normal form and sparse matrix invariants."""
 import random
+import time
 from itertools import combinations
 from math import gcd
 
@@ -220,6 +221,30 @@ def test_triplet_roundtrip():
     A = random_sparse(7, 5, 0.4, seed=11, lo=-9, hi=9)
     B = IntMatrix.parse_triplets(serialize_triplets(A))
     assert A == B
+
+
+def test_random_sparse_costs_its_entries_not_its_cells():
+    # 10^8 cells at density 1e-5 hold about 1000 entries; one draw per
+    # cell makes 10^8 draws, seconds of work
+    start = time.perf_counter()
+    A = random_sparse(10000, 10000, 1e-5)
+    assert time.perf_counter() - start < 0.5
+    assert 500 < len(A.entries) < 1500
+
+
+def test_random_sparse_draws_each_cell_with_probability_density():
+    assert random_sparse(30, 40, 0.0).entries == {}
+    assert len(random_sparse(30, 40, 1.0, lo=1, hi=1).entries) == 30 * 40
+    assert random_sparse(30, 40, 0.3, seed=5) == random_sparse(30, 40, 0.3, seed=5)
+    # 20 seeds of 100 x 200 at 0.05: each quadrant of 5000 cells holds
+    # 20 * 250 = 5000 entries on average, standard deviation about 69
+    quadrants = [0] * 4
+    for seed in range(20):
+        A = random_sparse(100, 200, 0.05, seed=seed, lo=-9, hi=9)
+        assert all(-9 <= v <= 9 and v for v in A.entries.values())
+        for i, j in random_sparse(100, 200, 0.05, seed=seed, lo=1, hi=1).entries:
+            quadrants[(i >= 50) * 2 + (j >= 100)] += 1
+    assert all(abs(q - 5000) < 5 * 69 for q in quadrants), quadrants
 
 
 def test_matrix_ops():

@@ -123,7 +123,7 @@ def test_star_strata_match_scan(name, make):
     for s in X.simplices:
         if X.is_regular(s):
             tau = X.sorted_vertices(s)
-            got = G._carriers[number[tau]].star
+            _, got = G._carriers[number[tau]]      # (block sizes, star)
             want = scanned_star_strata(X, of, maximal, tau)
             assert [X.strata()[i].key for i in got] == sorted(st.key for st in want)
 
