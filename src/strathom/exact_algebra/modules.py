@@ -13,14 +13,33 @@ from typing import Dict, Iterable, Optional, Tuple
 from .matrices import IntMatrix, smith
 
 
+# Miller-Rabin with the first 13 prime bases is exact below the least
+# strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < PRIME_TEST_BOUND."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -33,6 +52,9 @@ class Coefficients:
     def __post_init__(self):
         if self.kind not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
+        if self.kind == "Fp" and self.p >= PRIME_TEST_BOUND:
+            raise ValueError(f"field characteristic {self.p} is too large: primality "
+                             f"is decided exactly only below {PRIME_TEST_BOUND}")
         if self.kind == "Fp" and not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -50,9 +72,13 @@ class Coefficients:
             return cls("Z")
         if t in ("Q", "ℚ"):
             return cls("Q")
-        if t.startswith("F"):
-            return cls("Fp", int(t[1:]))
-        raise ValueError(f"cannot parse coefficient ring {text!r}")
+        try:
+            p = int(t[1:]) if t.startswith("F") else None
+        except ValueError:
+            p = None
+        if p is None:
+            raise ValueError(f"cannot parse coefficient ring {text!r}")
+        return cls("Fp", p)
 
 
 ZZ = Coefficients("Z")
@@ -105,6 +131,8 @@ class FGModule:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("negative rank")
+        if not self.torsion:
+            return
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"broken divisibility chain {self.torsion}")
@@ -113,7 +141,7 @@ class FGModule:
 
     @classmethod
     def zero(cls) -> "FGModule":
-        return cls(0, ())
+        return _ZERO
 
     @classmethod
     def free(cls, r: int) -> "FGModule":
@@ -121,6 +149,8 @@ class FGModule:
 
     @classmethod
     def from_factors(cls, rank: int, factors: Iterable[int]) -> "FGModule":
+        if not factors:
+            return cls(rank)
         return cls(rank, _chain_from_factors(factors))
 
     @property
@@ -141,10 +171,10 @@ class FGModule:
         return out
 
     def free_part(self) -> "FGModule":
-        return FGModule(self.rank, ())
+        return FGModule(self.rank) if self.torsion else self
 
     def torsion_part(self) -> "FGModule":
-        return FGModule(0, self.torsion)
+        return FGModule(0, self.torsion) if self.torsion else _ZERO
 
     def direct_sum(self, *others: "FGModule") -> "FGModule":
         rank = self.rank
@@ -181,6 +211,10 @@ class FGModule:
         return " + ".join(parts)
 
 
+# frozen and compared by value, so one zero module serves every caller
+_ZERO = FGModule(0)
+
+
 def module_from_relations(n_gens: int, rels: IntMatrix) -> FGModule:
     """Z^n modulo the column span of ``rels``."""
     if rels.rows != n_gens:
@@ -212,7 +246,7 @@ class GradedModule:
         self._data = {k: v for k, v in (data or {}).items() if not v.is_zero}
 
     def __getitem__(self, k: int) -> FGModule:
-        return self._data.get(k, FGModule.zero())
+        return self._data.get(k, _ZERO)
 
     def support(self):
         return sorted(self._data)

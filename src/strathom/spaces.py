@@ -52,6 +52,10 @@ class ManifoldAtom:
         self._by_name = {b.name: b for b in self.basis}
         if len(self._by_name) != len(self.basis):
             raise ValueError(f"duplicate basis names in atom {name}")
+        # (co)homology per ring, computed on first read: ``atom`` builds a
+        # new atom per parse, so no memo outlives the parsed input
+        self._cohomology: Dict[Coefficients, GradedModule] = {}
+        self._homology: Dict[Coefficients, GradedModule] = {}
         self._sanity()
 
     def _sanity(self):
@@ -69,6 +73,11 @@ class ManifoldAtom:
                         f"atom {self.name}: Poincare duality fails on torsion at {k}")
 
     def cohomology(self, ring: Coefficients = ZRING) -> GradedModule:
+        if ring not in self._cohomology:
+            self._cohomology[ring] = self._compute_cohomology(ring)
+        return self._cohomology[ring]
+
+    def _compute_cohomology(self, ring: Coefficients) -> GradedModule:
         ints: Dict[int, List[int]] = {}
         for b in self.basis:
             ints.setdefault(b.degree, []).append(b.order)
@@ -94,8 +103,10 @@ class ManifoldAtom:
     def homology(self, ring: Coefficients = ZRING) -> GradedModule:
         """From cohomology by inverting universal coefficients:
         H_j = (free part of H^j) + (torsion of H^{j+1})."""
-        H = self.cohomology(ring)
-        return H if ring.is_field else verdier_dual_homology(H)
+        if ring not in self._homology:
+            H = self.cohomology(ring)
+            self._homology[ring] = H if ring.is_field else verdier_dual_homology(H)
+        return self._homology[ring]
 
     def basis_in_degree(self, j: int) -> List[BasisElt]:
         return [b for b in self.basis if b.degree == j]

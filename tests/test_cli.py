@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -745,3 +746,29 @@ def test_engine_both_says_when_the_closed_form_is_skipped(tmp_path, capsys, name
     # asked for the simplicial engine alone, nothing was skipped
     code, out, _ = run(capsys, "profile", f, "--engine", "simplicial", "--json")
     assert code == 0 and note not in json.loads(out)["annotations"]
+
+
+def test_a_sixteen_digit_field_answers_quickly(capsys):
+    # trial division took 14 s on this job
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "profile", str(GOLDEN_JOBS / "susp-rp3.json"),
+                       "--ring", "F9999999999999937", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["coefficients"] == "F9999999999999937"
+
+
+@pytest.mark.parametrize("via", ["flag", "job"])
+@pytest.mark.parametrize("ring,message", [
+    ("Fp", "cannot parse coefficient ring 'Fp'"),
+    ("F", "cannot parse coefficient ring 'F'"),
+    ("F99999999999999999999999999", "is too large: primality is decided exactly only"),
+])
+def test_a_bad_ring_is_one_line(tmp_path, capsys, via, ring, message):
+    job = {"space": {"type": "suspension", "of": {"type": "atom", "name": "RP3"}},
+           "perversity": 1}
+    if via == "job":
+        job["ring"] = ring
+    argv = ["profile", write(tmp_path, "r.json", job)]
+    code, out, err = run(capsys, *argv, *(["--ring", ring] if via == "flag" else []))
+    assert_one_line_error(code, err)
+    assert err.startswith("error: ") and message in err and not out

@@ -8,6 +8,7 @@ from strathom.exact_algebra import (Coefficients, ExtensionOutcome, FGModule,
                                     module_from_relations, tensor_fg, tor_fg,
                                     verdier_dual_cohomology,
                                     verdier_dual_homology)
+from strathom.exact_algebra.modules import PRIME_TEST_BOUND, _is_prime
 
 Z = FGModule.free
 Zmod = cyclic
@@ -129,6 +130,35 @@ class TestCoefficients:
     def test_primality(self):
         with pytest.raises(ValueError):
             Coefficients("Fp", 9)
+
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(5000) if _is_prime(n)] == \
+            [n for n in range(5000) if trial(n)]
+
+    # Carmichael 561; strong pseudoprimes to base 2 (2047) and to bases
+    # 2, 3, 5, 7 (3215031751); the least strong pseudoprime to every prime
+    # base up to 37 (Sorenson & Webster), which only base 41 exposes
+    @pytest.mark.parametrize("n", [561, 2047, 3215031751, 318665857834031151167461])
+    def test_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="is not prime"):
+            Coefficients("Fp", n)
+
+    @pytest.mark.parametrize("p", [9999999999999937, 2 ** 61 - 1, 2 ** 31 - 1, 65537])
+    def test_large_primes(self, p):
+        assert _is_prime(p) and Coefficients.parse(f"F{p}").p == p
+
+    @pytest.mark.parametrize("p", [PRIME_TEST_BOUND, 2 ** 89 - 1])
+    def test_a_characteristic_above_the_exact_bound_is_refused(self, p):
+        with pytest.raises(ValueError, match="too large"):
+            Coefficients("Fp", p)
+
+    @pytest.mark.parametrize("text", ["Fp", "F", "F2.5", "G7", ""])
+    def test_unparsable_ring(self, text):
+        with pytest.raises(ValueError, match="^cannot parse coefficient ring"):
+            Coefficients.parse(text)
 
 
 class TestExtensionOutcome:
