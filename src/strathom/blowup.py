@@ -29,24 +29,19 @@ empty) and a_i = deg_0 + ... + deg_{i-1}.  Then d(tau, eps) is the sum of
 A full-support label has no coface within its own blocks, because each of
 its slots already holds the whole block: the local coboundary on tau is
 the eps flips alone, and every other term adds one vertex of the link.
-``GlobalBlowupComplex`` reads every carrier from ``X.regular_simplices``
-alone, numbered by its place there (each link extension tau * w is a
-simplex of the list), in two passes: the first numbers the labels of each
-degree and gives each carrier its block sizes and the singular strata met
-by its star (those of the vertices of tau and of its link), the second
-emits one sparse column per label, each term found by its integer key.
-Beside the columns, no per-label or per-link object outlives the build.
-
-The global complex depends on X alone: ``global_blowup`` builds it once per
-X (``stratified.per_space``), with one d o d = 0 check on its columns, and
-every perversity and ring carves its allowable subcomplex out of it, the
-allowed lists scanned once per perversity.  It keeps the strata and the
-regular simplices of X, not X, so X is freed once nothing else holds it.
+``GlobalBlowupComplex`` works on ``X.regular_simplices``, the table's
+tuples of vertex numbers (each link extension tau * w is one of them), and
+on lists indexed by vertex number, in two passes: the first gives each
+carrier its block sizes (a packed sum of vertex weights) and star (a
+bitmask of the singular strata of tau and its link) and numbers the
+labels, the second emits one sparse column per label.  Vertex ids appear
+only in the carriers of ``basis``, built on first read.
 """
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact_algebra import (ChainComplex, ChainMap, Coefficients, GradedModule,
@@ -94,9 +89,8 @@ class GlobalBlowupComplex:
     filtration data.
 
     The label (carrier c, eps) has the key c << n | mask, bit i of the mask
-    the flag of slot i; the complex keeps each degree's keys, one (block
-    sizes, star) pair per carrier and the columns of d, and builds
-    ``basis``, the labels as ``GlobalLabel``s, on first read.
+    the flag of slot i; the complex keeps each degree's keys, one interned
+    (block sizes, star bitmask) pair per carrier and the columns of d.
     ``full_complex`` is N~*(X), the same for every perversity and ring;
     ``intersection_complex(p, ring)`` carves out the p-allowable part with
     allowable coboundary.
@@ -105,49 +99,56 @@ class GlobalBlowupComplex:
     def __init__(self, X: FilteredComplex):
         self.strata = X.strata()
         self.n = n = X.n
-        levels = X.levels
+        levels, place = X.vertex_levels, X.vertex_places
         self._allowed: Dict[Tuple, Dict[int, List[int]]] = {}
         self._complex: Optional[ChainComplex] = None
-        stratum = X.stratum_numbers()
-        singular = {i for i, st in enumerate(self.strata) if not st.regular}
-        visit_order = {v: i for i, v in enumerate(levels)}
+        self._ids = X.vertex_ids
         self._regular = regular = X.regular_simplices
-        # each link extension tau * w of a regular simplex is a regular
-        # simplex one dimension up, with w at index i: one pass over the
-        # list finds every link
-        found = {tau: [] for tau in regular}
+        # per vertex: its stratum's bit when singular, and its weight in the
+        # block sizes packed into one int, `width` bits per level
+        width = (n + 1).bit_length()
+        vbit = [0 if self.strata[i].regular else 1 << i for i in X.vertex_strata()]
+        weight = [1 << width * lv for lv in levels]
+        # each link extension tau * w is a listed simplex, with w at index
+        # i: one pass finds every link and ORs w's bit into the star of tau
+        number = {tau: c for c, tau in enumerate(regular)}
+        found: List = [[] for _ in regular]
+        star = [reduce(or_, map(vbit.__getitem__, tau)) for tau in regular]
         for b, big in enumerate(regular):
             for i in range(len(big)):
-                ext = found.get(big[:i] + big[i + 1:])
-                if ext is not None:
-                    ext.append((visit_order[big[i]], i, b))
-        # numbering: each label's place in its degree, one int that the
-        # columns share as a row key, and each carrier's interned pair
+                c = number.get(big[:i] + big[i + 1:])
+                if c is not None:
+                    found[c].append((place[big[i]], i, b))
+                    star[c] |= vbit[big[i]]
+        del number
+        # numbering: each label's place in its degree, the row key of the
+        # columns
         shapes: Dict[Tuple, Tuple] = {}        # block sizes -> ``_shape``
-        pairs: Dict[Tuple, Tuple] = {}
+        pairs: Dict[Tuple, Tuple] = {}         # (packed sizes, star) -> pair
         at: Dict[int, int] = {}                # label key -> place in its degree
         self._keys: Dict[int, List[int]] = {}  # per degree, in basis order
         self._carriers: List[Tuple] = []       # per carrier, (sizes, star)
         for c, tau in enumerate(regular):
-            sizes = tuple(map([levels[v] for v in tau].count, range(n + 1)))
-            star = {stratum[v] for v in tau}
-            star.update(stratum[regular[b][i]] for _, i, b in found[tau])
-            pair = (sizes, tuple(sorted(star & singular)))
-            self._carriers.append(pairs.setdefault(pair, pair))
-            if sizes not in shapes:
-                shapes[sizes] = _shape(sizes, n)
+            packed = sum(map(weight.__getitem__, tau))
+            pair = pairs.get((packed, star[c]))
+            if pair is None:
+                sizes = tuple(packed >> width * lv & ((1 << width) - 1) for lv in range(n + 1))
+                pair = pairs[packed, star[c]] = (sizes, star[c])
+                if sizes not in shapes:
+                    shapes[sizes] = _shape(sizes, n)
+            self._carriers.append(pair)
             # carriers come sorted and flags in product order, so each
             # degree's labels are already in (carrier, eps) order
-            for mask, k in shapes[sizes][1]:
+            for mask, k in shapes[pair[0]][1]:
                 keys, key = self._keys.setdefault(k, []), c << n | mask
                 at[key] = len(keys)
                 keys.append(key)
-        # emission: the columns, in the same order, each link vertex w as
-        # (its slot, its index i in tau * w, key of tau * w less the mask);
-        # popping frees each extension list once it is read
+        # emission: each link vertex w as (its slot, its index i in tau * w,
+        # key of tau * w less the mask)
         self._columns: Dict[int, List[Dict[int, int]]] = {k: [] for k in self._keys}
-        for c, (tau, (sizes, _)) in enumerate(zip(regular, self._carriers)):
-            links = [(levels[regular[b][i]], i, b << n) for _, i, b in sorted(found.pop(tau))]
+        for c, (sizes, _) in enumerate(self._carriers):
+            links = [(levels[regular[b][i]], i, b << n) for _, i, b in sorted(found[c])]
+            found[c] = None
             terms, flags = shapes[sizes]
             for mask, k in flags:
                 flips, slots = terms[mask]
@@ -159,9 +160,10 @@ class GlobalBlowupComplex:
 
     @cached_property
     def basis(self) -> Dict[int, List[GlobalLabel]]:
-        """Each degree's labels as ``GlobalLabel``s, built on first read."""
-        n, regular = self.n, self._regular
-        return {k: [GlobalLabel(regular[key >> n], tuple(key >> i & 1 for i in range(n)))
+        """Each degree's labels, carriers as tuples of vertex ids."""
+        n, ids = self.n, self._ids
+        carriers = [tuple(map(ids.__getitem__, tau)) for tau in self._regular]
+        return {k: [GlobalLabel(carriers[key >> n], tuple(key >> i & 1 for i in range(n)))
                     for key in keys] for k, keys in self._keys.items()}
 
     def rank(self, k: int) -> int:
@@ -197,9 +199,9 @@ class GlobalBlowupComplex:
         verdicts: Dict[Tuple, set] = {}     # (block sizes, star) -> allowed masks
         for sizes, star in dict.fromkeys(self._carriers):
             b: Dict[int, int] = {}     # the least p(S) over the star, by slot
-            for i in star:
-                slot, v = at[i]
-                b[slot] = min(b.get(slot, v), v)
+            for i, (slot, v) in enumerate(at):
+                if star >> i & 1:
+                    b[slot] = min(b.get(slot, v), v)
             allowed = verdicts[sizes, star] = set()
             for mask in range(full + 1):
                 above = sizes[n] - 1    # degree of the slots above `slot`
@@ -226,7 +228,6 @@ class BlowupIntersection(Subcomplex):
 
     def __init__(self, G: GlobalBlowupComplex, p: Perversity, ring: Coefficients):
         self.global_complex = G
-        self.perversity = p
         super().__init__(G.full_complex(), G.allowed_indices(p), ring)
 
     def cohomology(self) -> GradedModule:

@@ -1,18 +1,14 @@
 """The intersection chain complex of a filtered complex.
 
-Chains are combinations of regular simplices with the regular-part
-boundary (``regular_complex``, on the basis that the blown-up complex
-shares, ``FilteredComplex.regular_simplices``, one sparse column per
-simplex); a chain is of p-intersection when it and its boundary are
-spanned by allowable simplices.  The regular complex depends on X alone:
-it is built, and its d o d = 0 checked, once per X
-(``stratified.per_space``), and every perversity and ring carves its
-intersection chains out of it.  This module decides which simplices are
-allowable, once per X and perversity; ``exact_algebra.Subcomplex`` reads
-the homology of the intersection chains, exactly over Z and mod p for
-field coefficients, from one fused elimination of the allowed columns of
-each regular boundary, and the dual cohomology from the same invariant
-factors one degree along.
+Chains are combinations of regular simplices, the table's tuples of
+vertex numbers in ``FilteredComplex.regular_simplices`` (the basis the
+blown-up complex shares), with the regular part of the simplicial
+boundary; a chain is of p-intersection when it and its boundary are
+spanned by allowable simplices.  ``regular_complex`` is built, and its
+d o d = 0 checked, once per X (``stratified.per_space``), the allowed
+lists once per X and perversity, and ``exact_algebra.Subcomplex`` reads
+the homology from them.  ``allowable`` and ``regular_boundary`` take
+vertex ids.
 """
 from __future__ import annotations
 
@@ -40,15 +36,15 @@ def perverse_degree(X: FilteredComplex, s) -> Tuple:
 
 def _allowed(X: FilteredComplex, values: Tuple, basis: Dict) -> Dict[int, List[int]]:
     """Positions of the allowable tuples in each degree k of ``basis``, the
-    tuples in (level, id) order, from one per-vertex table of codim(S) - p(S)
+    sorted tuples of vertex numbers, from one per-vertex list of codim(S) - p(S)
     (S the stratum of the vertex, p(S) from ``values``, in ``X.strata()``
     order).  Along S, met by the level block ending at position e, ||s||
     (``perverse_degree``) is e, so s passes when codim S - p(S) <= k - e;
     within the block the bound only grows, so one scan checks every
     position.  s must end on a top-level vertex."""
-    by_number = [st.codim - v for st, v in zip(X.strata(), values)]
-    slack = {v: by_number[i] for v, i in X.stratum_numbers().items()}.__getitem__
-    levels, n = X.levels, X.n
+    by_stratum = [st.codim - v for st, v in zip(X.strata(), values)]
+    slack = [by_stratum[i] for i in X.vertex_strata()].__getitem__
+    levels, n = X.vertex_levels, X.n
     return {k: [j for j, s in enumerate(simps)
                 if levels[s[-1]] == n and all(map(le, map(slack, s), range(k, -1, -1)))]
             for k, simps in basis.items()}
@@ -56,7 +52,7 @@ def _allowed(X: FilteredComplex, values: Tuple, basis: Dict) -> Dict[int, List[i
 
 def allowable(X: FilteredComplex, s, p: Perversity) -> bool:
     """The Goresky-MacPherson inequality against every stratum met by s."""
-    s = X.sorted_vertices(s)
+    s = tuple(sorted({X.vertex_numbers[v] for v in s}))
     return bool(s) and any(_allowed(X, tuple(map(p, X.strata())), {len(s) - 1: [s]}).values())
 
 

@@ -16,6 +16,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -28,7 +29,7 @@ from .exact_algebra import (Coefficients, GradedModule, IntMatrix,
                             verdier_dual_cohomology)
 from .stratified import (FilteredComplex, GMPerversity, Perversity,
                          StratifiedValidationError)
-from .triangulations import has_triangulation, triangulation_of
+from .triangulations import SIMPLEX_COUNTS, triangulation_of
 from .chains import (intersection_cohomology, intersection_complex,
                      regular_complex)
 from .blowup import blowup_cohomology
@@ -40,6 +41,14 @@ from .peripheral import CheckResult, DualityReport, verdicts
 
 class InputError(ValueError):
     pass
+
+
+class OverBudget(Exception):
+    """The simplicial engine must run on a triangulation over the budget:
+    undetermined (exit 4), not an input error."""
+
+
+SIMPLEX_BUDGET = 2_000_000      # the most simplices read_space lets be built
 
 
 ENGINES = ("symbolic", "simplicial", "both")
@@ -90,14 +99,14 @@ def _int(value, what: str) -> int:
 class Space:
     """A space expression, read once: ``expr`` is its closed form, or None
     and ``no_expr`` says why; ``build`` makes its triangulation, or is None
-    and ``no_complex`` says why.  Its triangulation and each closed-form
-    profile are built at most once and live as long as this instance:
-    they are kept here, not in a memo keyed on ``expr``, so that no two
-    inputs share a result."""
+    and ``no_complex`` says why; ``size`` estimates its simplex count.  Its
+    triangulation and each closed-form profile are built at most once and
+    kept here, not in a memo keyed on ``expr``, so no two inputs share one."""
     expr: Optional[SpaceExpr]
     no_expr: str
     build: Optional[Callable[[], FilteredComplex]]
     no_complex: str
+    size: Optional[int] = None
     _profiles: Dict[Tuple[int, Coefficients], IntersectionProfile] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -117,7 +126,10 @@ class Space:
         """Whether the closed form and the simplicial engine run when
         ``engine`` is asked for: the closed form where there is one and it
         was asked for; the simplicial engine where it was asked for or where
-        there is no closed form, and there is a triangulation."""
+        there is no closed form, and there is a triangulation (else
+        ``OverBudget`` where it is over the budget)."""
+        if (self.size or 0) > SIMPLEX_BUDGET and (engine == "simplicial" or self.expr is None):
+            raise OverBudget(self.no_complex)
         if self.expr is None and self.build is None:
             raise InputError(f"{self.no_complex}, and {self.no_expr}")
         return (self.expr is not None and engine in ("symbolic", "both"),
@@ -138,7 +150,23 @@ def _closed(node: Space, manifold: str = "") -> SpaceExpr:
 def read_space(data) -> Space:
     """One pass over a space expression that checks every field of every
     node: a malformed field is an input error at once, a space that one
-    engine cannot read is not."""
+    engine cannot read is not, nor a triangulation over the budget, which
+    gets no builder."""
+    try:
+        space = _node(data)
+    except RecursionError:
+        raise InputError("the space expression is nested too deeply") from None
+    if space.build is not None and space.size > SIMPLEX_BUDGET:
+        e = int(math.log10(space.size))
+        space.build = None
+        space.no_complex = (f"over budget: about {space.size / 10 ** e:.1f}e{e} simplices, "
+                            f"budget {SIMPLEX_BUDGET}")
+    return space
+
+
+def _node(data) -> Space:
+    """One node, its size the sum of 2^|s| - 1 over the listed simplices s
+    of a raw complex, 2|X| + 1 for a cone, 3|X| + 2 for a suspension."""
     data = _typed(data, dict, "a space expression")
     t = data.get("type")
     if t == "complex":
@@ -164,15 +192,16 @@ def read_space(data) -> Space:
         name = _typed(data.get("name", "complex"), str, "'name'")
         return Space(None, "the raw complex has no closed form",
                      lambda: FilteredComplex(n, levels, simplices, close=True, name=name),
-                     "")
+                     "", sum((1 << len(s)) - 1 for s in simplices))
     if t == "atom":
         name = _typed(data["name"], str, "an atom name")
         expr = AtomSpace(atom(name))
-        if has_triangulation(name):
-            return Space(expr, "", functools.partial(triangulation_of, name), "")
+        if name in SIMPLEX_COUNTS:
+            return Space(expr, "", functools.partial(triangulation_of, name), "",
+                         SIMPLEX_COUNTS[name])
         return Space(expr, "", None, f"atom {name!r} has no triangulation")
     if t in ("cone", "suspension"):
-        inner = read_space(data["of"])
+        inner = _node(data["of"])
         expr, no_expr = None, inner.no_expr
         if isinstance(inner.expr, AtomSpace):
             expr = (OpenCone if t == "cone" else Suspension)(inner.expr)
@@ -180,9 +209,10 @@ def read_space(data) -> Space:
             no_expr = f"{t} supports manifold links only"
         over = FilteredComplex.cone if t == "cone" else FilteredComplex.suspension
         return Space(expr, no_expr, inner.build and (lambda: over(inner.build())),
-                     inner.no_complex)
+                     inner.no_complex,
+                     inner.size and (2 * inner.size + 1 if t == "cone" else 3 * inner.size + 2))
     if t == "disjoint_union":
-        parts = [read_space(p) for p in _typed(data["parts"], list, "'parts'")]
+        parts = [_node(p) for p in _typed(data["parts"], list, "'parts'")]
         if not parts:
             raise InputError("'parts' must not be empty")
         no_expr = next((p.no_expr for p in parts if p.expr is None), "")
@@ -192,7 +222,8 @@ def read_space(data) -> Space:
             return functools.reduce(FilteredComplex.disjoint_union,
                                     [p.build() for p in parts])
         return Space(None if no_expr else DisjointUnion(tuple(p.expr for p in parts)),
-                     no_expr, None if no_complex else build, no_complex)
+                     no_expr, None if no_complex else build, no_complex,
+                     None if no_complex else sum(p.size for p in parts))
     # the types below have a closed form only
     if t == "product":
         factors = []
@@ -206,11 +237,11 @@ def read_space(data) -> Space:
             factors.append(a)
         expr = AtomSpace(product_atom(*factors))
     elif t == "isolated":
-        links = [_closed(read_space(l), "isolated-singularity links must be manifolds").atom
+        links = [_closed(_node(l), "isolated-singularity links must be manifolds").atom
                  for l in _typed(data["links"], list, "'links'")]
         expr = IsolatedSing(_int(data["dimension"], "'dimension'"), tuple(links))
     elif t == "mapping_torus":
-        inner = _closed(read_space(data["of"]))
+        inner = _closed(_node(data["of"]))
         action = tuple(sorted(
             (_int(deg, "a degree"),
              tuple(tuple(_int(v, "a matrix entry")
@@ -219,7 +250,7 @@ def read_space(data) -> Space:
             for deg, mat in _typed(data["action"], dict, "'action'").items()))
         expr = MappingTorus(inner, action)
     elif t == "thom_circle":
-        base = _closed(read_space(data["base"]),
+        base = _closed(_node(data["base"]),
                        "thom_circle base must be a manifold atom or product")
         euler = tuple(sorted((k, _int(v, "an Euler coefficient"))
                              for k, v in _typed(data["euler"], dict, "'euler'").items()))
@@ -237,6 +268,10 @@ def load_job(path: str) -> Tuple[dict, str]:
         data = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+    except ValueError as e:     # not UTF-8, or an integer past the digit limit
+        raise InputError(f"{path}: {e}")
     if not isinstance(data, dict):
         raise InputError(f"{path}: top-level JSON value must be an object")
     if not isinstance(data.get("space", {}), dict):
@@ -529,7 +564,7 @@ def cmd_crosscheck(args, data: dict, digest: str) -> int:
     ok = True
     try:
         space = read_space(data.get("space", data))
-        if not space.route("both")[1]:
+        if not space.route("simplicial")[1]:
             print("symbolic-only: expression has no simplicial realization")
             return 0
         X = space.complex
@@ -658,4 +693,8 @@ def main(argv=None) -> int:
     except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return args.func(args, *job)
+    try:
+        return args.func(args, *job)
+    except OverBudget as e:
+        print(f"undetermined: {e}", file=sys.stderr)
+        return 4

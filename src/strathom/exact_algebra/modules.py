@@ -72,6 +72,11 @@ class Coefficients:
             return cls("Z")
         if t in ("Q", "ℚ"):
             return cls("Q")
+        # refused by length: int() would meet Python's digit limit first
+        digits = t[1:].strip().lstrip("+-").lstrip("0")
+        if t[:1] == "F" and digits.isdecimal() and len(digits) > len(str(PRIME_TEST_BOUND)):
+            raise ValueError(f"field characteristic of {len(digits)} digits is too large: "
+                             f"primality is decided exactly only below {PRIME_TEST_BOUND}")
         try:
             p = int(t[1:]) if t.startswith("F") else None
         except ValueError:

@@ -1,27 +1,23 @@
 """Filtered simplicial complexes: the combinatorial models of stratified
 pseudomanifolds.
 
-The filtration is encoded by a level in 0..n on each vertex; the front
-face of a simplex spanned by vertices of level <= i is then exactly its
-intersection with the i-th filtration stage, so every simplex is filtered
-with a canonical join decomposition.  Constructors build cones,
-suspensions and disjoint unions with the conic filtration, from the
-maximal simplices of their inputs.
+The filtration is a level in 0..n on each vertex; the front face of a
+simplex on the vertices of level <= i is its intersection with the i-th
+filtration stage, so every simplex has a canonical join decomposition.
+Constructors build cones, suspensions and disjoint unions with the conic
+filtration, from the maximal simplices of their inputs.
 
-A ``FilteredComplex`` numbers its vertices 0..V-1 in (level, id) order,
-the order of ``sorted_vertices``, and keeps one table of simplices: the
-set ``table`` of sorted tuples of vertex numbers.  The faces that
-``itertools.combinations`` yields of a sorted tuple are sorted, so the
-closure under faces builds no frozenset and sorts nothing; the last entry
-of a tuple is a vertex of its top level.  Validation, the maximal
-simplices, ``strata()`` and ``regular_simplices`` read the table; the
-frozensets ``simplices`` (for tests and oracles) and ``maximal_simplices()``
-(for the constructors) are built on first read only.
+A ``FilteredComplex`` numbers its vertices 0..V-1 in (level, id) order
+and keeps each simplex once, in the set ``table`` of sorted tuples of
+vertex numbers, whose last entry is a vertex of its top level.  Numbers
+are the working form, down to both ambients, with per-vertex lists
+(``vertex_levels``, ``vertex_strata()``, ``vertex_places``); ids are a
+view built on first read: ``simplices``, ``maximal_simplices()`` and
+``regular_simplex_ids``.
 
-An ambient complex of X (``chains.regular_complex``,
-``blowup.global_blowup``) depends on X alone, so ``per_space`` builds it
-once per X and keeps it exactly as long as X lives: the memo is keyed
-weakly on X, and no ambient refers to X.
+``per_space`` builds an ambient complex of X (``chains.regular_complex``,
+``blowup.global_blowup``) once per X and keeps it as long as X lives: the
+memo is keyed weakly on X, and no ambient refers to X.
 """
 from __future__ import annotations
 
@@ -39,11 +35,7 @@ class StratifiedValidationError(ValueError):
 
 
 class FilteredComplex:
-    """Finite simplicial complex with a vertex-level filtration.
-
-    ``table`` holds every simplex once, as the sorted tuple of its vertex
-    numbers (module docstring); ``simplices``, the same simplices as
-    frozensets of vertex ids, is built on first read."""
+    """Finite simplicial complex with a vertex-level filtration."""
 
     def __init__(self, dimension: int, levels: Dict, simplices, close: bool = True,
                  name: str = ""):
@@ -52,7 +44,8 @@ class FilteredComplex:
         self.name = name
         # vertex numbers in (level, id) order; a vertex with no level comes
         # after all others, in order of appearance, and validate rejects it
-        self._ids = ids = sorted(self.levels, key=lambda v: (self.levels[v], v))
+        self.vertex_ids = ids = sorted(self.levels, key=lambda v: (self.levels[v], v))
+        self.vertex_levels = [self.levels[v] for v in ids]
         number = {v: i for i, v in enumerate(ids)}
         given = {(i,) for i in range(len(ids))}
         for s in simplices:
@@ -81,7 +74,7 @@ class FilteredComplex:
         self._maximal_table = maximal
         self._maximal = None            # the frozenset list, on first read
         self.validate(closed=not close)
-        self._strata = None             # and _vertex_stratum, set by strata()
+        self._strata = None             # and _vertex_strata, set by strata()
 
     # -- validation ----------------------------------------------------
 
@@ -91,12 +84,12 @@ class FilteredComplex:
             if not (0 <= lv <= self.n):
                 violations.append(f"vertex {v} has level {lv} outside 0..{self.n}")
         known = len(self.levels)
-        if len(self._ids) > known:
+        if len(self.vertex_ids) > known:
             for t in self.table:
                 for i in t:
                     if i >= known:
                         violations.append(f"simplex {self._by_str(t)} uses unknown vertex "
-                                          f"{self._ids[i]}")
+                                          f"{self.vertex_ids[i]}")
         if violations:
             raise StratifiedValidationError(violations)
         if closed:
@@ -107,12 +100,12 @@ class FilteredComplex:
                         if face not in self.table:
                             violations.append(
                                 f"missing face {self._by_str(face)} of {self._by_str(t)}")
-        n, levels, ids = self.n, self.levels, self._ids
-        if not any(lv == n for lv in levels.values()):
+        n, levels = self.n, self.vertex_levels
+        if n not in levels:
             violations.append(f"no vertex of level {n}: X_{n - 1} = X")
         # the last vertex number of a tuple is one of its top level
         for m in self._listed(t for t in self._maximal_table
-                              if len(t) - 1 != n or not t or levels[ids[t[-1]]] != n):
+                              if len(t) - 1 != n or not t or levels[t[-1]] != n):
             m, dim = sorted(m, key=str), len(m) - 1
             violations.append(f"maximal simplex {m} has dimension {dim}, expected {n}"
                               if dim != n else f"maximal simplex {m} has no level-{n} vertex")
@@ -122,11 +115,11 @@ class FilteredComplex:
 
     def _by_str(self, t: Tuple) -> List:
         """The vertex ids of a table tuple, sorted by ``str``."""
-        return sorted(map(self._ids.__getitem__, t), key=str)
+        return sorted(map(self.vertex_ids.__getitem__, t), key=str)
 
     def _listed(self, tuples) -> List[FrozenSet]:
         """Table tuples as id frozensets, by size descending, then str-sorted ids."""
-        ids = self._ids
+        ids = self.vertex_ids
         return sorted((frozenset(map(ids.__getitem__, t)) for t in tuples),
                       key=lambda s: (-len(s), tuple(sorted(s, key=str))))
 
@@ -140,16 +133,31 @@ class FilteredComplex:
     def simplices(self) -> Set[FrozenSet]:
         """Every simplex as a frozenset of vertex ids, built on first read
         from ``table`` (for tests and oracles)."""
-        return {frozenset(map(self._ids.__getitem__, t)) for t in self.table}
+        return {frozenset(map(self.vertex_ids.__getitem__, t)) for t in self.table}
 
     @cached_property
     def regular_simplices(self) -> List[Tuple]:
-        """The regular simplices as ``sorted_vertices`` tuples, sorted: the
-        basis order of both ambient complexes.  A table tuple is regular
-        when its last vertex number is one of a top-level vertex."""
-        top = sum(1 for lv in self.levels.values() if lv < self.n)
-        ids = self._ids
-        return sorted(tuple(map(ids.__getitem__, t)) for t in self.table if t and t[-1] >= top)
+        """The regular simplices, the table's own tuples, sorted: the basis
+        order of both ambient complexes.  A table tuple is regular when its
+        last vertex number is one of a top-level vertex."""
+        top = self.vertex_levels.index(self.n)
+        return sorted(t for t in self.table if t and t[-1] >= top)
+
+    @cached_property
+    def regular_simplex_ids(self) -> List[Tuple]:
+        """``regular_simplices`` as tuples of vertex ids."""
+        return [tuple(map(self.vertex_ids.__getitem__, t)) for t in self.regular_simplices]
+
+    @cached_property
+    def vertex_numbers(self) -> Dict:
+        """Vertex id -> vertex number."""
+        return {v: i for i, v in enumerate(self.vertex_ids)}
+
+    @cached_property
+    def vertex_places(self) -> List[int]:
+        """Vertex number -> its place in ``levels`` order."""
+        place = {v: i for i, v in enumerate(self.levels)}
+        return [place[v] for v in self.vertex_ids]
 
     def maximal_simplices(self) -> List[FrozenSet]:
         """Maximal simplices, found at construction, listed on first read (do not mutate)."""
@@ -173,9 +181,8 @@ class FilteredComplex:
         numbered by their least member simplex, vertices sorted by str."""
         if self._strata is not None:
             return self._strata
-        ids = self._ids
-        level_of = [self.levels[v] for v in ids]
-        parent = list(range(len(ids)))
+        level_of = self.vertex_levels
+        parent = list(range(len(level_of)))
 
         def find(x):
             while parent[x] != x:
@@ -186,7 +193,7 @@ class FilteredComplex:
         for t in self.table:
             if len(t) == 2 and level_of[t[0]] == level_of[t[1]]:
                 parent[find(t[0])] = find(t[1])
-        root = [find(i) for i in range(len(ids))]
+        root = [find(i) for i in range(len(parent))]
         comps: Dict[int, List] = {}         # level -> component roots
         for r in set(root):
             comps.setdefault(level_of[r], []).append(r)
@@ -206,13 +213,13 @@ class FilteredComplex:
                 strata.append(Stratum(level=level, index=idx, dim=dim[r],
                                       codim=self.n - level, regular=(level == self.n)))
         self._strata = strata
-        self._vertex_stratum = {v: of_root[r] for v, r in zip(ids, root)}
+        self._vertex_strata = [of_root[r] for r in root]
         return strata
 
-    def stratum_numbers(self) -> Dict:
-        """Vertex id -> the position of its stratum in ``strata()``."""
+    def vertex_strata(self) -> List[int]:
+        """Vertex number -> the position of its stratum in ``strata()``."""
         self.strata()
-        return self._vertex_stratum
+        return self._vertex_strata
 
     # -- constructors ------------------------------------------------------
 

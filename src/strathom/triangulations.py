@@ -99,6 +99,9 @@ def projective_space_3() -> FilteredComplex:
     return manifold_complex(3, sorted(simplices), name="RP3(40)")
 
 
+# the simplex count of each registered triangulation, known before it is built
+SIMPLEX_COUNTS = {"S1": 6, "S2": 14, "S3": 30, "T2": 42, "RP2": 31, "RP3": 848}
+
 _REGISTRY = {
     "S1": circle,
     "S2": sphere,
@@ -114,6 +117,3 @@ def triangulation_of(name: str) -> FilteredComplex:
         raise ValueError(f"no registered triangulation for atom {name!r}")
     return _REGISTRY[name]()
 
-
-def has_triangulation(name: str) -> bool:
-    return name in _REGISTRY

@@ -199,7 +199,7 @@ def local_perverse_degree(lab, ell: int, n: int):
 
 def label_walk_basis(X):
     """Basis by degree: (regular carrier, eps on its nonempty cone slots),
-    sorted by (carrier, eps)."""
+    sorted by (carrier as a tuple of vertex numbers, eps)."""
     n = X.n
     basis = {}
     for tau in sorted(X.sorted_vertices(s) for s in X.simplices if X.is_regular(s)):
@@ -213,7 +213,8 @@ def label_walk_basis(X):
             basis.setdefault(base_deg + sum(flags), []).append(
                 GlobalLabel(tau, tuple(eps)))
     for labels in basis.values():
-        labels.sort(key=lambda g: (g.carrier, g.eps))
+        labels.sort(key=lambda g: (tuple(map(X.vertex_numbers.__getitem__, g.carrier)),
+                                   g.eps))
     return basis
 
 

@@ -174,7 +174,7 @@ def test_blown_up_ambient_keeps_few_bytes_per_label():
     # (about 400 at the peak of building); with a GlobalLabel and a position
     # entry per label and the link lists per carrier beside them, 660 B
     X = projective_space_3().suspension().suspension()
-    X.regular_simplices, X.stratum_numbers()      # X's own, read before
+    X.regular_simplices, X.vertex_strata(), X.vertex_places     # X's own, read before
     gc.collect()
     tracemalloc.start()
     try:
@@ -188,3 +188,31 @@ def test_blown_up_ambient_keeps_few_bytes_per_label():
     labels = sum(map(G.rank, G.full_complex().support()))
     assert labels == 21200
     assert (held - before) / labels < 500 and (peak - before) / labels < 500
+
+
+def test_regular_ambient_shares_the_table_tuples():
+    # susp(RP3), 2544 regular simplices: the regular-simplex list and the
+    # basis of the regular complex hold the table's own tuples of vertex
+    # numbers, 8 B a simplex in the list (a second tuple of vertex ids was
+    # about 76 B); with the regular complex, about 260 B a regular simplex
+    # held and at the peak of building (330 and 345 B with the id tuples)
+    S = projective_space_3().suspension()
+    X = FilteredComplex(S.n, S.levels, [sorted(s) for s in S.simplices if len(s) == S.n + 1])
+    X.strata()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        regular = X.regular_simplices
+        gc.collect()
+        listed = tracemalloc.get_traced_memory()[0]
+        C = regular_complex(X)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = {t: t for t in X.table}
+    assert len(regular) == 2544 and all(own[t] is t for t in regular)
+    assert all(own[t] is t for simps in C.basis.values() for t in simps)
+    assert (listed - before) / len(regular) < 16
+    assert (held - before) / len(regular) < 300 and (peak - before) / len(regular) < 300

@@ -5,7 +5,7 @@ The tables must give the same basis in the same order, the same
 differential matrices with the same entry order (it fixes the SNF pivot
 path and so every reported basis) and the same allowed lists for every
 perversity.  Count guards keep the per-carrier data computed once, from
-``X.regular_simplices`` and the vertex-to-stratum map, with no ``Stratum``
+``X.regular_simplices`` and the vertex-to-stratum list, with no ``Stratum``
 hashed, and every row of a column is an eps flip or a listed simplex
 one vertex up.
 """
@@ -15,7 +15,8 @@ from blowup_oracle import (differential_matrix, label_walk_basis,
                            label_walk_differential, scanned_allowed_indices)
 from strathom.blowup import GlobalBlowupComplex
 from strathom.stratified import FilteredComplex, GMPerversity, Perversity, Stratum
-from strathom.triangulations import projective_plane, projective_space_3, torus
+from strathom.triangulations import (_REGISTRY, projective_plane, projective_space_3,
+                                     torus, triangulation_of)
 from test_maximal import SPACES
 
 IDS = [s[0] for s in SPACES]
@@ -39,7 +40,7 @@ def test_basis_matches_label_walk(name, make):
     G = GlobalBlowupComplex(X)
     assert G.basis == label_walk_basis(X)
     # label (carrier c, eps) has the key c << n | eps mask, listed at its place
-    number = {tau: c for c, tau in enumerate(X.regular_simplices)}
+    number = {tau: c for c, tau in enumerate(X.regular_simplex_ids)}
     for k, labels in G.basis.items():
         for i, g in enumerate(labels):
             key = number[g.carrier] << X.n | sum(e << s for s, e in enumerate(g.eps))
@@ -79,7 +80,7 @@ def test_carrier_data_computed_once(monkeypatch):
     X = SUSP2["susp2(T2)"]()
     perversities = [Perversity.from_gm(X, GMPerversity([0, 0, 0, a, b]))
                     for a, b in ((0, 0), (1, 2))]
-    calls = {"stratum_numbers": 0, "sorted_vertices": 0}
+    calls = {"vertex_strata": 0, "sorted_vertices": 0}
     for attr in calls:
         orig = getattr(FilteredComplex, attr)
 
@@ -91,9 +92,9 @@ def test_carrier_data_computed_once(monkeypatch):
     G.full_complex()
     for p in perversities:
         G.allowed_indices(p)
-    # the carriers read their star strata from the vertex-to-stratum map,
+    # the carriers read their star strata from the vertex-to-stratum list,
     # read once
-    assert calls["stratum_numbers"] == 1
+    assert calls["vertex_strata"] == 1
     assert calls["sorted_vertices"] == 0
 
 
@@ -103,7 +104,7 @@ def test_link_extensions_are_the_listed_simplices(name, make):
     # eps flip) or on a listed simplex one vertex up, its carrier tau * w
     X = make()
     G = GlobalBlowupComplex(X)
-    regular = set(X.regular_simplices)
+    regular = set(X.regular_simplex_ids)
     for k, labels in G.basis.items():
         for g, col in zip(labels, G.differential(k)):
             for row in col:
@@ -129,3 +130,32 @@ def test_carriers_hash_no_stratum(monkeypatch):
         G = GlobalBlowupComplex(X)
         G.allowed_indices(Perversity(X, {st.key: 1 for st in X.strata() if not st.regular}))
         assert hashes == []
+
+
+def carrier_pairs_by_sets(X):
+    """Per regular simplex tau, in basis order: its block sizes and the
+    sorted positions of the singular strata met by tau and by the vertices
+    w with tau + w a simplex, from frozensets and vertex ids."""
+    strata = X.strata()
+    of = dict(zip(X.vertex_ids, X.vertex_strata()))
+    out = []
+    for tau in X.regular_simplex_ids:
+        t = frozenset(tau)
+        sizes = tuple(sum(1 for v in tau if X.levels[v] == lv) for lv in range(X.n + 1))
+        star = {of[v] for v in tau} | {of[w] for w in X.levels
+                                        if w not in t and t | {w} in X.simplices}
+        out.append((sizes, sorted(i for i in star if not strata[i].regular)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+@pytest.mark.parametrize("op", ["atom", "cone", "suspension"])
+def test_carrier_pairs_match_the_set_oracle(name, op):
+    # the packed block sizes and the star bitmasks against sets; on S3 and
+    # RP3 one level holds all n + 1 = 4 vertices of a simplex
+    X = triangulation_of(name)
+    X = X if op == "atom" else getattr(X, op)()
+    G = GlobalBlowupComplex(X)
+    got = [(sizes, [i for i in range(len(X.strata())) if star >> i & 1])
+           for sizes, star in G._carriers]
+    assert got == carrier_pairs_by_sets(X)

@@ -113,7 +113,9 @@ class TestRegularBoundary:
 def test_regular_complex_columns_are_regular_boundaries(name, make):
     X = make()
     C = regular_complex(X)
-    regular = [X.sorted_vertices(s) for s in X.simplices if X.is_regular(s)]
+    # the basis holds tuples of vertex numbers; regular_boundary reads ids
+    number, ids = X.vertex_numbers.__getitem__, X.vertex_ids.__getitem__
+    regular = [tuple(sorted(map(number, s))) for s in X.simplices if X.is_regular(s)]
     assert sum(map(len, C.basis.values())) == len(regular)
     for k, simps in C.basis.items():
         assert simps == sorted(s for s in regular if len(s) == k + 1), (name, k)
@@ -121,9 +123,10 @@ def test_regular_complex_columns_are_regular_boundaries(name, make):
         if k:
             faces, columns = C.basis.get(k - 1, []), {}
             for (i, j), v in C.diff(k).entries.items():
-                columns.setdefault(j, {})[faces[i]] = v
+                columns.setdefault(j, {})[tuple(map(ids, faces[i]))] = v
             for j, s in enumerate(C.basis[k]):
-                assert columns.get(j, {}) == regular_boundary(X, {s: 1}), (name, k, s)
+                assert columns.get(j, {}) == regular_boundary(X, {tuple(map(ids, s)): 1}), \
+                    (name, k, s)
 
 
 class TestIntersectionComplex:
@@ -137,7 +140,7 @@ class TestIntersectionComplex:
     def test_cone_circle_no_apex_edges_at_zero(self, cone_circle):
         X = cone_circle
         lattice = Lattice(intersection_complex(X, apex_perversity(X, 0)))
-        a = apex_of(X)
+        a = X.vertex_numbers[apex_of(X)]       # the basis holds vertex numbers
         for j in range(lattice.bases[1].cols):
             assert all(a not in s for s in lattice.basis_chain(1, j))
 
@@ -257,7 +260,7 @@ def test_chain_jobs_read_per_vertex_tables(monkeypatch):
     # frozenset maximal list, the same counts on every repetition
     S = projective_space_3().suspension()
     facets = [sorted(s) for s in S.simplices if len(s) == S.n + 1]
-    calls = {"stratum_numbers": 0, "maximal_simplices": 0}
+    calls = {"vertex_strata": 0, "maximal_simplices": 0}
     for attr in calls:
         orig = getattr(FilteredComplex, attr)
 
@@ -271,4 +274,4 @@ def test_chain_jobs_read_per_vertex_tables(monkeypatch):
         p = apex_perversity(X, 1)
         assert intersection_homology(X, p, ZZ)[1] == Zmod(2)
         intersection_cohomology(X, p, ZZ)
-        assert calls == {"stratum_numbers": 1, "maximal_simplices": 0}
+        assert calls == {"vertex_strata": 1, "maximal_simplices": 0}

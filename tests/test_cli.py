@@ -14,7 +14,7 @@ from strathom.chains import intersection_complex
 from strathom.cli import main
 from strathom.exact_algebra import Coefficients
 from strathom.stratified import FilteredComplex
-from strathom.triangulations import triangulation_of
+from strathom.triangulations import _REGISTRY, SIMPLEX_COUNTS, triangulation_of
 
 
 def write(tmp_path, name, payload):
@@ -772,3 +772,122 @@ def test_a_bad_ring_is_one_line(tmp_path, capsys, via, ring, message):
     code, out, err = run(capsys, *argv, *(["--ring", ring] if via == "flag" else []))
     assert_one_line_error(code, err)
     assert err.startswith("error: ") and message in err and not out
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_five_thousand_digit_field_is_refused_by_its_length(tmp_path, capsys, sign):
+    # int() of more than 4300 digits raised before the bound was checked,
+    # and the refusal echoed every digit
+    ring = "F" + sign + "9" * 5000
+    job = {"space": {"type": "suspension", "of": {"type": "atom", "name": "RP3"}}}
+    start = time.perf_counter()
+    for via in ("flag", "job"):
+        f = write(tmp_path, "r.json", dict(job, ring=ring) if via == "job" else job)
+        code, out, err = run(capsys, "profile", f, *(["--ring", ring] if via == "flag" else []))
+        assert_one_line_error(code, err)
+        assert len(err) < 200 and not out, via
+        assert "field characteristic of 5000 digits is too large" in err, via
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("payload, message", [
+    (b"\xff\xfe{}", "can't decode byte 0xff"),
+    (b'{"space": {"type": "atom", "name": "S1"}, "perversity": ' + b"9" * 5000 + b"}",
+     "value has 5000 digits"),
+])
+def test_an_unreadable_job_file_is_one_line(tmp_path, capsys, payload, message):
+    f = tmp_path / "bad.json"
+    f.write_bytes(payload)
+    code, out, err = run(capsys, "profile", str(f))
+    assert_one_line_error(code, err)
+    assert message in err and not out
+
+
+def nested_suspensions(depth: int) -> str:
+    """A job of ``depth`` suspensions of S1, as JSON text."""
+    return ('{"space": ' + '{"type": "suspension", "of": ' * depth
+            + '{"type": "atom", "name": "S1"}' + "}" * depth + "}")
+
+
+@pytest.mark.parametrize("depth", [990, 1200])
+def test_a_deeply_nested_job_is_one_line(tmp_path, capsys, depth):
+    # 1200 levels overflow json.loads, about 990 the reading of the space
+    f = tmp_path / "deep.json"
+    f.write_text(nested_suspensions(depth))
+    start = time.perf_counter()
+    for command in ("profile", "validate", "crosscheck"):
+        code, out, err = run(capsys, command, str(f))
+        assert_one_line_error(code, err)
+        assert "nested too deeply" in err and not out, command
+    assert time.perf_counter() - start < 2.0
+
+
+def test_nesting_past_the_recursion_limit_is_an_input_error():
+    space = S1
+    for _ in range(sys.getrecursionlimit() + 10):
+        space = {"type": "suspension", "of": space}
+    with pytest.raises(cli.InputError, match="^the space expression is nested too deeply$"):
+        cli.read_space(space)
+
+
+@pytest.mark.parametrize("name", sorted(_REGISTRY))
+def test_registered_simplex_counts_are_the_built_ones(name):
+    assert SIMPLEX_COUNTS[name] == len(triangulation_of(name).table)
+    assert set(SIMPLEX_COUNTS) == set(_REGISTRY)
+
+
+ESTIMATED = {
+    "cone(cone(S1))": CONE_CONE_S1,
+    "susp(S1+S1)": SUSP_S1_S1,
+    "cone(T2)+susp(RP2)": {"type": "disjoint_union", "parts": [
+        {"type": "cone", "of": {"type": "atom", "name": "T2"}},
+        {"type": "suspension", "of": {"type": "atom", "name": "RP2"}}]},
+    "susp(raw)": {"type": "suspension", "of": RAW_CIRCLE},
+    "raw": README_COMPLEX,
+}
+
+
+@pytest.mark.parametrize("name", ESTIMATED)
+def test_simplex_estimate_bounds_the_built_table(name):
+    # exact on constructors of atoms; each raw simplex s counts 2^|s| - 1
+    space = cli.read_space(ESTIMATED[name])
+    built = len(space.complex.table)
+    assert space.size == built if "raw" not in name else space.size >= built
+    if name == "raw":
+        assert space.size == 3 * 7
+
+
+def test_a_400_deep_suspension_is_over_budget(tmp_path, capsys):
+    # no closed form, and about 5e191 simplices: once, the build ran
+    # past 60 s and was killed
+    text = nested_suspensions(400)
+    assert cli.read_space(json.loads(text)["space"]).size == 7 * 3 ** 400 - 1
+    f = tmp_path / "deep.json"
+    f.write_text(text)
+    start = time.perf_counter()
+    for command in ("profile", "validate", "crosscheck"):
+        code, out, err = run(capsys, command, str(f))
+        assert (code, out) == (4, ""), command
+        assert err == "undetermined: over budget: about 4.9e191 simplices, budget 2000000\n"
+    assert time.perf_counter() - start < 2.0
+
+
+def test_over_budget_routes(monkeypatch, capsys):
+    # susp(RP3), 2546 simplices, under a budget of 1000: the closed form
+    # still answers; where the simplicial engine must run, exit 4
+    monkeypatch.setattr(cli, "SIMPLEX_BUDGET", 1000)
+    f = str(GOLDEN_JOBS / "susp-rp3.json")
+    reason = "over budget: about 2.5e3 simplices, budget 1000"
+    code, out, err = run(capsys, "profile", f, "--json")
+    assert code == 0 and err == "" and reason not in out
+    code, out, err = run(capsys, "profile", f, "--engine", "both", "--json")
+    assert code == 0 and err == ""
+    assert f"simplicial engine skipped: {reason}" in json.loads(out)["annotations"]
+    for argv in (["profile", f, "--engine", "simplicial"], ["validate", f], ["crosscheck", f]):
+        assert run(capsys, *argv) == (4, "", f"undetermined: {reason}\n"), argv
+    # a raw complex has no closed form: every subcommand is undetermined
+    monkeypatch.setattr(cli, "SIMPLEX_BUDGET", 20)
+    raw = str(GOLDEN_JOBS / "complex-susp-rp2.json")
+    for command in ("profile", "validate", "crosscheck"):
+        code, out, err = run(capsys, command, raw)
+        assert (code, out) == (4, "") and err.startswith("undetermined: over budget: about ")

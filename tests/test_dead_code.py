@@ -14,7 +14,7 @@ else reads an attribute or a variable called ``row``.
 No module of ``src/strathom`` reads an underscore attribute of another
 object either: only of ``self``, ``cls`` or the ``other`` argument of a
 method (an object of the same class, as in ``__eq__``).  So the blow-up
-reads strata through ``stratum_numbers``, not ``X._vertex_stratum``.
+reads strata through ``vertex_strata``, not ``X._vertex_strata``.
 
 Nor does any module of ``src/strathom`` outside ``exact_algebra``'s
 ``matrices``, ``maps`` and ``modules`` name ``kernel_basis``, ``solve`` or

@@ -39,6 +39,7 @@ VALIDATE_CASES = {
 CROSSCHECK_CASES = {
     "crosscheck-complex-susp-rp2": "complex-susp-rp2.json",
     "crosscheck-union-susp-rp2-cone-t2": "union-susp-rp2-cone-t2.json",
+    "crosscheck-susp-rp3": "susp-rp3.json",
 }
 
 

@@ -5,7 +5,8 @@ Each complex is rebuilt from raw input twice, from its facets with
 ``close=True`` and from all of its simplices with ``close=False``, and
 the table must give the oracle's simplices, the oracle's maximal simplices
 and vertex index (list and order), and the regular simplices read from
-the frozensets.  The inputs are the ``test_strata_oracle`` cases, their
+the frozensets: as tuples of vertex numbers (mapped through
+``vertex_numbers``) in their order, and as the id view in that order.  The inputs are the ``test_strata_oracle`` cases, their
 vertex-permuted copies, the spaces of ``test_maximal`` that are not among
 them (like the cases, their cones, suspensions and unions are built with
 ``close=False``; one lists its vertex levels in reverse) and seeded random
@@ -38,8 +39,11 @@ def assert_table_matches_oracle(X, levels, given, close):
     assert X.maximal_simplices() == maximal
     assert oracle.maximal_by_vertex(X) == by_vertex
     # the empty simplex, kept from close=False input, is not regular
-    assert X.regular_simplices == sorted(
-        X.sorted_vertices(s) for s in X.simplices if s and X.is_regular(s))
+    regular = [s for s in X.simplices if s and X.is_regular(s)]
+    numbered = lambda s: tuple(sorted(map(X.vertex_numbers.__getitem__, s)))
+    assert X.regular_simplices == sorted(map(numbered, regular))
+    assert X.regular_simplex_ids == sorted((X.sorted_vertices(s) for s in regular),
+                                           key=numbered)
 
 
 @pytest.mark.parametrize("name, make", COMPLEXES, ids=[c[0] for c in COMPLEXES])

@@ -3,7 +3,7 @@
 ``FilteredComplex.strata`` unions level-l vertices along level-l edges;
 ``strata_oracle`` unions every simplex of top level l with its faces.  The
 two must give the same strata with the same (level, index) numbering, and
-the vertex-to-stratum map (``stratum_numbers``) and ``chains.allowable``
+the vertex-to-stratum list (``vertex_strata``) and ``chains.allowable``
 must agree with their definitions on every simplex, at every apex value and GM perversity, and
 ``intersection_complex`` must allow exactly the regular simplices that the
 definition allows.  The spaces are those of ``test_smith``, copies of them
@@ -65,10 +65,10 @@ def test_strata_and_allowability_match_the_union_find(name, seed):
     assert [[getattr(st, f) for f in fields] for st in got] == \
         [[getattr(st, f) for f in fields] for st in want]
     of = oracle.stratum_of(want)
-    number = X.stratum_numbers()
+    stratum, number = X.vertex_strata(), X.vertex_numbers
     for s in X.simplices:
         at = {X.levels[v]: v for v in s}       # one vertex per level of s
-        assert [got[number[at[i]]].key for i in sorted(at)] == \
+        assert [got[stratum[number[at[i]]]].key for i in sorted(at)] == \
             [st.key for st in oracle.strata_met_by(X, of, s)], sorted(s)
     for p in perversities(X):
         for s in X.simplices:
@@ -82,8 +82,10 @@ def test_intersection_complex_allows_what_the_oracle_allows(name, seed):
     if seed:
         X = vertex_permuted(X, seed)
     of = oracle.stratum_of(oracle.strata(X))
-    basis = regular_complex(X).basis
+    basis = regular_complex(X).basis        # tuples of vertex numbers
+    ids = X.vertex_ids.__getitem__
     for p in perversities(X):
-        want = {k: [j for j, s in enumerate(simps) if oracle.allowable(X, of, s, p)]
+        want = {k: [j for j, s in enumerate(simps)
+                    if oracle.allowable(X, of, map(ids, s), p)]
                 for k, simps in basis.items()}
         assert intersection_complex(X, p).allowed == want, p

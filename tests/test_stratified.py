@@ -106,9 +106,10 @@ class TestStrata:
         X = circle(3).cone()
         apex = [v for v, l in X.levels.items() if l == 0][0]
         other = [v for v in X.levels if v != apex][0]
-        met = [X.strata()[X.stratum_numbers()[v]] for v in (apex, other)]
+        stratum = X.vertex_strata()
+        met = [X.strata()[stratum[X.vertex_numbers[v]]] for v in (apex, other)]
         assert {s.level for s in met} == {0, 2}
-        assert X.strata()[X.stratum_numbers()[other]].regular
+        assert met[1].regular
 
 
 class TestGMPerversity:
