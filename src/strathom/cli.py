@@ -509,8 +509,7 @@ def cmd_validate(args, data: dict, digest: str) -> int:
             print("symbolic-only expression: nothing to validate simplicially")
             print(f"parsed: {space.expr.name}")
             return 0
-        X = space.complex
-        X.validate()
+        X = space.complex       # built closed and validated by FilteredComplex
     except BAD_INPUT as e:
         print(f"invalid: {e}", file=sys.stderr)
         return 2

@@ -5,9 +5,10 @@ All arithmetic is exact (Python big integers).  One elimination kernel,
 order from cost buckets (the last one queued first among equal costs) and
 leaves the Schur complement.  Over F_p every nonzero entry is a unit, so
 its pivot count is the rank.  Over Z a diagonal-only ``smith``
-reads one invariant factor 1 per unit pivot and runs the gcd elimination
-of ``_Work`` on the remainder only, which is the step a modular
-elimination (one that bounds coefficient growth) would replace.  Kernels
+reads one invariant factor 1 per unit pivot and runs the gcd elimination,
+``_gcd_eliminate``, on the remainder only, in the same ``{row: {col:
+entry}}`` form; that is the step a modular elimination (one that bounds
+coefficient growth) would replace.  Kernels
 and solves, over Z and F_p, back-substitute through the pivot rows that
 the elimination records (``_kernel``); over Z a non-empty remainder is
 handed to a Smith form with V (the kernel) or with U and V (the solve).
@@ -194,15 +195,16 @@ class IntMatrix:
         r, c = map(int, lines[0].split())
         ent = {}
         for ln in lines[1:]:
-            i, j, v = ln.split()
-            ent[(int(i), int(j))] = int(v)
+            i, j, v = map(int, ln.split())
+            if (i, j) in ent:
+                raise ValueError(f"entry ({i},{j}) given twice")
+            ent[(i, j)] = v
         return cls(r, c, ent)
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U*A*V is diagonal with the invariant factors d1 | d2 | ... | dr."""
-    source: IntMatrix
     diagonal: tuple
     U: Optional[IntMatrix]
     V: Optional[IntMatrix]
@@ -218,136 +220,6 @@ class SmithDecomposition:
 
 
 _EMPTY: dict = {}   # read-only stand-in for a missing row
-
-
-class _Work:
-    """Mutable row/column-indexed sparse matrix used during reduction.
-
-    The matrix being reduced keeps a lazy pivot queue (the transforms,
-    built by ``identity``, keep none): a heap of
-    ``(|v| != 1, |v|, Markowitz cost, row, col)`` keys.  An entry is pushed
-    when it is created or its |v| falls, and the sole entry of a row or
-    column that an elimination leaves as a singleton is pushed again, since
-    its cost has dropped to 0.  Keys of entries whose row or column has
-    since grown are stale; ``pop_pivot`` recomputes them.
-    """
-
-    __slots__ = ("row", "colind", "peak", "queue", "nnz")
-
-    def __init__(self, m: IntMatrix):
-        self.row = {}
-        self.colind = {}
-        for (i, j), v in m.entries.items():
-            self.row.setdefault(i, {})[j] = v
-            self.colind.setdefault(j, set()).add(i)
-        self.peak = m.max_abs()
-        self.nnz = m.nnz()
-        self._rebuild_queue()
-
-    @classmethod
-    def identity(cls, n: int) -> "_Work":
-        """The n x n identity, built directly: small Smith forms pay for
-        the two transforms more than for the reduction."""
-        w = cls.__new__(cls)
-        w.row = {i: {i: 1} for i in range(n)}
-        w.colind = {i: {i} for i in range(n)}
-        w.peak, w.nnz, w.queue = min(n, 1), n, None
-        return w
-
-    def key(self, i, j):
-        r = self.row[i]
-        a = abs(r[j])
-        return (a != 1, a, (len(r) - 1) * (len(self.colind[j]) - 1), i, j)
-
-    def _rebuild_queue(self):
-        self.queue = [self.key(i, j) for i, r in self.row.items() for j in r]
-        heapq.heapify(self.queue)
-
-    def pop_pivot(self):
-        """The live entry of least key, or None when the matrix is zero."""
-        q = self.queue
-        while q:
-            old = heapq.heappop(q)
-            i, j = old[3], old[4]
-            r = self.row.get(i)
-            if r is None or j not in r:
-                continue
-            new = self.key(i, j)
-            if new > old:
-                heapq.heappush(q, new)
-                continue
-            return i, j
-        return None
-
-    def set(self, i, j, v):
-        if v:
-            r = self.row.get(i)
-            if r is None:
-                r = self.row[i] = {}
-            old = r.get(j)
-            if old is None:
-                self.colind.setdefault(j, set()).add(i)
-                self.nnz += 1
-            r[j] = v
-            a = abs(v)
-            if a > self.peak:
-                self.peak = a
-            q = self.queue
-            # pop_pivot repairs a queued key that has become too low; one
-            # that has become too high would hide the entry, so push again
-            # when |v| fell
-            if q is not None and (old is None or a < abs(old)):
-                if len(q) > 4 * self.nnz + 64:
-                    self._rebuild_queue()
-                else:
-                    heapq.heappush(q, self.key(i, j))
-        else:
-            r = self.row.get(i)
-            if r and j in r:
-                del r[j]
-                self.nnz -= 1
-                if not r:
-                    del self.row[i]
-                s = self.colind[j]
-                s.discard(i)
-                if not s:
-                    del self.colind[j]
-                if self.queue is not None:
-                    if len(r) == 1:
-                        heapq.heappush(self.queue, self.key(i, next(iter(r))))
-                    if len(s) == 1:
-                        heapq.heappush(self.queue, self.key(next(iter(s)), j))
-
-    def get(self, i, j):
-        return self.row.get(i, _EMPTY).get(j, 0)
-
-    def add_multiple_of_row(self, target, source, factor):
-        if not factor:
-            return
-        src = self.row.get(source, {})
-        for j, v in list(src.items()):
-            self.set(target, j, self.get(target, j) + factor * v)
-
-    def add_multiple_of_col(self, target, source, factor):
-        if not factor:
-            return
-        for i in list(self.colind.get(source, ())):
-            self.set(i, target, self.get(i, target) + factor * self.get(i, source))
-
-    def combine_rows(self, i1, i2, a, b, c, d):
-        """(row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2); ad-bc = +-1."""
-        cols = set(self.row.get(i1, {})) | set(self.row.get(i2, {}))
-        for j in cols:
-            x, y = self.get(i1, j), self.get(i2, j)
-            self.set(i1, j, a * x + b * y)
-            self.set(i2, j, c * x + d * y)
-
-    def combine_cols(self, j1, j2, a, b, c, d):
-        rows = set(self.colind.get(j1, ())) | set(self.colind.get(j2, ()))
-        for i in rows:
-            x, y = self.get(i, j1), self.get(i, j2)
-            self.set(i, j1, a * x + b * y)
-            self.set(i, j2, c * x + d * y)
 
 
 def _xgcd(a, b):
@@ -486,16 +358,16 @@ def smith(A: IntMatrix, need_U: bool = True, need_V: bool = True) -> SmithDecomp
     """Smith normal form, with unimodular transforms on request.
 
     Without U and V, ``_eliminate_units`` runs first: each unit pivot is an
-    invariant factor 1, and the gcd elimination of ``_smith_work`` runs on
-    the Schur complement that is left, which is small or empty on the
-    matrices this package produces.  With U or V the gcd elimination runs
-    on A itself; ``kernel_basis`` asks for V and ``solve`` for U and V of
-    a remainder only.
+    invariant factor 1, and ``_gcd_eliminate`` runs on the Schur complement
+    that is left, which is small or empty on the matrices this package
+    produces.  With U or V, ``_smith_work`` runs the gcd elimination on A
+    itself; ``kernel_basis`` asks for V and ``solve`` for U and V of a
+    remainder only.
     """
     if need_U or need_V:
         return _smith_work(A, need_U, need_V)
     diagonal, peak = _diagonal(_rows_of(A))
-    return SmithDecomposition(A, diagonal, None, None, peak_abs=max(A.max_abs(), peak))
+    return SmithDecomposition(diagonal, None, None, peak_abs=max(A.max_abs(), peak))
 
 
 def _diagonal(rows: dict, p: int = 0, pivots: Optional[list] = None) -> tuple:
@@ -504,10 +376,8 @@ def _diagonal(rows: dict, p: int = 0, pivots: Optional[list] = None) -> tuple:
     units, peak = _eliminate_units(rows, p, pivots)
     if p or not rows:
         return (1,) * units, peak
-    rest = _smith_work(IntMatrix(max(rows) + 1, max(max(r) for r in rows.values()) + 1,
-                                 {(i, j): v for i, r in rows.items() for j, v in r.items()}),
-                       False, False)
-    return (1,) * units + rest.diagonal, max(peak, rest.peak_abs)
+    rest, more = _gcd_eliminate(rows)
+    return (1,) * units + tuple(d for d, _, _ in rest), max(peak, more)
 
 
 def split_factors(rows: dict, limit: int, p: int = 0, pivots: Optional[list] = None) -> tuple:
@@ -539,144 +409,154 @@ def split_factors(rows: dict, limit: int, p: int = 0, pivots: Optional[list] = N
     return rank, _diagonal(rows, p, pivots)[0]
 
 
-def _smith_work(A: IntMatrix, need_U: bool, need_V: bool) -> SmithDecomposition:
-    """Smith normal form by gcd elimination on a ``_Work`` matrix.
+def _mix(lines: dict, k1, k2, a, b, c, d) -> int:
+    """(line k1, line k2) <- (a*l1 + b*l2, c*l1 + d*l2), with ad - bc = +-1,
+    in a transform kept as {k: {index: entry}} whose missing line k is the
+    unit vector at k; returns the largest |entry| written."""
+    l1, l2 = lines.get(k1) or {k1: 1}, lines.get(k2) or {k2: 1}
+    n1, n2 = {}, {}
+    for j in l1.keys() | l2.keys():
+        x, y = l1.get(j, 0), l2.get(j, 0)
+        if v := a * x + b * y:
+            n1[j] = v
+        if v := c * x + d * y:
+            n2[j] = v
+    lines[k1], lines[k2] = n1, n2
+    return max(map(abs, (*n1.values(), *n2.values())))
 
-    Pivots are taken from a lazy queue keyed by ``(|entry| != 1, |entry|,
-    Markowitz cost, row, col)``, so unit singletons go first, coefficient
-    growth stays in check on the sparse boundary matrices this package
-    produces, and the pivot path does not depend on set iteration order.
+
+def _gcd_eliminate(rows: dict, U: Optional[dict] = None, V: Optional[dict] = None):
+    """Smith form of the matrix in ``rows`` ({row: {col: entry}}), consumed,
+    by gcd elimination.  Returns (pivots, peak): the (d, row, col) of each
+    pivot, with d1 | d2 | ... in list order, and the largest |entry| made.
+
+    The pivot is the live entry of least (|entry|, Markowitz cost, row,
+    col), taken from a list of candidates sorted whenever it is empty; a
+    candidate whose entry is gone or whose key has grown is dropped until
+    the next refill.  The pivot's column, then its row, is cleared in sorted
+    order by a multiple of the pivot's row or column, or by a 2x2 gcd step
+    that makes the pivot the gcd and may refill them, until both are clear.
+    Row operations are copied into the rows of U ({row: {col: entry}}) and
+    column operations into the columns of V ({col: {row: entry}}) when
+    given, through ``_mix``.  A last pass makes the diagonal a divisibility
+    chain: a pair of pivots (a, b) becomes (gcd, lcm) by 2x2 block
+    operations on their rows and columns.
     """
-    w = _Work(A)
-    U = _Work.identity(A.rows) if need_U else None
-    V = _Work.identity(A.cols) if need_V else None
-    diag = []
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    pivots, queue, peak = [], [], 0
 
-    while True:
-        pv = w.pop_pivot()
-        if pv is None:
-            break
-        pi, pj = pv
-        # clear row and column of the pivot; gcd steps may refill, so loop
-        while True:
-            col_others = [i for i in w.colind.get(pj, ()) if i != pi]
-            row_others = [j for j in w.row.get(pi, {}) if j != pj]
-            if not col_others and not row_others:
-                break
-            for i in col_others:
-                a = w.get(pi, pj)
-                b = w.get(i, pj)
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    w.add_multiple_of_row(i, pi, -q)
-                    if U is not None:
-                        U.add_multiple_of_row(i, pi, -q)
-                else:
-                    g, s, t = _xgcd(a, b)
-                    # unimodular: [[s, t], [-b/g, a/g]]
-                    w.combine_rows(pi, i, s, t, -(b // g), a // g)
-                    if U is not None:
-                        U.combine_rows(pi, i, s, t, -(b // g), a // g)
-            for j in [j for j in w.row.get(pi, {}) if j != pj]:
-                a = w.get(pi, pj)
-                b = w.get(pi, j)
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    w.add_multiple_of_col(j, pj, -q)
-                    if V is not None:
-                        V.add_multiple_of_col(j, pj, -q)
-                else:
-                    g, s, t = _xgcd(a, b)
-                    w.combine_cols(pj, j, s, t, -(b // g), a // g)
-                    if V is not None:
-                        V.combine_cols(pj, j, s, t, -(b // g), a // g)
-        d = w.get(pi, pj)
-        if d < 0:
-            # flip sign via the row transform
-            if U is not None:
-                U.add_multiple_of_row(pi, pi, -2)
-            d = -d
-        diag.append((d, pi, pj))
-        # remove the pivot from further consideration; its row and column
-        # hold nothing else, so no other entry's cost changes
-        w.set(pi, pj, 0)
+    def key(i, j):
+        r = rows[i]
+        return abs(r[j]), (len(r) - 1) * (len(cols[j]) - 1), i, j
 
-    # assemble: reorder pivots to the leading diagonal positions
-    r = len(diag)
-    drows = [pi for _, pi, _ in diag]
-    dcols = [pj for _, _, pj in diag]
-    pivot_rows, pivot_cols = set(drows), set(dcols)
-    other_rows = [i for i in range(A.rows) if i not in pivot_rows]
-    other_cols = [j for j in range(A.cols) if j not in pivot_cols]
-    row_perm = drows + other_rows   # new row k = old row row_perm[k]
-    col_perm = dcols + other_cols
+    def put(i, j, v):
+        nonlocal peak
+        r = rows.get(i)
+        if v:
+            if r is None:
+                r = rows[i] = {}
+            if j not in r:
+                cols.setdefault(j, set()).add(i)
+            r[j] = v
+            if v > peak or -v > peak:
+                peak = abs(v)
+        elif r is not None and j in r:
+            del r[j]
+            if not r:
+                del rows[i]
+            s = cols[j]
+            s.discard(i)
+            if not s:
+                del cols[j]
 
-    # Divisibility chain: whenever d_k does not divide d_{k+1}, redo the
-    # 2x2 block diag(a, b) -> diag(gcd, lcm) with explicit unimodular ops
-    # in original coordinates so U and V stay exact.
-    def fix_pair(k, l):
-        a, b = w.get(drows[k], dcols[k]), w.get(drows[l], dcols[l])
-        # row_k += row_l gives the block [[a, b], [0, b]]
-        w.add_multiple_of_row(drows[k], drows[l], 1)
-        if U is not None:
-            U.add_multiple_of_row(drows[k], drows[l], 1)
-        g, s, t = _xgcd(a, b)
-        # column op (c_k, c_l) <- (s*c_k + t*c_l, -(b/g)*c_k + (a/g)*c_l)
-        w.combine_cols(dcols[k], dcols[l], s, t, -(b // g), a // g)
-        if V is not None:
-            V.combine_cols(dcols[k], dcols[l], s, t, -(b // g), a // g)
-        # block is now [[g, 0], [t*b, a*b/g]]; clear the (l, k) slot
-        x = w.get(drows[l], dcols[k])
-        q = x // g
-        w.add_multiple_of_row(drows[l], drows[k], -q)
-        if U is not None:
-            U.add_multiple_of_row(drows[l], drows[k], -q)
-        # signs
-        for idx in (k, l):
-            v = w.get(drows[idx], dcols[idx])
-            if v < 0:
-                for jj in list(w.row.get(drows[idx], {})):
-                    w.set(drows[idx], jj, -w.get(drows[idx], jj))
-                if U is not None:
-                    for jj in list(U.row.get(drows[idx], {})):
-                        U.set(drows[idx], jj, -U.get(drows[idx], jj))
+    def clear(k1, k2, a, b, by_rows):
+        """Clear the entry b of row or column k2 against the pivot a in k1,
+        by a multiple of k1 when a divides b, else by the gcd step
+        (k1, k2) <- (s*x1 + t*x2, -(b/g)*x1 + (a/g)*x2); in U or V too."""
+        nonlocal peak
+        if keep := not b % a:
+            m = 1, 0, -(b // a), 1
+        else:
+            g, s, t = _xgcd(a, b)
+            m = s, t, -(b // g), a // g
+        a1, b1, a2, b2 = m
+        if by_rows:
+            r1, r2 = rows[k1], rows[k2]
+            for j in r1.keys() | r2.keys():
+                x, y = r1.get(j, 0), r2.get(j, 0)
+                if not keep:
+                    put(k1, j, a1 * x + b1 * y)
+                put(k2, j, a2 * x + b2 * y)
+        else:
+            for i in cols[k1] | cols[k2]:
+                r = rows[i]
+                x, y = r.get(k1, 0), r.get(k2, 0)
+                if not keep:
+                    put(i, k1, a1 * x + b1 * y)
+                put(i, k2, a2 * x + b2 * y)
+        T = U if by_rows else V
+        if T is not None:
+            peak = max(peak, _mix(T, k1, k2, *m))
 
-    # restore pivot entries into w for chain fixing
-    w.queue = None
-    for d, pi, pj in diag:
-        w.set(pi, pj, d)
+    while rows:
+        if not queue:
+            queue = sorted((key(i, j) for i, r in rows.items() for j in r), reverse=True)
+        old = queue.pop()
+        pi, pj = old[2], old[3]
+        if pj not in rows.get(pi, _EMPTY) or key(pi, pj) > old:
+            continue
+        while len(rows[pi]) > 1 or len(cols[pj]) > 1:
+            for i in sorted(cols[pj] - {pi}):
+                clear(pi, i, rows[pi][pj], rows[i][pj], True)
+            for j in sorted(rows[pi].keys() - {pj}):
+                clear(pj, j, rows[pi][pj], rows[pi][j], False)
+        d = rows.pop(pi)[pj]
+        del cols[pj]
+        if d < 0 and U is not None:
+            U[pi] = {j: -v for j, v in (U.get(pi) or {pi: 1}).items()}
+        pivots.append((abs(d), pi, pj))
 
-    changed = True
-    while changed:
-        changed = False
-        for k in range(r - 1):
-            a = w.get(drows[k], dcols[k])
-            b = w.get(drows[k + 1], dcols[k + 1])
-            if a and b % a != 0:
-                fix_pair(k, k + 1)
-                changed = True
+    done = False
+    while not done:
+        done = True
+        for k in range(len(pivots) - 1):
+            (a, ik, jk), (b, il, jl) = pivots[k], pivots[k + 1]
+            if b % a:
+                # rows: diag(a, b) -> [[a, b], [0, b]]; columns -> [[g, 0],
+                # [t*b, a*b/g]]; rows -> diag(g, a*b/g)
+                g, s, t = _xgcd(a, b)
+                for T, k1, k2, m in ((U, ik, il, (1, 1, 0, 1)),
+                                     (V, jk, jl, (s, t, -(b // g), a // g)),
+                                     (U, ik, il, (1, 0, -(t * b // g), 1))):
+                    if T is not None:
+                        peak = max(peak, _mix(T, k1, k2, *m))
+                pivots[k], pivots[k + 1] = (g, ik, jk), (a * b // g, il, jl)
+                peak = max(peak, abs(t * b), a * b // g)
+                done = False
+    return pivots, peak
 
-    ds = [w.get(drows[k], dcols[k]) for k in range(r)]
 
-    def work_to_matrix(wk, rows, cols, row_order=None, col_order=None):
-        ent = {}
-        rmap = {old: new for new, old in enumerate(row_order)} if row_order else None
-        cmap = {old: new for new, old in enumerate(col_order)} if col_order else None
-        for i, rv in wk.row.items():
-            for j, v in rv.items():
-                ii = rmap[i] if rmap else i
-                jj = cmap[j] if cmap else j
-                ent[(ii, jj)] = v
-        return IntMatrix(rows, cols, ent)
+def _smith_work(A: IntMatrix, need_U: bool, need_V: bool) -> SmithDecomposition:
+    """Smith form of A by ``_gcd_eliminate``, with U and V on request; the
+    pivots' rows of U and columns of V come first, in pivot order."""
+    U, V = {} if need_U else None, {} if need_V else None
+    pivots, peak = _gcd_eliminate(_rows_of(A), U, V)
+    Um = _transform(U, [i for _, i, _ in pivots], A.rows) if need_U else None
+    Vm = _transform(V, [j for _, _, j in pivots], A.cols).transpose() if need_V else None
+    peak = max(A.max_abs(), peak, *(M.max_abs() for M in (Um, Vm) if M is not None))
+    return SmithDecomposition(tuple(d for d, _, _ in pivots), Um, Vm, peak_abs=peak)
 
-    Um = work_to_matrix(U, A.rows, A.rows, row_order=row_perm) if need_U else None
-    Vm = work_to_matrix(V, A.cols, A.cols, col_order=col_perm) if need_V else None
-    peak = max(w.peak, U.peak if U else 0, V.peak if V else 0)
-    return SmithDecomposition(A, tuple(ds), Um, Vm, peak_abs=peak)
+
+def _transform(lines: dict, first: list, n: int) -> IntMatrix:
+    """The n x n matrix whose rows are the lines ``first`` and then the
+    others in order, a line missing from ``lines`` being a unit vector."""
+    taken = set(first)
+    order = first + [k for k in range(n) if k not in taken]
+    return IntMatrix(n, n, {(new, j): v for new, k in enumerate(order)
+                            for j, v in lines.get(k, {k: 1}).items()})
 
 
 def _kernel(A: IntMatrix, p: int = 0, limit: Optional[int] = None) -> Optional[IntMatrix]:

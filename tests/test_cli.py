@@ -511,6 +511,13 @@ class TestBenchSnf:
         code, _, err = run(capsys, "bench-snf", "/nonexistent/file.mtx")
         assert code == 2
 
+    def test_repeated_cell_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "twice.mtx"
+        p.write_text("2 2\n0 0 1\n0 0 2\n1 1 4\n")
+        code, out, err = run(capsys, "bench-snf", str(p))
+        assert_one_line_error(code, err)
+        assert err == f"error reading {p}: entry (0,0) given twice\n" and out == ""
+
     @pytest.mark.parametrize("shape, named", [
         ("a 3 0.1", "ROWS"), ("-3 3 0.1", "ROWS"), ("3 2.5 0.1", "COLS"),
         ("3 -1 0.1", "COLS"), ("3 3 x", "DENSITY"), ("3 3 1.5", "DENSITY"),
@@ -536,7 +543,7 @@ class TestBenchSnf:
         from strathom.exact_algebra import IntMatrix, SmithDecomposition
 
         def bad_smith(m, need_U=True, need_V=True):
-            return SmithDecomposition(m, (2, 3), None, None)
+            return SmithDecomposition((2, 3), None, None)
         monkeypatch.setattr(strathom.cli, "smith", bad_smith)
         code, out, err = run(capsys, "bench-snf", "--random", "4", "4", "0.5")
         assert code == 1
