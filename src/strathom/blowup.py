@@ -234,6 +234,14 @@ class BlowupIntersection(Subcomplex):
         return homology_all(self, self.ring)
 
 
+def label_count(X: FilteredComplex) -> int:
+    """The basis size of the blown-up complex of X, without building it: a
+    regular simplex carries 2^c labels, c the levels below n among its
+    vertices (level n is always among them)."""
+    levels = X.vertex_levels
+    return sum(1 << (len({levels[v] for v in tau}) - 1) for tau in X.regular_simplices)
+
+
 @per_space
 def global_blowup(X: FilteredComplex) -> GlobalBlowupComplex:
     """The one blown-up complex of X, shared by every perversity and ring."""

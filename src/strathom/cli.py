@@ -20,7 +20,6 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -32,7 +31,7 @@ from .stratified import (FilteredComplex, GMPerversity, Perversity,
 from .triangulations import SIMPLEX_COUNTS, triangulation_of
 from .chains import (intersection_cohomology, intersection_complex,
                      regular_complex)
-from .blowup import blowup_cohomology
+from .blowup import blowup_cohomology, label_count
 from .spaces import (AtomSpace, DisjointUnion, IntersectionProfile, IsolatedSing,
                      MappingTorus, OpenCone, SpaceExpr, Suspension, ThomCircle,
                      atom, atom_renamed, eval_expression, product_atom)
@@ -49,6 +48,7 @@ class OverBudget(Exception):
 
 
 SIMPLEX_BUDGET = 2_000_000      # the most simplices read_space lets be built
+BLOWUP_LABEL_BUDGET = 1_000_000     # the most labels of a blown-up complex
 
 
 ENGINES = ("symbolic", "simplicial", "both")
@@ -95,25 +95,30 @@ def _int(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, not {value!r}")
 
 
-@dataclass
 class Space:
     """A space expression, read once: ``expr`` is its closed form, or None
     and ``no_expr`` says why; ``build`` makes its triangulation, or is None
     and ``no_complex`` says why; ``size`` estimates its simplex count.  Its
     triangulation and each closed-form profile are built at most once and
     kept here, not in a memo keyed on ``expr``, so no two inputs share one."""
-    expr: Optional[SpaceExpr]
-    no_expr: str
-    build: Optional[Callable[[], FilteredComplex]]
-    no_complex: str
-    size: Optional[int] = None
-    _profiles: Dict[Tuple[int, Coefficients], IntersectionProfile] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __init__(self, expr: Optional[SpaceExpr], no_expr: str,
+                 build: Optional[Callable[[], FilteredComplex]], no_complex: str,
+                 size: Optional[int] = None):
+        self.expr, self.no_expr, self.build, self.no_complex, self.size = (
+            expr, no_expr, build, no_complex, size)
+        self._profiles: Dict[Tuple[int, Coefficients], IntersectionProfile] = {}
 
     @functools.cached_property
     def complex(self) -> FilteredComplex:
         """The triangulation, built on first read."""
         return self.build()
+
+    @functools.cached_property
+    def blowup_over_budget(self) -> str:
+        """Why the blown-up complex of the triangulation is not built, its
+        labels counted on first read; '' when it is within the budget."""
+        return _over_budget(label_count(self.complex), "blown-up labels", BLOWUP_LABEL_BUDGET)
 
     def profile(self, k: int, ring: Coefficients) -> IntersectionProfile:
         """The closed-form profile at apex value k over ``ring``, evaluated
@@ -156,12 +161,18 @@ def read_space(data) -> Space:
         space = _node(data)
     except RecursionError:
         raise InputError("the space expression is nested too deeply") from None
-    if space.build is not None and space.size > SIMPLEX_BUDGET:
-        e = int(math.log10(space.size))
-        space.build = None
-        space.no_complex = (f"over budget: about {space.size / 10 ** e:.1f}e{e} simplices, "
-                            f"budget {SIMPLEX_BUDGET}")
+    over = space.build is not None and _over_budget(space.size, "simplices", SIMPLEX_BUDGET)
+    if over:
+        space.build, space.no_complex = None, over
     return space
+
+
+def _over_budget(count: int, what: str, budget: int) -> str:
+    """Why ``count`` ``what`` are not built, or '' when within ``budget``."""
+    if count <= budget:
+        return ""
+    e = int(math.log10(count))
+    return f"over budget: about {count / 10 ** e:.1f}e{e} {what}, budget {budget}"
 
 
 def _node(data) -> Space:
@@ -286,19 +297,29 @@ def apex_value(spec) -> int:
     return _int(spec, "a perversity value")
 
 
-def perversity_for(X: FilteredComplex, spec) -> Perversity:
+def perversity_for(spec) -> Callable[[FilteredComplex], Perversity]:
+    """A perversity field, read without a complex: what makes the
+    perversity on a complex."""
     if not isinstance(spec, dict):
         k = apex_value(spec)
-        return Perversity(X, {st.key: k for st in X.strata() if not st.regular})
+        return lambda X: Perversity(X, {st.key: k for st in X.strata() if not st.regular})
     if "codim" in spec:
-        return Perversity.from_codim_values(
-            X, {_int(c, "a codimension"): _int(v, "a perversity value")
-                for c, v in _typed(spec["codim"], dict, "'codim'").items()})
+        values = {_int(c, "a codimension"): _int(v, "a perversity value")
+                  for c, v in _typed(spec["codim"], dict, "'codim'").items()}
+        return lambda X: Perversity.from_codim_values(X, values)
     if "gm" in spec:
-        return Perversity.from_gm(
-            X, GMPerversity([_int(v, "a perversity value")
-                             for v in _typed(spec["gm"], list, "'gm'")]))
+        gm = GMPerversity([_int(v, "a perversity value")
+                           for v in _typed(spec["gm"], list, "'gm'")])
+        return lambda X: Perversity.from_gm(X, gm)
     raise InputError(f"cannot parse perversity {spec!r}")
+
+
+def read_job_fields(data: dict) -> Coefficients:
+    """The job's "ring" and "perversity" read, its ring returned: every
+    command refuses a malformed field, whether it uses the field or not."""
+    ring = Coefficients.parse(str(data.get("ring", "Z")))
+    perversity_for(data.get("perversity", 0))
+    return ring
 
 
 # -- serialization ---------------------------------------------------------
@@ -408,7 +429,7 @@ def symbolic_report(space: Space, k: int, ring: Coefficients) -> DualityReport:
 
 def simplicial_report(X: FilteredComplex, pspec, ring: Coefficients,
                       space_name: str) -> DualityReport:
-    p = perversity_for(X, pspec)
+    p = perversity_for(pspec)(X)
     ic = intersection_complex(X, p, ring)
     gh = homology_all(ic, ring)
     # Dp = p for the middle perversity of an isolated singularity in even
@@ -442,7 +463,9 @@ def cmd_profile(args, data: dict, digest: str) -> int:
     space_data = data.get("space", data)
     reports: List[Tuple[str, DualityReport]] = []
     try:
-        ring = Coefficients.parse(str(args.ring or data.get("ring", "Z")))
+        ring = read_job_fields(data)
+        if args.ring:
+            ring = Coefficients.parse(args.ring)
         pspecs = [data.get("perversity", 0)]
         if args.perversity is not None:
             pspecs = [_int(v, "a perversity value")
@@ -456,6 +479,10 @@ def cmd_profile(args, data: dict, digest: str) -> int:
         if engine == "simplicial" and not simplicial:
             print("symbolic-only: no simplicial realization", file=sys.stderr)
             return 2
+        if simplicial and space.blowup_over_budget:
+            if not closed:
+                raise OverBudget(space.blowup_over_budget)
+            simplicial, space.no_complex = False, space.blowup_over_budget
         for pspec in pspecs:
             per_perversity: List[Tuple[str, DualityReport]] = []
             if closed:
@@ -504,6 +531,7 @@ def _engine_agreement_check(sym: DualityReport, simp: DualityReport):
 
 def cmd_validate(args, data: dict, digest: str) -> int:
     try:
+        read_job_fields(data)
         space = read_space(data.get("space", data))
         if not space.route("simplicial")[1]:
             print("symbolic-only expression: nothing to validate simplicially")
@@ -528,7 +556,7 @@ def _crosscheck_one(space: Space, k: int, out_rows: list) -> bool:
         prof = space.profile(k, ring)
         gh, hb = prof.gh_lower, prof.h_blowup
     X = space.complex
-    p = perversity_for(X, k)
+    p = perversity_for(k)(X)
     ic = intersection_complex(X, p, ring)
     pairs = [
         ("GH_*", gh, lambda: homology_all(ic, ring)),
@@ -562,11 +590,14 @@ def cmd_crosscheck(args, data: dict, digest: str) -> int:
     rows: list = []
     ok = True
     try:
+        read_job_fields(data)
         space = read_space(data.get("space", data))
         if not space.route("simplicial")[1]:
             print("symbolic-only: expression has no simplicial realization")
             return 0
         X = space.complex
+        if space.blowup_over_budget:
+            raise OverBudget(space.blowup_over_budget)
         ks = ([_int(v, "a perversity value") for v in args.perversity.split(",")]
               if args.perversity else range(max(X.n - 1, 1)))
         for k in ks:

@@ -11,7 +11,6 @@ and no product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Union
 
@@ -206,22 +205,21 @@ class DualComplex:
         return self.C.factors(k + self.step, ring)
 
 
-@dataclass
 class ChainMap:
     """Degree-zero map of complexes; commutes with the differentials."""
-    dom: ChainComplex
-    cod: ChainComplex
-    mats: Dict[int, IntMatrix] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.dom.orientation != self.cod.orientation:
+    def __init__(self, dom: ChainComplex, cod: ChainComplex,
+                 mats: Optional[Dict[int, IntMatrix]] = None):
+        self.dom, self.cod = dom, cod
+        self.mats = {} if mats is None else mats
+        if dom.orientation != cod.orientation:
             raise ComplexValidationError("chain map between mixed orientations")
-        step = self.dom.step
-        modulus = self.dom.modulus or self.cod.modulus
-        for k in set(self.dom.support()) | set(self.cod.support()):
+        step = dom.step
+        modulus = dom.modulus or cod.modulus
+        for k in set(dom.support()) | set(cod.support()):
             f_k = self.mat(k)
             f_next = self.mat(k + step)
-            delta = self.cod.diff(k) * f_k - f_next * self.dom.diff(k)
+            delta = cod.diff(k) * f_k - f_next * dom.diff(k)
             zero = (all(v % modulus == 0 for v in delta.entries.values())
                     if modulus else delta.is_zero())
             if not zero:

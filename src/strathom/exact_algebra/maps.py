@@ -7,21 +7,21 @@ its torsion and free parts exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .matrices import IntMatrix, kernel_basis, smith, solve
 from .modules import FGModule, GradedModule, module_from_relations
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Presentation:
-    gens: int
-    rels: IntMatrix
+class Presentation(Record):
+    __slots__ = ()
+    _fields = ("gens", "rels")
 
-    def __post_init__(self):
-        if self.rels.rows != self.gens:
+    def __new__(cls, gens: int, rels: IntMatrix):
+        if rels.rows != gens:
             raise ValueError("relation matrix must have one row per generator")
+        return tuple.__new__(cls, (gens, rels))
 
     @classmethod
     def free(cls, n: int) -> "Presentation":
@@ -40,21 +40,18 @@ class MapValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ModuleMap:
+class ModuleMap(Record):
     """Map between presented modules, given by a matrix on generators."""
-    dom: Presentation
-    cod: Presentation
-    mat: IntMatrix
+    __slots__ = ()
+    _fields = ("dom", "cod", "mat")
 
-    def __post_init__(self):
-        if self.mat.rows != self.cod.gens or self.mat.cols != self.dom.gens:
+    def __new__(cls, dom: Presentation, cod: Presentation, mat: IntMatrix):
+        if mat.rows != cod.gens or mat.cols != dom.gens:
             raise ValueError("map matrix shape does not match presentations")
-        if self.dom.rels.cols:
-            img = self.mat * self.dom.rels
-            if solve(self.cod.rels, img) is None:
-                raise MapValidationError(
-                    "matrix does not send domain relations into codomain relations")
+        if dom.rels.cols and solve(cod.rels, mat * dom.rels) is None:
+            raise MapValidationError(
+                "matrix does not send domain relations into codomain relations")
+        return tuple.__new__(cls, (dom, cod, mat))
 
     @classmethod
     def between(cls, dom: FGModule, cod: FGModule, mat) -> "ModuleMap":
@@ -122,17 +119,19 @@ def _column_span_basis(m: IntMatrix) -> IntMatrix:
     return (m * sd.V).submatrix(range(m.rows), range(sd.rank))
 
 
-@dataclass(frozen=True)
-class CanonicalModule:
+class CanonicalModule(Record):
     """Canonical coordinates of a presented module.
 
     ``orders[i]`` is the annihilator of canonical generator i (0 = free);
-    ``proj`` maps old generator coordinates to canonical ones.
+    ``proj`` maps old generator coordinates to canonical ones and ``lift``
+    canonical ones to old ones (proj * lift = id mod orders).
     """
-    module: FGModule
-    orders: Tuple[int, ...]
-    proj: IntMatrix
-    lift: IntMatrix    # canonical -> old coordinates (proj * lift = id mod orders)
+    __slots__ = ()
+    _fields = ("module", "orders", "proj", "lift")
+
+    def __new__(cls, module: FGModule, orders: Tuple[int, ...], proj: IntMatrix,
+                lift: IntMatrix):
+        return tuple.__new__(cls, (module, orders, proj, lift))
 
 
 def canonicalize(pres: Presentation) -> CanonicalModule:
@@ -165,15 +164,16 @@ def canonical_matrix(f: ModuleMap) -> Tuple[CanonicalModule, CanonicalModule, In
     return cd, cc, IntMatrix(mat.rows, mat.cols, ent)
 
 
-@dataclass(frozen=True)
-class MapComponents:
-    """Torsion/free split of a map of f.g. modules."""
-    kernel: FGModule
-    cokernel: FGModule
-    ker_T: FGModule        # Ker of the torsion restriction
-    coker_T: FGModule      # Coker of the torsion restriction
-    coker_F: FGModule      # Coker of the induced map on free quotients
-    free_matrix: IntMatrix  # induced map on free quotients
+class MapComponents(Record):
+    """Torsion/free split of a map of f.g. modules: ``ker_T`` and
+    ``coker_T`` of the torsion restriction, ``coker_F`` of the induced map
+    ``free_matrix`` on free quotients."""
+    __slots__ = ()
+    _fields = ("kernel", "cokernel", "ker_T", "coker_T", "coker_F", "free_matrix")
+
+    def __new__(cls, kernel: FGModule, cokernel: FGModule, ker_T: FGModule,
+                coker_T: FGModule, coker_F: FGModule, free_matrix: IntMatrix):
+        return tuple.__new__(cls, (kernel, cokernel, ker_T, coker_T, coker_F, free_matrix))
 
 
 def split_components(f: ModuleMap) -> MapComponents:
@@ -231,20 +231,18 @@ def connecting_map(sub_small: IntMatrix, sub_big: IntMatrix,
     return sol.submatrix(range(sub_big.cols), range(sub_small.cols))
 
 
-@dataclass
 class GradedModuleMap:
     """Degree-wise family of module maps with a fixed degree shift."""
-    maps: Dict[int, ModuleMap] = field(default_factory=dict)
-    shift: int = 0
-    domain: Optional[GradedModule] = None
-    codomain: Optional[GradedModule] = None
 
-    def __post_init__(self):
-        if self.domain is None:
-            self.domain = GradedModule({k: m.dom.module() for k, m in self.maps.items()})
-        if self.codomain is None:
-            self.codomain = GradedModule(
-                {k + self.shift: m.cod.module() for k, m in self.maps.items()})
+    def __init__(self, maps: Optional[Dict[int, ModuleMap]] = None, shift: int = 0,
+                 domain: Optional[GradedModule] = None,
+                 codomain: Optional[GradedModule] = None):
+        self.maps = {} if maps is None else maps
+        self.shift = shift
+        self.domain = domain if domain is not None else GradedModule(
+            {k: m.dom.module() for k, m in self.maps.items()})
+        self.codomain = codomain if codomain is not None else GradedModule(
+            {k + shift: m.cod.module() for k, m in self.maps.items()})
 
     def map_at(self, k: int) -> ModuleMap:
         if k in self.maps:

@@ -23,8 +23,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .records import Record
 
 
 class IntMatrix:
@@ -202,13 +203,14 @@ class IntMatrix:
         return cls(r, c, ent)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U*A*V is diagonal with the invariant factors d1 | d2 | ... | dr."""
-    diagonal: tuple
-    U: Optional[IntMatrix]
-    V: Optional[IntMatrix]
-    peak_abs: int = 0
+    __slots__ = ()
+    _fields = ("diagonal", "U", "V", "peak_abs")
+
+    def __new__(cls, diagonal: tuple, U: Optional[IntMatrix], V: Optional[IntMatrix],
+                peak_abs: int = 0):
+        return tuple.__new__(cls, (diagonal, U, V, peak_abs))
 
     @property
     def rank(self) -> int:

@@ -6,11 +6,11 @@ invariant-factor chain.  Equality is isomorphism, never presentation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from typing import Dict, Iterable, Optional, Tuple
 
 from .matrices import IntMatrix, smith
+from .records import Record
 
 
 # Miller-Rabin with the first 13 prime bases is exact below the least
@@ -43,20 +43,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(Record):
     """Ground ring: Z, Q, or a prime field F_p."""
-    kind: str            # "Z" | "Q" | "Fp"
-    p: int = 0
+    __slots__ = ()
+    _fields = ("kind", "p")      # kind "Z" | "Q" | "Fp"
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Q", "Fp"):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
-        if self.kind == "Fp" and self.p >= PRIME_TEST_BOUND:
-            raise ValueError(f"field characteristic {self.p} is too large: primality "
+    def __new__(cls, kind: str, p: int = 0):
+        if kind not in ("Z", "Q", "Fp"):
+            raise ValueError(f"unknown coefficient kind {kind!r}")
+        if kind == "Fp" and p >= PRIME_TEST_BOUND:
+            raise ValueError(f"field characteristic {p} is too large: primality "
                              f"is decided exactly only below {PRIME_TEST_BOUND}")
-        if self.kind == "Fp" and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        if kind == "Fp" and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return tuple.__new__(cls, (kind, p))
 
     @property
     def is_field(self) -> bool:
@@ -123,26 +123,25 @@ def _chain_from_factors(factors: Iterable[int]) -> Tuple[int, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
-class FGModule:
+class FGModule(Record):
     """Finitely generated module: free rank + invariant factors d1|d2|...
 
     Torsion factors are each >= 2 and form a divisibility chain; over a
     field the torsion is empty.  Instances compare by isomorphism type.
     """
-    rank: int
-    torsion: Tuple[int, ...] = ()
+    __slots__ = ()
+    _fields = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, rank: int, torsion: Tuple[int, ...] = ()):
+        if rank < 0:
             raise ValueError("negative rank")
-        if not self.torsion:
-            return
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a != 0:
-                raise ValueError(f"broken divisibility chain {self.torsion}")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError(f"torsion factors must be >= 2: {self.torsion}")
+        if torsion:
+            for a, b in zip(torsion, torsion[1:]):
+                if b % a != 0:
+                    raise ValueError(f"broken divisibility chain {torsion}")
+            if any(d < 2 for d in torsion):
+                raise ValueError(f"torsion factors must be >= 2: {torsion}")
+        return tuple.__new__(cls, (rank, torsion))
 
     @classmethod
     def zero(cls) -> "FGModule":
@@ -350,8 +349,7 @@ def kunneth(A: GradedModule, B: GradedModule) -> GradedModule:
 
 # -- extension problems -------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionOutcome:
+class ExtensionOutcome(Record):
     """A group E known only through 0 -> sub -> E -> quot -> 0.
 
     ``resolved`` is filled only when the sequence determines E: one end
@@ -359,10 +357,12 @@ class ExtensionOutcome:
     stays as end data plus order/exponent bounds; guessing a splitting
     would fabricate information the source never provides.
     """
-    sub: FGModule
-    quot: FGModule
-    resolved: Optional[FGModule] = None
-    note: str = ""
+    __slots__ = ()
+    _fields = ("sub", "quot", "resolved", "note")
+
+    def __new__(cls, sub: FGModule, quot: FGModule,
+                resolved: Optional[FGModule] = None, note: str = ""):
+        return tuple.__new__(cls, (sub, quot, resolved, note))
 
     @classmethod
     def of(cls, sub: FGModule, quot: FGModule) -> "ExtensionOutcome":

@@ -9,12 +9,12 @@ equivalent to integral Poincare duality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .exact_algebra import (ExtensionOutcome, FGModule, GradedModule,
                             GradedModuleMap)
 from .exact_algebra.maps import split_components
+from .exact_algebra.records import Fields
 from .spaces import IntersectionProfile
 
 NON_SINGULAR = "non-singular"
@@ -62,37 +62,37 @@ def peripheral(chi: GradedModuleMap) -> Dict[int, ExtensionOutcome]:
     return out
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str            # "pass" | "fail" | "skipped"
-    detail: str = ""
+class CheckResult(Fields):
+    def __init__(self, name: str, status: str, detail: str = ""):
+        self.name = name
+        self.status = status        # "pass" | "fail" | "skipped"
+        self.detail = detail
 
     def as_dict(self):
         return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
-@dataclass
-class DualityReport:
-    """Everything the engine can say about one perverse space."""
-    space: str
-    n: int
-    ring: str
-    perversity: str
-    gh_lower: Optional[GradedModule]
-    gh_dual: Optional[GradedModule]
-    h_blowup: Optional[GradedModule]
-    comp_F: Optional[GradedModule]
-    comp_TK: Optional[GradedModule]
-    comp_TC: Optional[GradedModule]
-    peripheral: Optional[Dict[int, ExtensionOutcome]]   # None: not computed
-    torsion_free_pairing: str
-    torsion_pairing: str
-    poincare_duality: Optional[bool]
-    locally_torsion_free: Optional[bool]
-    checks: List[CheckResult] = field(default_factory=list)
-    annotations: List[str] = field(default_factory=list)
-    ltf_details: list = field(default_factory=list)
+class DualityReport(Fields):
+    """Everything the engine can say about one perverse space; its
+    ``peripheral`` is None when not computed, and ``checks`` start empty."""
+
+    def __init__(self, space: str, n: int, ring: str, perversity: str,
+                 gh_lower: Optional[GradedModule], gh_dual: Optional[GradedModule],
+                 h_blowup: Optional[GradedModule], comp_F: Optional[GradedModule],
+                 comp_TK: Optional[GradedModule], comp_TC: Optional[GradedModule],
+                 peripheral: Optional[Dict[int, ExtensionOutcome]],
+                 torsion_free_pairing: str, torsion_pairing: str,
+                 poincare_duality: Optional[bool], locally_torsion_free: Optional[bool],
+                 annotations: Optional[List[str]] = None, ltf_details: Optional[list] = None):
+        self.space, self.n, self.ring, self.perversity = space, n, ring, perversity
+        self.gh_lower, self.gh_dual, self.h_blowup = gh_lower, gh_dual, h_blowup
+        self.comp_F, self.comp_TK, self.comp_TC = comp_F, comp_TK, comp_TC
+        self.peripheral = peripheral
+        self.torsion_free_pairing, self.torsion_pairing = torsion_free_pairing, torsion_pairing
+        self.poincare_duality, self.locally_torsion_free = poincare_duality, locally_torsion_free
+        self.checks: List[CheckResult] = []
+        self.annotations = [] if annotations is None else annotations
+        self.ltf_details = [] if ltf_details is None else ltf_details
 
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)

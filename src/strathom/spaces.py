@@ -11,7 +11,6 @@ and the locally-torsion-free report.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact_algebra import (Coefficients, ExtensionOutcome, FGModule,
@@ -19,17 +18,20 @@ from .exact_algebra import (Coefficients, ExtensionOutcome, FGModule,
                             verdier_dual_homology)
 from .exact_algebra.maps import (connecting_map, split_components,
                                  subgroup_presentation)
+from .exact_algebra.records import Fields, Record
 
 ZRING = Coefficients("Z")
 
 
 # -- manifold atoms -----------------------------------------------------
 
-@dataclass(frozen=True)
-class BasisElt:
-    name: str
-    degree: int
-    order: int = 0     # 0 = infinite (free generator), d >= 2 = Z/d
+class BasisElt(Record):
+    __slots__ = ()
+    _fields = ("name", "degree", "order")
+
+    def __new__(cls, name: str, degree: int, order: int = 0):
+        # order 0 = infinite (free generator), d >= 2 = Z/d
+        return tuple.__new__(cls, (name, degree, order))
 
     def __repr__(self):
         tag = "" if self.order == 0 else f" (Z/{self.order})"
@@ -276,58 +278,70 @@ def _product2(A: ManifoldAtom, B: ManifoldAtom) -> ManifoldAtom:
 
 # -- space expressions ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SpaceExpr:
-    pass
+class SpaceExpr(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class AtomSpace(SpaceExpr):
-    atom: ManifoldAtom
+    __slots__ = ()
+    _fields = ("atom",)
+
+    def __new__(cls, atom: ManifoldAtom):
+        return tuple.__new__(cls, (atom,))
 
     @property
     def name(self):
         return self.atom.name
 
 
-@dataclass(frozen=True)
 class OpenCone(SpaceExpr):
-    link: "AtomSpace"
+    __slots__ = ()
+    _fields = ("link",)
+
+    def __new__(cls, link: AtomSpace):
+        return tuple.__new__(cls, (link,))
 
     @property
     def name(self):
         return f"cone({self.link.name})"
 
 
-@dataclass(frozen=True)
 class Suspension(SpaceExpr):
-    link: "AtomSpace"
+    __slots__ = ()
+    _fields = ("link",)
+
+    def __new__(cls, link: AtomSpace):
+        return tuple.__new__(cls, (link,))
 
     @property
     def name(self):
         return f"susp({self.link.name})"
 
 
-@dataclass(frozen=True)
 class IsolatedSing(SpaceExpr):
     """Pseudomanifold with isolated singular points, known through its
     links only; enough for the peripheral cohomology."""
-    dim: int
-    links: Tuple[ManifoldAtom, ...]
-    label: str = ""
+    __slots__ = ()
+    _fields = ("dim", "links", "label")
+
+    def __new__(cls, dim: int, links: Tuple[ManifoldAtom, ...], label: str = ""):
+        return tuple.__new__(cls, (dim, links, label))
 
     @property
     def name(self):
         return self.label or f"isolated({','.join(a.name for a in self.links)})"
 
 
-@dataclass(frozen=True)
 class MappingTorus(SpaceExpr):
     """Mapping torus of a stratum-preserving self-homeomorphism of a
     profiled link; the automorphism is given by its action on the
-    peripheral cohomology of the link."""
-    link: SpaceExpr
-    action: Tuple[Tuple[int, Tuple[Tuple[int, ...], ...]], ...]  # degree -> matrix rows
+    peripheral cohomology of the link, as (degree, matrix rows) pairs."""
+    __slots__ = ()
+    _fields = ("link", "action")
+
+    def __new__(cls, link: SpaceExpr,
+                action: Tuple[Tuple[int, Tuple[Tuple[int, ...], ...]], ...]):
+        return tuple.__new__(cls, (link, action))
 
     @property
     def name(self):
@@ -338,10 +352,12 @@ class MappingTorus(SpaceExpr):
                 for deg, rows in self.action}
 
 
-@dataclass(frozen=True)
 class ThomCircle(SpaceExpr):
-    base: ManifoldAtom
-    euler: Tuple[Tuple[str, int], ...]
+    __slots__ = ()
+    _fields = ("base", "euler")
+
+    def __new__(cls, base: ManifoldAtom, euler: Tuple[Tuple[str, int], ...]):
+        return tuple.__new__(cls, (base, euler))
 
     @property
     def name(self):
@@ -349,9 +365,12 @@ class ThomCircle(SpaceExpr):
         return f"thom({self.base.name}; e={e})"
 
 
-@dataclass(frozen=True)
 class DisjointUnion(SpaceExpr):
-    parts: Tuple[SpaceExpr, ...]
+    __slots__ = ()
+    _fields = ("parts",)
+
+    def __new__(cls, parts: Tuple[SpaceExpr, ...]):
+        return tuple.__new__(cls, (parts,))
 
     @property
     def name(self):
@@ -360,38 +379,31 @@ class DisjointUnion(SpaceExpr):
 
 # -- profiles -------------------------------------------------------------
 
-@dataclass
-class LTFStratumReport:
-    stratum: str
-    critical_degree: int
-    torsion: Optional[FGModule]       # None when not determined exactly
-    torsion_order: Optional[int]
-    ok: bool
+class LTFStratumReport(Fields):
+    def __init__(self, stratum: str, critical_degree: int,
+                 torsion: Optional[FGModule], torsion_order: Optional[int], ok: bool):
+        self.stratum, self.critical_degree = stratum, critical_degree
+        self.torsion = torsion      # None when not determined exactly
+        self.torsion_order, self.ok = torsion_order, ok
 
 
-@dataclass
-class IntersectionProfile:
-    """All closed-form invariants of one perverse space over one ring."""
-    name: str
-    n: int
-    ring: Coefficients
-    perversity_desc: str
-    gh_lower: Optional[GradedModule] = None       # intersection homology, p
-    gh_dual: Optional[GradedModule] = None        # linear-dual cohomology, Dp
-    h_blowup: Optional[GradedModule] = None       # blown-up cohomology, p
-    h_blowup_c: Optional[GradedModule] = None
-    gh_dual_c: Optional[GradedModule] = None
-    chi_maps: Dict[int, ModuleMap] = field(default_factory=dict)
-    ker_chi: Optional[GradedModule] = None
-    coker_chi: Optional[GradedModule] = None
-    comp_F: Optional[GradedModule] = None
-    comp_TK: Optional[GradedModule] = None
-    comp_TC: Optional[GradedModule] = None
-    peripheral: Dict[int, ExtensionOutcome] = field(default_factory=dict)
-    ltf: Optional[List[LTFStratumReport]] = None
-    oriented: bool = True
-    graded_complete: bool = True     # False when gh/h groups stop early
-    annotations: List[str] = field(default_factory=list)
+class IntersectionProfile(Fields):
+    """All closed-form invariants of one perverse space over one ring,
+    filled in by the evaluator that makes it."""
+
+    def __init__(self, name: str, n: int, ring: Coefficients, perversity_desc: str):
+        self.name, self.n, self.ring, self.perversity_desc = name, n, ring, perversity_desc
+        self.gh_lower: Optional[GradedModule] = None     # intersection homology, p
+        self.gh_dual: Optional[GradedModule] = None      # linear-dual cohomology, Dp
+        self.h_blowup: Optional[GradedModule] = None     # blown-up cohomology, p
+        self.h_blowup_c = self.gh_dual_c = self.ker_chi = self.coker_chi = None
+        self.comp_F = self.comp_TK = self.comp_TC = None
+        self.chi_maps: Dict[int, ModuleMap] = {}
+        self.peripheral: Dict[int, ExtensionOutcome] = {}
+        self.ltf: Optional[List[LTFStratumReport]] = None
+        self.oriented = True
+        self.graded_complete = True     # False when gh/h groups stop early
+        self.annotations: List[str] = []
 
     @property
     def has_components(self) -> bool:

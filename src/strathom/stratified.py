@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+
+from .exact_algebra.records import Record
 
 
 class StratifiedValidationError(ValueError):
@@ -302,14 +303,14 @@ def _fresh_vertex(levels: Dict) -> int:
     return (max(ints) + 1) if ints else 0
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """Connected component of X_i minus X_{i-1}."""
-    level: int
-    index: int
-    dim: int
-    codim: int
-    regular: bool
+class Stratum(Record):
+    """Connected component of X_i minus X_{i-1}; its field ``index`` hides
+    the tuple method of that name."""
+    __slots__ = ()
+    _fields = ("level", "index", "dim", "codim", "regular")
+
+    def __new__(cls, level: int, index: int, dim: int, codim: int, regular: bool):
+        return tuple.__new__(cls, (level, index, dim, codim, regular))
 
     @property
     def key(self) -> Tuple[int, int]:

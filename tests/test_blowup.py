@@ -10,7 +10,7 @@ from algebra_oracle import cyclic
 from blowup_oracle import (LocalBlowupComplex, as_local, label_coboundary,
                            local_complex, local_perverse_degree)
 from strathom.blowup import (GlobalBlowupComplex, blowup_cohomology,
-                             blowup_complex, relative_cohomology)
+                             blowup_complex, label_count, relative_cohomology)
 from strathom.chains import allowable
 from strathom.exact_algebra import (Coefficients, FGModule, GradedModule,
                                     IntMatrix, homology_all, smith)
@@ -328,3 +328,16 @@ def test_public_names_resolve(module):
     for name in module.__all__:
         assert hasattr(module, name), name
     assert not {"local_complex", "local_perverse_degree"} & set(module.__all__)
+
+
+@pytest.mark.parametrize("name,build", [
+    ("susp(S1)", lambda: circle().suspension()),
+    ("susp4(S1)", lambda: circle().suspension().suspension().suspension().suspension()),
+    ("cone(T2)", lambda: torus().cone()),
+    ("susp2(RP2)", lambda: projective_plane().suspension().suspension()),
+    ("cone(RP2) + susp(T2)", lambda: projective_plane().cone().disjoint_union(
+        torus().suspension())),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_label_count_is_the_basis_size(name, build):
+    X = build()
+    assert label_count(X) == sum(len(b) for b in GlobalBlowupComplex(X).basis.values())

@@ -898,3 +898,59 @@ def test_over_budget_routes(monkeypatch, capsys):
     for command in ("profile", "validate", "crosscheck"):
         code, out, err = run(capsys, command, raw)
         assert (code, out) == (4, "") and err.startswith("undetermined: over budget: about ")
+
+
+def test_an_8_deep_suspension_of_s1_is_over_the_label_budget(tmp_path, capsys):
+    # 45 926 simplices, far under the simplex budget, but 2 343 750
+    # blown-up labels: its blow-up once ran for 51 s
+    f = tmp_path / "susp8.json"
+    f.write_text(nested_suspensions(8))
+    reason = "over budget: about 2.3e6 blown-up labels, budget 1000000"
+    for argv in (["profile"], ["profile", "--engine", "both"], ["crosscheck"]):
+        start = time.perf_counter()
+        assert run(capsys, argv[0], str(f), *argv[1:]) == (4, "", f"undetermined: {reason}\n")
+        assert time.perf_counter() - start < 2.0, argv
+    code, out, _ = run(capsys, "validate", str(f))    # builds no blow-up
+    assert code == 0 and out.startswith("valid: ")
+
+
+def test_label_budget_routes(monkeypatch, capsys):
+    # susp(RP3) has 4240 blown-up labels: over a budget of 1000, the closed
+    # form still answers; where the simplicial engine must run, exit 4
+    monkeypatch.setattr(cli, "BLOWUP_LABEL_BUDGET", 1000)
+    f = str(GOLDEN_JOBS / "susp-rp3.json")
+    reason = "over budget: about 4.2e3 blown-up labels, budget 1000"
+    code, out, err = run(capsys, "profile", f, "--json")
+    assert code == 0 and err == "" and reason not in out
+    code, out, err = run(capsys, "profile", f, "--engine", "both", "--json")
+    assert code == 0 and err == ""
+    assert f"simplicial engine skipped: {reason}" in json.loads(out)["annotations"]
+    for argv in (["profile", f, "--engine", "simplicial"], ["crosscheck", f]):
+        assert run(capsys, *argv) == (4, "", f"undetermined: {reason}\n"), argv
+    assert run(capsys, "validate", f)[0] == 0
+
+
+@pytest.mark.parametrize("job", sorted(p.name for p in GOLDEN_JOBS.glob("*.json")))
+def test_golden_jobs_are_under_the_label_budget(job):
+    space = cli.read_space(json.loads((GOLDEN_JOBS / job).read_text())["space"])
+    assert space.build is None or space.blowup_over_budget == ""
+
+
+@pytest.mark.parametrize("command", ["profile", "crosscheck", "validate"])
+@pytest.mark.parametrize("field,value,message", [
+    ("ring", "F4", "4 is not prime"),
+    ("ring", "F1", "1 is not prime"),
+    ("ring", "R", "cannot parse coefficient ring 'R'"),
+    ("perversity", True, "a perversity value must be an integer, not True"),
+    ("perversity", [1], "cannot parse perversity [1]"),
+    ("perversity", {"gm": [0, 0, 0, 2]}, "GM growth violated"),
+], ids=["F4", "F1", "R", "true", "list", "gm-growth"])
+def test_every_command_refuses_a_malformed_ring_or_perversity(tmp_path, capsys, command,
+                                                              field, value, message):
+    # crosscheck and validate read neither field, and once ran such a job
+    f = write(tmp_path, "bad.json", {
+        "space": {"type": "suspension", "of": {"type": "atom", "name": "RP3"}},
+        "perversity": 99, field: value})
+    code, out, err = run(capsys, command, f)
+    assert_one_line_error(code, err)
+    assert message in err and out == ""
